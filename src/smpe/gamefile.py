@@ -43,6 +43,17 @@ def _require(doc, key, kind, path):
     return value
 
 
+def _decimal(doc, key, path):
+    text = _require(doc, key, str, path)
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"{path}{key} must be a decimal string, got {text!r}") from None
+    if not np.isfinite(value):
+        raise ParseError(f"{path}{key} must be finite, got {text!r}")
+    return value
+
+
 def _number_array(value, path, shape=None):
     try:
         arr = np.asarray(value, dtype=float)
@@ -252,7 +263,7 @@ def load_result(path, spec: StochasticGameSpec):
         pieces = _require(cell, "pieces", list, f"cells[{k}].")
         v_parts, s_parts = [], []
         for p, piece in enumerate(pieces):
-            frac = float(_require(piece, "fraction", str, f"cells[{k}].pieces[{p}]."))
+            frac = _decimal(piece, "fraction", f"cells[{k}].pieces[{p}].")
             value = _number_array(piece.get("value"), f"cells[{k}].pieces[{p}].value")
             strategy = _number_array(piece.get("strategy"), f"cells[{k}].pieces[{p}].strategy")
             v_parts.append(Piece(frac, value))

@@ -2,10 +2,14 @@
 
 Stage games are built per state by folding continuation moments and
 atom values into the stage payoffs; equilibria are found by support
-enumeration (linear indifference systems for two players, damped Newton
-from a fixed start grid for three) with every candidate verified by an
-independent best-response check. Games beyond the exact-mode envelope
-fall back to regret matching toward a single approximate equilibrium.
+enumeration with every candidate verified by an independent
+best-response check. Two-player games go through one stacked routine,
+:func:`nash_enumerate_stack`, which solves a support pair's linear
+indifference systems for a whole stack of games in one batched solve;
+a single game is a stack of one. Three-player games run damped Newton
+from a fixed start grid, game by game. Games beyond the exact-mode
+envelope fall back to regret matching toward a single approximate
+equilibrium.
 """
 
 from __future__ import annotations
@@ -187,8 +191,26 @@ def expected_payoffs(game: StageGame, strategies) -> np.ndarray:
 
 def payoff_against(game: StageGame, player: int, strategies) -> np.ndarray:
     """Payoff of each of ``player``'s actions against the others' mixtures."""
-    others = [np.asarray(strategies[j], dtype=float) for j in range(game.m) if j != player]
-    return np.einsum(_CONTRACT[(game.m, player)], game.payoffs[player], *others)
+    return _against(game.payoffs, player, strategies)
+
+
+def _against(payoffs, player, strategies):
+    m = len(payoffs)
+    others = [np.asarray(strategies[j], dtype=float) for j in range(m) if j != player]
+    return np.einsum(_CONTRACT[(m, player)], payoffs[player], *others)
+
+
+def payoff_against_stack(payoffs: np.ndarray, player: int, strategies) -> np.ndarray:
+    """:func:`payoff_against` for a stack of games sharing action counts.
+
+    ``payoffs`` is (m, n, *shape) and ``strategies[j]`` is (n, k_j); the
+    result is (n, k_player). Each game is contracted exactly as
+    :func:`payoff_against` contracts it alone.
+    """
+    ins, out = _CONTRACT[(len(payoffs), player)].split("->")
+    program = ",".join("n" + term for term in ins.split(",")) + "->n" + out
+    others = [np.asarray(s, dtype=float) for j, s in enumerate(strategies) if j != player]
+    return np.einsum(program, payoffs[player], *others)
 
 
 def best_response_gap(game: StageGame, strategies) -> np.ndarray:
@@ -200,32 +222,36 @@ def best_response_gap(game: StageGame, strategies) -> np.ndarray:
     return gaps
 
 
-def is_degenerate(game: StageGame, tol: float = 1e-12) -> bool:
-    """True when some player owns two payoff-equivalent actions.
+def degenerate_games(payoffs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Per game of a stack (m, n, *shape): True when some player owns two
+    payoff-equivalent actions.
 
     This is the degeneracy the pre-enumeration perturbation guards
     against; enumeration may then understate the equilibrium set, so
     callers flag such games in their diagnostics.
     """
-    for i, tensor in enumerate(game.payoffs):
-        rows = np.moveaxis(tensor, i, 0).reshape(game.shape[i], -1)
-        for a in range(game.shape[i]):
-            for b in range(a + 1, game.shape[i]):
-                if np.max(np.abs(rows[a] - rows[b])) <= tol:
-                    return True
-    return False
+    m, n, *shape = payoffs.shape
+    out = np.zeros(n, dtype=bool)
+    for i in range(m):
+        rows = np.moveaxis(payoffs[i], i + 1, 1).reshape(n, shape[i], -1)
+        for a, b in itertools.combinations(range(shape[i]), 2):
+            out |= np.max(np.abs(rows[:, a] - rows[:, b]), axis=1) <= tol
+    return out
 
 
-def _perturbed(game: StageGame) -> StageGame:
-    """Deterministic lexicographic tie-break: each payoff entry is nudged
-    by a distinct multiple of a tiny unit."""
-    scale = PERTURB_SCALE * max(1.0, max(float(np.max(np.abs(p))) for p in game.payoffs))
-    n = int(np.prod(game.shape))
-    payoffs = []
-    for i, p in enumerate(game.payoffs):
-        ramp = (np.arange(n, dtype=float) * game.m + i + 1.0) / (n * game.m + 1.0)
-        payoffs.append(p + scale * ramp.reshape(game.shape))
-    return StageGame(payoffs=tuple(payoffs), actions=game.actions)
+def _perturbed(payoffs: np.ndarray) -> np.ndarray:
+    """Deterministic lexicographic tie-break of a game stack (m, n, *shape):
+    each payoff entry is nudged by a distinct multiple of a tiny unit
+    scaled to its own game's largest payoff."""
+    m, n, *shape = payoffs.shape
+    size = int(np.prod(shape))
+    largest = np.abs(payoffs).reshape(m, n, size).max(axis=(0, 2))
+    scale = (PERTURB_SCALE * np.maximum(1.0, largest)).reshape((n,) + (1,) * len(shape))
+    out = np.empty_like(payoffs)
+    for i in range(m):
+        ramp = (np.arange(size, dtype=float) * m + i + 1.0) / (size * m + 1.0)
+        out[i] = payoffs[i] + scale * ramp.reshape(shape)
+    return out
 
 
 def _projected(vec, support, size):
@@ -234,41 +260,94 @@ def _projected(vec, support, size):
     return full
 
 
-def _candidates_two(game: StageGame):
-    a, b = game.payoffs
-    k1, k2 = game.shape
-    for r in range(1, min(k1, k2) + 1):
-        for rows in itertools.combinations(range(k1), r):
-            sub_a = a[list(rows)]
-            sub_b = b[list(rows)]
-            for cols in itertools.combinations(range(k2), r):
-                block_a = sub_a[:, list(cols)]
-                block_b = sub_b[:, list(cols)]
-                # row mixture x equalizes the column player on its support,
-                # column mixture y equalizes the row player
-                lhs_y = np.zeros((r + 1, r + 1))
-                lhs_y[:r, :r] = block_a
-                lhs_y[:r, r] = -1.0
-                lhs_y[r, :r] = 1.0
-                lhs_x = np.zeros((r + 1, r + 1))
-                lhs_x[:r, :r] = block_b.T
-                lhs_x[:r, r] = -1.0
-                lhs_x[r, :r] = 1.0
-                rhs = np.zeros(r + 1)
-                rhs[r] = 1.0
-                try:
-                    sol_y = np.linalg.solve(lhs_y, rhs)
-                    sol_x = np.linalg.solve(lhs_x, rhs)
-                except np.linalg.LinAlgError:
-                    continue
-                x, y = sol_x[:r], sol_y[:r]
-                if x.min() < -1e-9 or y.min() < -1e-9:
-                    continue
-                x = np.clip(x, 0.0, None)
-                y = np.clip(y, 0.0, None)
-                if x.sum() <= 0 or y.sum() <= 0:
-                    continue
-                yield (_projected(x / x.sum(), rows, k1), _projected(y / y.sum(), cols, k2))
+def _support_mixtures(perturbed: np.ndarray, rows, cols):
+    """Indifference mixtures of every game of a two-player stack on one
+    support pair: the row mixture equalizes the column player on ``cols``
+    and the column mixture equalizes the row player on ``rows``.
+
+    Returns (x, y, ok): x (n, k1) and y (n, k2) normalized on the
+    support, ok marks the games whose systems are regular and whose
+    solutions are nonnegative. One batched solve covers the stack; if any
+    system is singular, the games of this support pair are solved one by
+    one.
+    """
+    r = len(rows)
+    _, n, k1, k2 = perturbed.shape
+    block = perturbed[:, :, list(rows)][:, :, :, list(cols)]
+    lhs = np.zeros((2, n, r + 1, r + 1))
+    lhs[0, :, :r, :r] = np.swapaxes(block[1], 1, 2)
+    lhs[1, :, :r, :r] = block[0]
+    lhs[:, :, :r, r] = -1.0
+    lhs[:, :, r, :r] = 1.0
+    rhs = np.zeros((r + 1, 1))
+    rhs[r] = 1.0
+    ok = np.ones(n, dtype=bool)
+    try:
+        sol = np.linalg.solve(lhs, rhs)[..., :r, 0]
+    except np.linalg.LinAlgError:
+        sol = np.zeros((2, n, r))
+        for g in range(n):
+            try:
+                sol[:, g] = [np.linalg.solve(lhs[p, g], rhs)[:r, 0] for p in range(2)]
+            except np.linalg.LinAlgError:
+                ok[g] = False
+    ok &= ~(sol.min(axis=2) < -1e-9).any(axis=0)
+    sol = np.clip(sol, 0.0, None)
+    total = sol.sum(axis=2)
+    ok &= ~(total <= 0).any(axis=0)
+    sol = np.divide(sol, total[..., None], out=np.zeros_like(sol), where=ok[:, None])
+    x = np.zeros((n, k1))
+    x[:, list(rows)] = sol[0]
+    y = np.zeros((n, k2))
+    y[:, list(cols)] = sol[1]
+    return x, y, ok
+
+
+def nash_enumerate_stack(
+    payoffs, br_tol: float = BR_TOL, dedupe_tol: float = DEDUPE_TOL
+) -> list:
+    """Exact equilibria of a stack of two-player games, one list per game.
+
+    ``payoffs`` is (2, n, k1, k2): both players' payoff matrices for n
+    games with the same action counts. Each game gets the list
+    :func:`nash_enumerate` documents, in the same order: supports of
+    equal size are solved in (size, rows, cols) order on the perturbed
+    stack, one batched solve per support pair; a vectorized
+    best-response screen drops the candidates that are far from
+    equilibrium, and each remaining one is verified game by game
+    against the unperturbed payoffs, deduplicated and sorted.
+    """
+    payoffs = np.asarray(payoffs, dtype=float)
+    if payoffs.ndim != 4 or len(payoffs) != 2:
+        raise InvalidInput("a two-player stack must be (2, games, k1, k2)")
+    if not np.all(np.isfinite(payoffs)):
+        raise InvalidInput("payoffs must be finite")
+    _, n, k1, k2 = payoffs.shape
+    perturbed = _perturbed(payoffs)
+    supports = [
+        _support_mixtures(perturbed, rows, cols)
+        for r in range(1, min(k1, k2) + 1)
+        for rows in itertools.combinations(range(k1), r)
+        for cols in itertools.combinations(range(k2), r)
+    ]
+    xs, ys, oks = (np.stack(part, axis=1) for part in zip(*supports))  # (n, supports, ...)
+    # The screen drops candidates whose gap exceeds br_tol by far more
+    # than rounding could explain; the survivors are verified game by game
+    # with the arithmetic of a single-game enumeration, so no game's list
+    # depends on the rest of the stack.
+    vec_x = np.einsum("nab,nsb->nsa", payoffs[0], ys)
+    vec_y = np.einsum("nab,nsa->nsb", payoffs[1], xs)
+    gap = np.maximum(
+        vec_x.max(axis=2) - np.einsum("nsa,nsa->ns", xs, vec_x),
+        vec_y.max(axis=2) - np.einsum("nsb,nsb->ns", ys, vec_y),
+    )
+    slack = br_tol + 1e-12 * np.maximum(1.0, np.abs(payoffs).max(axis=(0, 2, 3)))
+    keep = oks & (gap <= slack[:, None])
+    out = []
+    for g in range(n):
+        candidates = [(xs[g, s], ys[g, s]) for s in np.flatnonzero(keep[g])]
+        out.append(_verify_candidates(payoffs[:, g], candidates, br_tol, dedupe_tol))
+    return out
 
 
 def _newton_starts(sizes, count=8):
@@ -283,9 +362,8 @@ def _newton_starts(sizes, count=8):
     return starts
 
 
-def _candidates_three(game: StageGame):
-    tensors = game.payoffs
-    k = game.shape
+def _candidates_three(tensors):
+    k = tensors[0].shape
     supports = [
         [c for r in range(1, k[i] + 1) for c in itertools.combinations(range(k[i]), r)]
         for i in range(3)
@@ -375,21 +453,34 @@ def _solve_indifference_three(sub, start, max_iter=60, tol=1e-12):
     return out
 
 
-def _verify_candidates(game: StageGame, candidates, br_tol, dedupe_tol):
+def _verify_candidates(payoffs, candidates, br_tol, dedupe_tol):
+    """Keep the candidates no player can improve on by more than
+    ``br_tol`` with a pure deviation, drop near-duplicates and sort."""
     points = []
     for strategies in candidates:
-        if max(best_response_gap(game, strategies)) > br_tol:
+        vecs = [_against(payoffs, i, strategies) for i in range(len(payoffs))]
+        played = [np.dot(s, vec) for s, vec in zip(strategies, vecs)]
+        if max(float(vec.max() - v) for vec, v in zip(vecs, played)) > br_tol:
             continue
         flat = np.concatenate(strategies)
         if any(np.max(np.abs(flat - known)) <= dedupe_tol for known, _ in points):
             continue
-        points.append((flat, strategies))
-    out = [
-        NashPoint(strategies=tuple(s), payoffs=expected_payoffs(game, s))
-        for _, s in points
-    ]
+        points.append((flat, NashPoint(strategies=tuple(strategies), payoffs=np.array(played))))
+    out = [point for _, point in points]
     out.sort(key=lambda p: (tuple(p.payoffs), tuple(np.concatenate(p.strategies))))
     return out
+
+
+def enumeration_mode(mode: str, shape) -> str:
+    """Resolve ``mode`` ("auto", "exact" or "approx") for a game whose
+    players have ``shape`` actions: "auto" is exact inside the envelope
+    of at most three players with at most four actions each."""
+    if mode not in ("auto", "exact", "approx"):
+        raise InvalidInput(f"unknown enumeration mode {mode!r}")
+    if mode == "auto":
+        exact_ok = len(shape) <= EXACT_MAX_PLAYERS and max(shape) <= EXACT_MAX_ACTIONS
+        mode = "exact" if exact_ok else "approx"
+    return mode
 
 
 def nash_enumerate(
@@ -410,30 +501,26 @@ def nash_enumerate(
     matching in approximate mode and return a single point carrying its
     certified slack.
     """
-    if mode not in ("auto", "exact", "approx"):
-        raise InvalidInput(f"unknown enumeration mode {mode!r}")
-    if mode == "auto":
-        exact_ok = game.m <= EXACT_MAX_PLAYERS and max(game.shape) <= EXACT_MAX_ACTIONS
-        mode = "exact" if exact_ok else "approx"
+    mode = enumeration_mode(mode, game.shape)
     if mode == "approx":
         return [regret_matching(game, eps_target=approx_eps, max_iter=approx_iters)]
     if game.m > EXACT_MAX_PLAYERS:
         raise InvalidInput("exact enumeration supports at most three players")
-    perturbed = _perturbed(game)
+    stack = np.stack(game.payoffs)[:, None]
+    if game.m == 2:
+        return nash_enumerate_stack(stack, br_tol, dedupe_tol)[0]
+    perturbed = _perturbed(stack)[:, 0]
     if game.m == 1:
-        vec = perturbed.payoffs[0]
-        candidates = [
-            (np.eye(game.shape[0])[a],) for a in np.argsort(-vec)
-        ]
-    elif game.m == 2:
-        candidates = _candidates_two(perturbed)
+        candidates = [(np.eye(game.shape[0])[a],) for a in np.argsort(-perturbed[0])]
     else:
         candidates = _candidates_three(perturbed)
-    points = _verify_candidates(game, candidates, br_tol, dedupe_tol)
+    points = _verify_candidates(game.payoffs, candidates, br_tol, dedupe_tol)
     if not points and game.m == 3:
         # degenerate perturbation may have displaced an isolated mixed
         # equilibrium; retry the support scan on the raw payoffs
-        points = _verify_candidates(game, _candidates_three(game), br_tol, dedupe_tol)
+        points = _verify_candidates(
+            game.payoffs, _candidates_three(game.payoffs), br_tol, dedupe_tol
+        )
     return points
 
 

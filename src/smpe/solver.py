@@ -3,11 +3,16 @@
 The solver alternates three blocks until the coupled data stop moving:
 (a) on the atomic cells, iterate the per-atom optimal-value operator
 (a sup-norm contraction with modulus max discount) to its fixed point
-and refresh the atom strategy profile with the lexicographically first
-stage equilibrium; (b) on each divisible cell, enumerate the stage
-equilibria under the current continuation data and pick the point of
-their convex hull closest to the previous per-cell value; (c) fold the
-chosen values back into continuation moments with damping. A converged
+and refresh the atom strategy profile with the stage equilibrium that
+reproduces the atom values; (b) on each divisible cell, enumerate the
+stage equilibria under the current continuation data and pick the point
+of their convex hull closest to the previous per-cell value; (c) fold
+the chosen values back into continuation moments with damping. Stage
+games are never built cell by cell: the cells that share a
+feasible-action signature are sliced from the stage-payoff table as one
+stack, two-player stacks are enumerated in one batched pass per support
+pair, and the atom operator contracts a whole stack against the atom
+profiles at once. A converged
 convexified value is then purified into a piecewise-pure selection
 whose pieces carry actual stage equilibria, and the result is certified
 by the independent verifier; the reported slack is the verifier's
@@ -21,19 +26,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergence, PreconditionFailed, ValidationError
+from .errors import InvalidInput, NoConvergence, PreconditionFailed, ValidationError
 from .game import StochasticGameSpec, validate_game
 from .hull import project_to_hull
 from .measure import CandidateField, Piece, SplitSelection, StepFunction, purify_selection
 from .nash import (
     AggregateVector,
-    NashPoint,
-    StageGame,
     aggregate_moments,
     build_stage_game,
-    is_degenerate,
+    degenerate_games,
+    enumeration_mode,
     nash_enumerate,
-    payoff_against,
+    nash_enumerate_stack,
+    payoff_against_stack,
     stage_payoff_tensor,
 )
 
@@ -102,26 +107,76 @@ def atom_value_operator(
     table = stage_payoff_tensor(c, v2, spec)
     atoms = spec.space.atom_indices
     new = np.empty((spec.players, len(atoms)))
-    for a_idx, state in enumerate(atoms):
-        game = build_stage_game(int(state), c, v2, spec, payoff_table=table)
-        local = _localize_profile(f2[a_idx], game)
+    for actions, members in _signature_groups(spec, atoms):
+        stack = _stage_stack(table, spec, atoms[members], actions)
+        local = [
+            np.array([f2[a_idx][i] for a_idx in members], dtype=float)[:, actions[i]]
+            for i in range(spec.players)
+        ]
         for i in range(spec.players):
-            new[i, a_idx] = float(payoff_against(game, i, local).max())
+            new[i, members] = payoff_against_stack(stack, i, local).max(axis=1)
     return new
 
 
-def _localize_profile(profile, game: StageGame):
-    return tuple(
-        np.asarray(profile[i], dtype=float)[list(game.actions[i])]
-        for i in range(game.m)
-    )
+def _signature_groups(spec, states):
+    """Split ``states`` by feasible-action signature: pairs (actions,
+    members) with ``actions[i]`` player i's feasible global action ids
+    and ``members`` the positions in ``states`` that share them."""
+    masks = np.concatenate([feas[states] for feas in spec.feasible], axis=1)
+    members = {}
+    for pos, row in enumerate(masks):
+        members.setdefault(row.tobytes(), []).append(pos)
+    offsets = np.cumsum([0] + [len(a) for a in spec.actions])
+    groups = []
+    for group in members.values():
+        key = masks[group[0]]
+        actions = tuple(
+            np.flatnonzero(key[offsets[i] : offsets[i + 1]]) for i in range(spec.players)
+        )
+        if any(len(a) == 0 for a in actions):
+            raise InvalidInput(f"state {states[group[0]]} has an empty feasible set")
+        groups.append((actions, np.array(group)))
+    return groups
 
 
-def _globalize(game: StageGame, point: NashPoint, n_actions):
+def _stage_stack(table, spec, states, actions):
+    """Stage payoffs at ``states`` restricted to ``actions``, as one
+    (m, len(states), k_1, ..., k_m) stack sliced from ``table``."""
+    full = table[:, states].reshape((spec.players, len(states)) + spec.profile_shape)
+    stack = full[np.ix_(range(spec.players), range(len(states)), *actions)]
+    if not np.all(np.isfinite(stack)):
+        raise InvalidInput("stage payoffs must be finite")
+    return stack
+
+
+def _stage_equilibria(states, c, v2, spec, table, nash_mode):
+    """Stage equilibria at each of ``states`` under the payoff ``table``,
+    as (actions, points) pairs in the order of ``states``. Two-player
+    games inside the exact envelope are enumerated one stack per
+    feasible-action signature; any other game on its own."""
+    out = [None] * len(states)
+    for actions, members in _signature_groups(spec, states):
+        shape = tuple(len(a) for a in actions)
+        if spec.players == 2 and enumeration_mode(nash_mode, shape) == "exact":
+            lists = nash_enumerate_stack(_stage_stack(table, spec, states[members], actions))
+        else:
+            lists = [
+                nash_enumerate(
+                    build_stage_game(int(states[p]), c, v2, spec, payoff_table=table),
+                    mode=nash_mode,
+                )
+                for p in members
+            ]
+        for p, points in zip(members, lists):
+            out[p] = (actions, points)
+    return out
+
+
+def _globalize(actions, point, n_actions):
     out = []
     for i, strat in enumerate(point.strategies):
         vec = np.zeros(n_actions[i])
-        vec[list(game.actions[i])] = strat
+        vec[actions[i]] = strat
         out.append(vec)
     return out
 
@@ -163,14 +218,14 @@ def _atom_strategies(c, v2, spec, table, nash_mode):
     flip between two equilibria forever when their payoff order depends
     on the very values they induce.
     """
+    n_actions = [len(a) for a in spec.actions]
     profiles = []
     points = []
-    for a_idx, state in enumerate(spec.space.atom_indices):
-        game = build_stage_game(int(state), c, v2, spec, payoff_table=table)
-        eqs = nash_enumerate(game, mode=nash_mode)
+    stage = _stage_equilibria(spec.space.atom_indices, c, v2, spec, table, nash_mode)
+    for a_idx, (actions, eqs) in enumerate(stage):
         gaps = [float(np.max(np.abs(p.payoffs - v2[:, a_idx]))) for p in eqs]
         point = eqs[int(np.argmin(gaps))]
-        profiles.append(_globalize(game, point, [len(a) for a in spec.actions]))
+        profiles.append(_globalize(actions, point, n_actions))
         points.append(point)
     return profiles, points
 
@@ -263,9 +318,8 @@ def _outer_loop(spec, opts, state: SolverState) -> bool:
             state.v2 = v2_new
         table = stage_payoff_tensor(c, state.v2, spec)
         targets = state.cell_values.copy()
-        for k in div_cells:
-            game = build_stage_game(int(k), c, state.v2, spec, payoff_table=table)
-            points = nash_enumerate(game, mode=opts.nash_mode)
+        stage = _stage_equilibria(div_cells, c, state.v2, spec, table, opts.nash_mode)
+        for k, (_, points) in zip(div_cells, stage):
             payoff_matrix = np.array([p.payoffs for p in points])
             projected, _ = project_to_hull(state.cell_values[k], payoff_matrix)
             targets[k] = projected
@@ -292,25 +346,27 @@ def _finalize(spec, opts, state: SolverState, restart, converged) -> Equilibrium
     c = aggregate_moments(state.cell_values, spec)
     table = stage_payoff_tensor(c, state.v2, spec)
     n_actions = [len(a) for a in spec.actions]
+    div_cells = spec.space.divisible_indices
+    stage = iter(_stage_equilibria(div_cells, c, state.v2, spec, table, opts.nash_mode))
+    degenerate = sum(
+        int(degenerate_games(_stage_stack(table, spec, div_cells[members], actions)).sum())
+        for actions, members in _signature_groups(spec, div_cells)
+    )
     candidate_sets = []
     point_lists = []
     multi_eq = 0
-    degenerate = 0
     atom_iter = iter(range(spec.n_atoms))
     for k in range(spec.n_states):
         if spec.space.divisible[k]:
-            game = build_stage_game(k, c, state.v2, spec, payoff_table=table)
-            points = nash_enumerate(game, mode=opts.nash_mode)
+            actions, points = next(stage)
             projected, _ = project_to_hull(
                 state.cell_values[k], np.array([p.payoffs for p in points])
             )
             state.cell_values[k] = projected
             candidate_sets.append(np.array([p.payoffs for p in points]))
-            point_lists.append([(game, p) for p in points])
+            point_lists.append([(actions, p) for p in points])
             if len(points) > 1:
                 multi_eq += 1
-            if is_degenerate(game):
-                degenerate += 1
         else:
             a_idx = next(atom_iter)
             candidate_sets.append(state.cell_values[k].reshape(1, -1))
@@ -330,8 +386,8 @@ def _finalize(spec, opts, state: SolverState, restart, converged) -> Equilibrium
             v_parts.append(piece)
             idx = _candidate_index(candidate_sets[k], piece.value)
             if spec.space.divisible[k]:
-                game, point = point_lists[k][idx]
-                profile = _globalize(game, point, n_actions)
+                actions, point = point_lists[k][idx]
+                profile = _globalize(actions, point, n_actions)
             else:
                 profile = state.f2[point_lists[k][0][1]]
             s_parts.append(Piece(piece.fraction, np.concatenate(profile)))

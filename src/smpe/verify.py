@@ -268,7 +268,11 @@ def simulate_payoffs(
                 visits += np.bincount(states, minlength=spec.n_states)
         return acc.sum(axis=1), (acc**2).sum(axis=1), visits, n
 
-    threads = int(os.environ.get("SMPE_THREADS", "1") or 1)
+    raw_threads = os.environ.get("SMPE_THREADS", "1") or "1"
+    try:
+        threads = int(raw_threads)
+    except ValueError:
+        raise InvalidInput(f"SMPE_THREADS must be an integer, got {raw_threads!r}") from None
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_chunk, range(n_chunks)))

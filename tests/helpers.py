@@ -67,6 +67,16 @@ def constant_kernel_game(payoffs, discounts, n_cells=2, payoff_bound=None):
     )
 
 
+def assert_same_points(points, reference):
+    """Library equilibria equal reference ((x, y), payoffs) pairs bit for
+    bit and in the same order."""
+    assert len(points) == len(reference)
+    for point, ((x, y), payoffs) in zip(points, reference):
+        assert np.array_equal(point.strategies[0], x)
+        assert np.array_equal(point.strategies[1], y)
+        assert np.array_equal(point.payoffs, payoffs)
+
+
 def walsh_matrix(n):
     h = np.array([[1.0]])
     while h.shape[0] < n:

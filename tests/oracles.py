@@ -1,8 +1,12 @@
 """Independent brute-force oracles, kept apart from the library's code paths.
 
-Everything here uses exact rational arithmetic and exhaustive
+Most of what is here uses exact rational arithmetic and exhaustive
 enumeration so that library results can be checked against a second,
-structurally different computation.
+structurally different computation. The exception is
+``nash_two_reference``: two-player support enumeration one game and one
+support system at a time in floating point, with the arithmetic of the
+library's stacked enumerator, so that the latter can be pinned to it bit
+for bit.
 """
 
 import itertools
@@ -176,4 +180,72 @@ def pure_equilibria_bruteforce(payoffs):
                 break
         if ok:
             out.append(profile)
+    return out
+
+
+def nash_two_reference(a, b, br_tol=1e-10, dedupe_tol=1e-8, perturb_scale=1e-12):
+    """Equilibria of one bimatrix game by scalar support enumeration.
+
+    Perturbs the game lexicographically, solves each support pair's two
+    indifference systems on their own in (size, rows, cols) order, checks
+    every nonnegative solution against the unperturbed payoffs, drops
+    near-duplicates and sorts by (payoffs, strategies). Returns a list of
+    ((x, y), payoffs).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    k1, k2 = a.shape
+    n = k1 * k2
+    scale = perturb_scale * max(1.0, max(float(np.max(np.abs(p))) for p in (a, b)))
+    pa, pb = (
+        p + scale * ((np.arange(n, dtype=float) * 2 + i + 1.0) / (n * 2 + 1.0)).reshape(k1, k2)
+        for i, p in enumerate((a, b))
+    )
+    candidates = []
+    for r in range(1, min(k1, k2) + 1):
+        for rows in itertools.combinations(range(k1), r):
+            for cols in itertools.combinations(range(k2), r):
+                block_a = pa[list(rows)][:, list(cols)]
+                block_b = pb[list(rows)][:, list(cols)]
+                lhs_y = np.zeros((r + 1, r + 1))
+                lhs_y[:r, :r] = block_a
+                lhs_y[:r, r] = -1.0
+                lhs_y[r, :r] = 1.0
+                lhs_x = np.zeros((r + 1, r + 1))
+                lhs_x[:r, :r] = block_b.T
+                lhs_x[:r, r] = -1.0
+                lhs_x[r, :r] = 1.0
+                rhs = np.zeros(r + 1)
+                rhs[r] = 1.0
+                try:
+                    sol_y = np.linalg.solve(lhs_y, rhs)
+                    sol_x = np.linalg.solve(lhs_x, rhs)
+                except np.linalg.LinAlgError:
+                    continue
+                x, y = sol_x[:r], sol_y[:r]
+                if x.min() < -1e-9 or y.min() < -1e-9:
+                    continue
+                x = np.clip(x, 0.0, None)
+                y = np.clip(y, 0.0, None)
+                if x.sum() <= 0 or y.sum() <= 0:
+                    continue
+                full_x = np.zeros(k1)
+                full_x[list(rows)] = x / x.sum()
+                full_y = np.zeros(k2)
+                full_y[list(cols)] = y / y.sum()
+                candidates.append((full_x, full_y))
+    points = []
+    for x, y in candidates:
+        vec_a = np.einsum("ab,b->a", a, y)
+        vec_b = np.einsum("ab,a->b", b, x)
+        gaps = [float(vec_a.max() - np.dot(x, vec_a)), float(vec_b.max() - np.dot(y, vec_b))]
+        if max(gaps) > br_tol:
+            continue
+        flat = np.concatenate([x, y])
+        if any(np.max(np.abs(flat - known)) <= dedupe_tol for known, _ in points):
+            continue
+        payoffs = np.array([float(np.dot(x, vec_a)), float(np.dot(y, vec_b))])
+        points.append((flat, ((x, y), payoffs)))
+    out = [point for _, point in points]
+    out.sort(key=lambda p: (tuple(p[1]), tuple(np.concatenate(p[0]))))
     return out

@@ -1,7 +1,8 @@
 """Acceptance gate: one test per criterion, one printed verdict line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict
-lines as they appear.
+lines as they appear. Every test here carries the ``acceptance`` marker,
+so ``pytest -m "not acceptance"`` runs the rest of the suite alone.
 """
 
 import math
@@ -38,6 +39,8 @@ from smpe.verify import simulate_payoffs
 
 from helpers import single_atom_game, walsh_matrix
 from oracles import aggregate_assignment_exists, percell_feasible
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(index, name, detail):

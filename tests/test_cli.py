@@ -1,9 +1,14 @@
 """Command-line behaviour: exit codes, artifact determinism, demos."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import smpe
 from smpe import gamefile
 from smpe.cli import run_command
 from smpe.kernels import random_nowak_game
@@ -68,6 +73,46 @@ def test_verify_refuses_mismatched_pair(game_file, tmp_path, capsys):
     code = run_command(["verify", "--game", str(other_path), "--result", str(out)])
     capsys.readouterr()
     assert code == 2
+
+
+def run_cli(args, **env):
+    """Run the command line in a fresh interpreter; returns (exit code, stderr)."""
+    src = str(Path(smpe.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "smpe.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
+    return proc.returncode, proc.stderr
+
+
+@pytest.fixture()
+def result_file(game_file, tmp_path, capsys):
+    path = tmp_path / "result.json"
+    run_command(["solve", "--game", str(game_file), "--out", str(path)])
+    capsys.readouterr()
+    return path
+
+
+@pytest.mark.parametrize("fraction", ["half", "nan", "inf"])
+def test_non_numeric_fraction_exits_two(game_file, result_file, fraction):
+    # a fraction that is no finite number is an input error, not a certificate
+    doc = json.loads(result_file.read_text())
+    doc["cells"][0]["pieces"][0]["fraction"] = fraction
+    result_file.write_text(json.dumps(doc))
+    code, err = run_cli(["verify", "--game", str(game_file), "--result", str(result_file)])
+    assert code == 2
+    assert "fraction" in err and "Traceback" not in err
+
+
+def test_non_integer_thread_count_exits_two(game_file, result_file):
+    args = ["simulate", "--game", str(game_file), "--result", str(result_file)]
+    args += ["--paths", "100", "--seed", "1", "--truncation", "1e-2"]
+    code, err = run_cli(args, SMPE_THREADS="x")
+    assert code == 2
+    assert "SMPE_THREADS" in err and "Traceback" not in err
 
 
 def test_unknown_flag_exits_two(capsys):

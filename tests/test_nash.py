@@ -14,12 +14,13 @@ from smpe.nash import (
     build_stage_game,
     expected_payoffs,
     nash_enumerate,
+    nash_enumerate_stack,
     regret_matching,
     stage_payoff_tensor,
 )
 
-from helpers import constant_kernel_game, single_atom_game
-from oracles import pure_equilibria_bruteforce
+from helpers import assert_same_points, constant_kernel_game, single_atom_game
+from oracles import nash_two_reference, pure_equilibria_bruteforce
 
 
 def bimatrix(a, b):
@@ -125,6 +126,54 @@ def test_random_three_player_equilibria_verified(seed):
     assert points
     for point in points:
         assert max(best_response_gap(game, point.strategies)) <= 1e-10
+
+
+def assert_matches_reference(stack, lists):
+    assert len(lists) == stack.shape[1]
+    for g, points in enumerate(lists):
+        assert_same_points(points, nash_two_reference(stack[0, g], stack[1, g]))
+
+
+@pytest.mark.parametrize("k1, k2", [(2, 2), (2, 3), (3, 3), (4, 4)])
+def test_stack_equals_per_game_reference(k1, k2):
+    rng = np.random.Generator(np.random.Philox(key=[10 * k1 + k2, 31]))
+    stack = rng.uniform(-1, 1, (2, 24, k1, k2))
+    assert_matches_reference(stack, nash_enumerate_stack(stack))
+    # a game enumerated alone gives the same list as inside the stack
+    alone = nash_enumerate(StageGame(payoffs=tuple(stack[:, 5]), actions=(range(k1), range(k2))))
+    assert_matches_reference(stack[:, 5:6], [alone])
+
+
+def test_stack_with_singular_supports_falls_back_per_game(monkeypatch):
+    rng = np.random.Generator(np.random.Philox(key=[33, 32]))
+    stack = rng.uniform(-1, 1, (2, 8, 3, 3))
+    stack[:, 1] = 0.0  # constant games: their perturbed support systems are singular
+    stack[:, 4] = 0.5
+    stack[0, 2, 1] = stack[0, 2, 0]  # duplicate rows: degenerate games
+    stack[1, 6, :, 2] = stack[1, 6, :, 0]
+    raised = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            raised.append(np.ndim(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    lists = nash_enumerate_stack(stack)
+    monkeypatch.undo()
+    assert 4 in raised and 2 in raised  # a batch failed, then single games did
+    assert all(lists), "every finite game has an equilibrium"
+    assert_matches_reference(stack, lists)
+
+
+def test_stack_rejects_non_finite_payoffs():
+    stack = np.zeros((2, 3, 2, 2))
+    stack[1, 2, 0, 1] = np.inf
+    with pytest.raises(InvalidInput):
+        nash_enumerate_stack(stack)
 
 
 def test_approximate_mode_regret_matching():

@@ -1,5 +1,6 @@
 """Equilibrium solver: fixed point, contraction, purification chain."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -8,17 +9,26 @@ import pytest
 
 from smpe.errors import NoConvergence, PreconditionFailed
 from smpe.game import KernelDecomposition
+from smpe.gamefile import canonical_bytes, result_to_doc
 from smpe.kernels import random_nowak_game
-from smpe.nash import AggregateVector, aggregate_moments, stage_payoff_tensor
+from smpe.nash import (
+    AggregateVector,
+    aggregate_moments,
+    build_stage_game,
+    payoff_against,
+    stage_payoff_tensor,
+)
 from smpe.solver import (
     SolveOptions,
+    _stage_equilibria,
     atom_fixed_point,
     atom_value_operator,
     solve,
 )
 from smpe.verify import deviation_residual
 
-from helpers import constant_kernel_game, single_atom_game
+from helpers import assert_same_points, constant_kernel_game, single_atom_game
+from oracles import nash_two_reference
 
 
 def uniform_atom_profile(spec):
@@ -190,3 +200,61 @@ def test_solver_deterministic():
         for p1, p2 in zip(r1.values.pieces[k], r2.values.pieces[k]):
             assert p1.fraction == p2.fraction
             assert np.array_equal(p1.value, p2.value)
+
+
+def two_signature_game():
+    """Generated game in which player 0 keeps only action 0 at every other
+    state, so both the divisible cells and the atoms come in two
+    feasible-action signatures."""
+    _, spec = random_nowak_game(seed=7, n_cells=6, j_components=2, k_atoms=2)
+    feasible = [f.copy() for f in spec.feasible]
+    feasible[0][1::2, 1] = False
+    return replace(spec, feasible=tuple(feasible))
+
+
+def test_stage_layer_matches_per_state_reference_across_signatures():
+    spec = two_signature_game()
+    rng = np.random.Generator(np.random.Philox(key=[7, 88]))
+    c = aggregate_moments(rng.uniform(-1, 1, (spec.n_states, spec.players)), spec)
+    v2 = rng.uniform(-1, 1, (spec.players, spec.n_atoms))
+    table = stage_payoff_tensor(c, v2, spec)
+    states = np.arange(spec.n_states)
+    stage = _stage_equilibria(states, c, v2, spec, table, "auto")
+    assert len({tuple(len(a) for a in actions) for actions, _ in stage}) == 2
+    for state, (actions, points) in zip(states, stage):
+        game = build_stage_game(int(state), c, v2, spec, payoff_table=table)
+        assert [tuple(a) for a in actions] == list(game.actions)
+        assert_same_points(points, nash_two_reference(*game.payoffs))
+    # the atom operator contracts each atom exactly as its own stage game does
+    f2 = uniform_atom_profile(spec)
+    stacked = atom_value_operator(f2, c, v2, spec)
+    for a_idx, state in enumerate(spec.space.atom_indices):
+        game = build_stage_game(int(state), c, v2, spec, payoff_table=table)
+        local = [np.asarray(f2[a_idx][i])[list(game.actions[i])] for i in range(spec.players)]
+        for i in range(spec.players):
+            assert stacked[i, a_idx] == payoff_against(game, i, local).max()
+    assert solve(spec).epsilon <= 1e-6
+
+
+# SHA-256 of the canonical result bytes of default-option solves of the
+# generated game [4242, index] of each family, recorded with Python 3.11.7 and
+# numpy 2.4.6 on x86-64. Any change to the enumeration order, the perturbation
+# or the arithmetic of the stage layer shows here.
+FAMILIES = {
+    "mixture-32": {"n_cells": 32, "j_components": 2, "k_atoms": 1},
+    "atom-heavy": {"n_cells": 4, "j_components": 2, "k_atoms": 8},
+}
+GOLDEN_RESULTS = {
+    "mixture-32-0": "af9eca8cd41032a12f6e244314e539d08b54dc6866f71f0536d6a6669ea6d797",
+    "mixture-32-8": "1ffe5961e17af39e49b75a43bdf3ccfcd40f19e6d1bd939d370a0bde39034390",
+    "atom-heavy-7": "577c4f9343da8afc01e7a8f6ce83493f0d30908634e2079d5ca1a26b158f5c1f",
+    "atom-heavy-13": "19fdbf2b4c4e39c1e0f02035075a8a8066bb3dcafbc8dd6ec16d953f46db4f73",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RESULTS))
+def test_result_bytes_match_golden_digest(name):
+    family, index = name.rsplit("-", 1)
+    _, spec = random_nowak_game(seed=[4242, int(index)], **FAMILIES[family])
+    data = canonical_bytes(result_to_doc(solve(spec), spec))
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_RESULTS[name]
