@@ -258,14 +258,16 @@ def load_result(path, spec: StochasticGameSpec):
     cells = _require(doc, "cells", list, "")
     if len(cells) != spec.n_states:
         raise ParseError("cells must cover every state")
+    n_strategy = sum(len(a) for a in spec.actions)
     value_pieces, strategy_pieces = [], []
     for k, cell in enumerate(cells):
         pieces = _require(cell, "pieces", list, f"cells[{k}].")
         v_parts, s_parts = [], []
         for p, piece in enumerate(pieces):
-            frac = _decimal(piece, "fraction", f"cells[{k}].pieces[{p}].")
-            value = _number_array(piece.get("value"), f"cells[{k}].pieces[{p}].value")
-            strategy = _number_array(piece.get("strategy"), f"cells[{k}].pieces[{p}].strategy")
+            where = f"cells[{k}].pieces[{p}]."
+            frac = _decimal(piece, "fraction", where)
+            value = _number_array(piece.get("value"), where + "value", (spec.players,))
+            strategy = _number_array(piece.get("strategy"), where + "strategy", (n_strategy,))
             v_parts.append(Piece(frac, value))
             s_parts.append(Piece(frac, strategy))
         value_pieces.append(tuple(v_parts))

@@ -88,12 +88,16 @@ class GridSpace:
         ids = np.unique(coarse)
         if ids[0] != 0 or ids[-1] != len(ids) - 1:
             raise InvalidInput("coarse ids must be consecutive integers starting at 0")
-        for arr in (masses, divisible, coarse):
+        atoms = np.flatnonzero(~divisible)
+        cells = np.flatnonzero(divisible)
+        for arr in (masses, divisible, coarse, atoms, cells):
             arr.setflags(write=False)
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "divisible", divisible)
         object.__setattr__(self, "coarse", coarse)
         object.__setattr__(self, "total_mass", declared)
+        object.__setattr__(self, "_atom_indices", atoms)
+        object.__setattr__(self, "_divisible_indices", cells)
 
     @property
     def n_cells(self) -> int:
@@ -109,11 +113,11 @@ class GridSpace:
 
     @property
     def atom_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.divisible)
+        return self._atom_indices
 
     @property
     def divisible_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.divisible)
+        return self._divisible_indices
 
     def coarse_members(self, coarse_id: int) -> np.ndarray:
         return np.flatnonzero(self.coarse == coarse_id)

@@ -12,7 +12,10 @@ games are never built cell by cell: the cells that share a
 feasible-action signature are sliced from the stage-payoff table as one
 stack, two-player stacks are enumerated in one batched pass per support
 pair, and the atom operator contracts a whole stack against the atom
-profiles at once. A converged
+profiles at once. The signature groups are formed once per solve, the
+atom operator once per fixed point (only its atom channel moves between
+contraction steps), and one stage-payoff table per outer iteration
+serves the atom strategies and the divisible cells alike. A converged
 convexified value is then purified into a piecewise-pure selection
 whose pieces carry actual stage equilibria, and the result is certified
 by the independent verifier; the reported slack is the verifier's
@@ -104,18 +107,54 @@ def atom_value_operator(
     and current atom values. A sup-norm contraction with modulus equal
     to the largest discount factor.
     """
-    table = stage_payoff_tensor(c, v2, spec)
     atoms = spec.space.atom_indices
-    new = np.empty((spec.players, len(atoms)))
-    for actions, members in _signature_groups(spec, atoms):
-        stack = _stage_stack(table, spec, atoms[members], actions)
+    return _atom_operator(f2, c, spec, _signature_groups(spec, atoms))(v2)
+
+
+def _atom_operator(f2, c, spec, groups):
+    """:func:`atom_value_operator` at fixed ``f2`` and ``c``, as a
+    function of the atom values alone.
+
+    Everything but the atom channel is computed here, once: the atom
+    rows of the discounted stage payoffs and of the aggregate
+    continuation, each signature group's slicing grid and its members'
+    local strategies. A step then adds the atom continuation with the
+    arithmetic of :func:`stage_payoff_tensor`, so it returns the same
+    bits as slicing that full table would.
+    """
+    if c.c.shape != (spec.players, spec.kernel.n_components, spec.space.n_coarse):
+        raise InvalidInput("aggregate dimensions do not match the game")
+    atoms = spec.space.atom_indices
+    beta = spec.discounts[:, None, None]
+    base = (1.0 - beta) * spec.payoffs[:, atoms]
+    cont_q = np.einsum("jesx,ije->isx", spec.kernel.q[:, :, atoms], c.c)
+    kernel = spec.atom_kernel[:, atoms]
+    shape = (spec.players, len(atoms)) + spec.profile_shape
+    blocks = []
+    for actions, members in groups:
+        grid = np.ix_(range(spec.players), members, *actions)
         local = [
             np.array([f2[a_idx][i] for a_idx in members], dtype=float)[:, actions[i]]
             for i in range(spec.players)
         ]
-        for i in range(spec.players):
-            new[i, members] = payoff_against_stack(stack, i, local).max(axis=1)
-    return new
+        blocks.append((members, grid, local))
+
+    def step(v2):
+        v2 = np.asarray(v2, dtype=float)
+        if v2.shape != (spec.players, len(atoms)):
+            raise InvalidInput(f"atom values must be {(spec.players, len(atoms))}")
+        cont = cont_q + np.einsum("asx,ia->isx", kernel, v2)
+        table = (base + beta * cont).reshape(shape)
+        new = np.empty((spec.players, len(atoms)))
+        for members, grid, local in blocks:
+            stack = table[grid]
+            if not np.all(np.isfinite(stack)):
+                raise InvalidInput("stage payoffs must be finite")
+            for i in range(spec.players):
+                new[i, members] = payoff_against_stack(stack, i, local).max(axis=1)
+        return new
+
+    return step
 
 
 def _signature_groups(spec, states):
@@ -149,13 +188,14 @@ def _stage_stack(table, spec, states, actions):
     return stack
 
 
-def _stage_equilibria(states, c, v2, spec, table, nash_mode):
+def _stage_equilibria(states, groups, c, v2, spec, table, nash_mode):
     """Stage equilibria at each of ``states`` under the payoff ``table``,
-    as (actions, points) pairs in the order of ``states``. Two-player
-    games inside the exact envelope are enumerated one stack per
-    feasible-action signature; any other game on its own."""
+    as (actions, points) pairs in the order of ``states``; ``groups`` is
+    ``_signature_groups(spec, states)``. Two-player games inside the
+    exact envelope are enumerated one stack per feasible-action
+    signature; any other game on its own."""
     out = [None] * len(states)
-    for actions, members in _signature_groups(spec, states):
+    for actions, members in groups:
         shape = tuple(len(a) for a in actions)
         if spec.players == 2 and enumeration_mode(nash_mode, shape) == "exact":
             lists = nash_enumerate_stack(_stage_stack(table, spec, states[members], actions))
@@ -181,8 +221,12 @@ def _globalize(actions, point, n_actions):
     return out
 
 
-def atom_fixed_point(f2, c, spec, v2_init, tol=INNER_TOL):
+def atom_fixed_point(f2, c, spec, v2_init, tol=INNER_TOL, groups=None):
     """Iterate the atom operator to its fixed point; returns (v2, iterations).
+
+    The operator is built once per call: ``f2`` and ``c`` stay fixed, so
+    each step only recomputes the atom continuation channel. ``groups``
+    may pass the atoms' signature groups to skip regrouping them.
 
     With contraction modulus beta the step size shrinks geometrically,
     so the loop is capped at ceil(log tol / log beta) + 1 beyond the
@@ -196,10 +240,13 @@ def atom_fixed_point(f2, c, spec, v2_init, tol=INNER_TOL):
     else:
         extra = max(0.0, math.log(max(spec.payoff_bound, 1.0)))
         cap = math.ceil((math.log(tol) - extra) / math.log(beta)) + 1
+    if groups is None:
+        groups = _signature_groups(spec, spec.space.atom_indices)
+    operator = _atom_operator(f2, c, spec, groups)
     v2 = np.asarray(v2_init, dtype=float).copy()
     iterations = 0
     for _ in range(cap):
-        new = atom_value_operator(f2, c, v2, spec)
+        new = operator(v2)
         iterations += 1
         delta = float(np.max(np.abs(new - v2))) if v2.size else 0.0
         v2 = new
@@ -208,7 +255,7 @@ def atom_fixed_point(f2, c, spec, v2_init, tol=INNER_TOL):
     return v2, iterations
 
 
-def _atom_strategies(c, v2, spec, table, nash_mode):
+def _atom_strategies(c, v2, spec, table, groups, nash_mode):
     """Stage equilibrium per atomic cell, chosen for value consistency.
 
     At a fixed point the selected profile must reproduce the atom's
@@ -221,7 +268,7 @@ def _atom_strategies(c, v2, spec, table, nash_mode):
     n_actions = [len(a) for a in spec.actions]
     profiles = []
     points = []
-    stage = _stage_equilibria(spec.space.atom_indices, c, v2, spec, table, nash_mode)
+    stage = _stage_equilibria(spec.space.atom_indices, groups, c, v2, spec, table, nash_mode)
     for a_idx, (actions, eqs) in enumerate(stage):
         gaps = [float(np.max(np.abs(p.payoffs - v2[:, a_idx]))) for p in eqs]
         point = eqs[int(np.argmin(gaps))]
@@ -257,11 +304,14 @@ def solve(spec: StochasticGameSpec, opts: SolveOptions = SolveOptions()) -> Equi
         )
     from .verify import deviation_residual  # local import to keep code paths separate
 
+    # feasible-action signatures depend on the game alone
+    cell_groups = _signature_groups(spec, spec.space.divisible_indices)
+    atom_groups = _signature_groups(spec, spec.space.atom_indices)
     best = None
     for restart in range(opts.restarts + 1):
         state = _initial_state(spec, opts, restart)
-        converged = _outer_loop(spec, opts, state)
-        result = _finalize(spec, opts, state, restart, converged)
+        converged = _outer_loop(spec, opts, state, cell_groups, atom_groups)
+        result = _finalize(spec, opts, state, restart, converged, cell_groups)
         cert = deviation_residual(result, spec)
         result = EquilibriumResult(
             values=result.values,
@@ -302,23 +352,26 @@ def _initial_state(spec, opts, restart):
     )
 
 
-def _outer_loop(spec, opts, state: SolverState) -> bool:
+def _outer_loop(spec, opts, state: SolverState, cell_groups, atom_groups) -> bool:
     div_cells = spec.space.divisible_indices
     for t in range(opts.max_iter):
         c = aggregate_moments(state.cell_values, spec)
         f2_change = 0.0
         v2_change = 0.0
         if spec.n_atoms:
-            v2_new, _ = atom_fixed_point(state.f2, c, spec, state.v2, tol=opts.inner_tol)
-            table = stage_payoff_tensor(c, v2_new, spec)
-            f2_new, _ = _atom_strategies(c, v2_new, spec, table, opts.nash_mode)
-            f2_change = _profile_change(state.f2, f2_new)
-            v2_change = float(np.max(np.abs(v2_new - state.v2))) if state.v2.size else 0.0
-            state.f2 = f2_new
+            v2_new, _ = atom_fixed_point(
+                state.f2, c, spec, state.v2, tol=opts.inner_tol, groups=atom_groups
+            )
+            v2_change = float(np.max(np.abs(v2_new - state.v2)))
             state.v2 = v2_new
+        # one table serves the atom strategies and the divisible cells
         table = stage_payoff_tensor(c, state.v2, spec)
+        if spec.n_atoms:
+            f2_new, _ = _atom_strategies(c, state.v2, spec, table, atom_groups, opts.nash_mode)
+            f2_change = _profile_change(state.f2, f2_new)
+            state.f2 = f2_new
         targets = state.cell_values.copy()
-        stage = _stage_equilibria(div_cells, c, state.v2, spec, table, opts.nash_mode)
+        stage = _stage_equilibria(div_cells, cell_groups, c, state.v2, spec, table, opts.nash_mode)
         for k, (_, points) in zip(div_cells, stage):
             payoff_matrix = np.array([p.payoffs for p in points])
             projected, _ = project_to_hull(state.cell_values[k], payoff_matrix)
@@ -341,16 +394,20 @@ def _outer_loop(spec, opts, state: SolverState) -> bool:
     return False
 
 
-def _finalize(spec, opts, state: SolverState, restart, converged) -> EquilibriumResult:
+def _finalize(
+    spec, opts, state: SolverState, restart, converged, cell_groups
+) -> EquilibriumResult:
     """Purify the converged convexified values and attach strategies."""
     c = aggregate_moments(state.cell_values, spec)
     table = stage_payoff_tensor(c, state.v2, spec)
     n_actions = [len(a) for a in spec.actions]
     div_cells = spec.space.divisible_indices
-    stage = iter(_stage_equilibria(div_cells, c, state.v2, spec, table, opts.nash_mode))
+    stage = iter(
+        _stage_equilibria(div_cells, cell_groups, c, state.v2, spec, table, opts.nash_mode)
+    )
     degenerate = sum(
         int(degenerate_games(_stage_stack(table, spec, div_cells[members], actions)).sum())
-        for actions, members in _signature_groups(spec, div_cells)
+        for actions, members in cell_groups
     )
     candidate_sets = []
     point_lists = []

@@ -2,17 +2,22 @@
 
 Most of what is here uses exact rational arithmetic and exhaustive
 enumeration so that library results can be checked against a second,
-structurally different computation. The exception is
-``nash_two_reference``: two-player support enumeration one game and one
-support system at a time in floating point, with the arithmetic of the
-library's stacked enumerator, so that the latter can be pinned to it bit
-for bit.
+structurally different computation. The exceptions are
+``nash_two_reference``, two-player support enumeration one game and one
+support system at a time in floating point with the arithmetic of the
+library's stacked enumerator, and ``atom_operator_reference``, the atom
+operator computed from the full stage-payoff table at every step; both
+pin an optimized library path to a plain one bit for bit.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
+
+from smpe.nash import payoff_against_stack, stage_payoff_tensor
+from smpe.solver import _signature_groups, _stage_stack
 
 
 def rational_solve(rows, rhs):
@@ -249,3 +254,37 @@ def nash_two_reference(a, b, br_tol=1e-10, dedupe_tol=1e-8, perturb_scale=1e-12)
     out = [point for _, point in points]
     out.sort(key=lambda p: (tuple(p[1]), tuple(np.concatenate(p[0]))))
     return out
+
+
+def atom_operator_reference(f2, c, v2, spec):
+    """One step of the atom operator from scratch: the whole stage-payoff
+    table, the atom rows sliced per feasible-action signature, and each
+    player's best payoff against the others' atom strategies."""
+    table = stage_payoff_tensor(c, v2, spec)
+    atoms = spec.space.atom_indices
+    new = np.empty((spec.players, len(atoms)))
+    for actions, members in _signature_groups(spec, atoms):
+        stack = _stage_stack(table, spec, atoms[members], actions)
+        local = [
+            np.array([f2[a_idx][i] for a_idx in members], dtype=float)[:, actions[i]]
+            for i in range(spec.players)
+        ]
+        for i in range(spec.players):
+            new[i, members] = payoff_against_stack(stack, i, local).max(axis=1)
+    return new
+
+
+def atom_fixed_point_reference(f2, c, spec, v2_init, tol):
+    """Iterate :func:`atom_operator_reference` under the library's step
+    cap and stopping rule; returns (v2, iterations)."""
+    beta = float(spec.discounts.max())
+    extra = max(0.0, math.log(max(spec.payoff_bound, 1.0)))
+    cap = 1 if beta == 0.0 else math.ceil((math.log(tol) - extra) / math.log(beta)) + 1
+    v2 = np.array(v2_init, dtype=float)
+    for iterations in range(1, cap + 1):
+        new = atom_operator_reference(f2, c, v2, spec)
+        delta = float(np.max(np.abs(new - v2)))
+        v2 = new
+        if delta <= tol:
+            break
+    return v2, iterations

@@ -107,6 +107,16 @@ def test_non_numeric_fraction_exits_two(game_file, result_file, fraction):
     assert "fraction" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["strategy", "value"])
+def test_short_piece_array_exits_two(game_file, result_file, field):
+    doc = json.loads(result_file.read_text())
+    doc["cells"][0]["pieces"][0][field].pop()
+    result_file.write_text(json.dumps(doc))
+    code, err = run_cli(["verify", "--game", str(game_file), "--result", str(result_file)])
+    assert code == 2
+    assert field in err and "Traceback" not in err
+
+
 def test_non_integer_thread_count_exits_two(game_file, result_file):
     args = ["simulate", "--game", str(game_file), "--result", str(result_file)]
     args += ["--paths", "100", "--seed", "1", "--truncation", "1e-2"]

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from smpe import solver
 from smpe.errors import NoConvergence, PreconditionFailed
 from smpe.game import KernelDecomposition
 from smpe.gamefile import canonical_bytes, result_to_doc
@@ -20,6 +21,8 @@ from smpe.nash import (
 )
 from smpe.solver import (
     SolveOptions,
+    _atom_operator,
+    _signature_groups,
     _stage_equilibria,
     atom_fixed_point,
     atom_value_operator,
@@ -28,7 +31,7 @@ from smpe.solver import (
 from smpe.verify import deviation_residual
 
 from helpers import assert_same_points, constant_kernel_game, single_atom_game
-from oracles import nash_two_reference
+from oracles import atom_fixed_point_reference, atom_operator_reference, nash_two_reference
 
 
 def uniform_atom_profile(spec):
@@ -219,7 +222,7 @@ def test_stage_layer_matches_per_state_reference_across_signatures():
     v2 = rng.uniform(-1, 1, (spec.players, spec.n_atoms))
     table = stage_payoff_tensor(c, v2, spec)
     states = np.arange(spec.n_states)
-    stage = _stage_equilibria(states, c, v2, spec, table, "auto")
+    stage = _stage_equilibria(states, _signature_groups(spec, states), c, v2, spec, table, "auto")
     assert len({tuple(len(a) for a in actions) for actions, _ in stage}) == 2
     for state, (actions, points) in zip(states, stage):
         game = build_stage_game(int(state), c, v2, spec, payoff_table=table)
@@ -258,3 +261,80 @@ def test_result_bytes_match_golden_digest(name):
     _, spec = random_nowak_game(seed=[4242, int(index)], **FAMILIES[family])
     data = canonical_bytes(result_to_doc(solve(spec), spec))
     assert hashlib.sha256(data).hexdigest() == GOLDEN_RESULTS[name]
+
+
+# --- hoisted atom operator ---------------------------------------------------------
+
+
+def random_atom_profile(spec, rng):
+    """Random mixed atom profile with zero mass on infeasible actions."""
+    out = []
+    for state in spec.space.atom_indices:
+        profile = []
+        for i in range(spec.players):
+            vec = rng.uniform(0.1, 1.0, len(spec.actions[i])) * spec.feasible[i][state]
+            profile.append(vec / vec.sum())
+        out.append(profile)
+    return out
+
+
+ATOM_GAMES = ["atom-heavy-0", "atom-heavy-1", "atom-heavy-2", "two-signature"]
+
+
+def atom_game(name):
+    if name == "two-signature":
+        return two_signature_game()
+    _, spec = random_nowak_game(seed=[4242, int(name.rsplit("-", 1)[1])], **FAMILIES["atom-heavy"])
+    return spec
+
+
+@pytest.mark.parametrize("name", ATOM_GAMES)
+def test_atom_operator_matches_full_table_reference(name):
+    spec = atom_game(name)
+    rng = np.random.Generator(np.random.Philox(key=[7, 99]))
+    c = aggregate_moments(rng.uniform(-1, 1, (spec.n_states, spec.players)), spec)
+    groups = _signature_groups(spec, spec.space.atom_indices)
+    for f2 in (uniform_atom_profile(spec), random_atom_profile(spec, rng)):
+        step = _atom_operator(f2, c, spec, groups)
+        v2 = np.zeros((spec.players, spec.n_atoms))
+        for _ in range(6):
+            expected = atom_operator_reference(f2, c, v2, spec)
+            assert np.array_equal(step(v2), expected)
+            assert np.array_equal(atom_value_operator(f2, c, v2, spec), expected)
+            v2 = expected
+        got = atom_fixed_point(f2, c, spec, np.zeros_like(v2), tol=1e-10, groups=groups)
+        ref = atom_fixed_point_reference(f2, c, spec, np.zeros_like(v2), tol=1e-10)
+        assert np.array_equal(got[0], ref[0])
+        assert got[1] == ref[1]
+
+
+def test_outer_iteration_builds_one_stage_table(monkeypatch):
+    spec = atom_game("atom-heavy-0")
+    tables = []
+    fixed_point_depth = []
+    fixed_point_calls = []
+    real_table, real_fixed_point = solver.stage_payoff_tensor, solver.atom_fixed_point
+
+    def table_spy(*args, **kwargs):
+        tables.append(bool(fixed_point_depth))
+        return real_table(*args, **kwargs)
+
+    def fixed_point_spy(*args, **kwargs):
+        fixed_point_calls.append(1)
+        fixed_point_depth.append(1)
+        try:
+            return real_fixed_point(*args, **kwargs)
+        finally:
+            fixed_point_depth.pop()
+
+    monkeypatch.setattr(solver, "stage_payoff_tensor", table_spy)
+    monkeypatch.setattr(solver, "atom_fixed_point", fixed_point_spy)
+    opts = SolveOptions(max_iter=1)
+    state = solver._initial_state(spec, opts, 0)
+    cell_groups = _signature_groups(spec, spec.space.divisible_indices)
+    atom_groups = _signature_groups(spec, spec.space.atom_indices)
+    solver._outer_loop(spec, opts, state, cell_groups, atom_groups)
+    # one table, built outside the fixed point, for the atom strategies
+    # and the divisible cells together
+    assert tables == [False]
+    assert len(fixed_point_calls) == 1 and state.iteration == 1
