@@ -7,7 +7,9 @@ the two is a genuine cross-check. It computes one-shot deviation gains
 state by state (at the sub-interval granularity of the reported
 selections), the exact evaluation of the reported strategy profile via
 a linear solve, and reproducible Monte Carlo estimates of discounted
-play.
+play. The simulation draws pieces, actions and next states by exact
+guide-table inverse-CDF lookups, O(1) per draw, that return the indices
+of the comparison rule ``#{j : cum[r, j] < u}`` bit for bit.
 """
 
 from __future__ import annotations
@@ -164,6 +166,45 @@ def _recursion_gap(pieces, spec):
     return worst
 
 
+def _inverse_cdf(cum):
+    """Exact inverse-CDF sampler over the rows of a cumulative table.
+
+    The returned ``draw(rows, u)`` gives, for each row ``r`` and uniform
+    ``u`` in [0, 1), the count ``#{j : cum[r, j] < u}``, exactly what the
+    comparison rule ``(u[:, None] > cum[rows]).sum(1)`` returns, in O(1)
+    per draw. It uses a guide table over ``B`` equal buckets (Chen & Asau
+    1974; Devroye 1986, section III.2): with ``g[r, b] = #{j : cum[r, j] <
+    b/B}``, the count is monotone in ``u`` whatever the order of the row, so
+    for the bucket ``b = floor(u*B)`` it is ``g[r, b]`` whenever ``g[r, b] ==
+    g[r, b + 1]``. The table stores that value, or a mark above every count
+    for a bucket that holds a table entry; only draws in marked buckets fall
+    back to the comparison. ``B`` is a power of two, so ``u*B`` and the
+    edges ``b/B`` are exact and ``b`` is always the true bucket; with ``B >=
+    16 * columns`` at most one bucket in 16 is marked. The sampler only
+    reads its tables, so threads may share it.
+    """
+    cum = np.asarray(cum, dtype=float)
+    n_rows, cols = cum.shape
+    buckets = 1 << (16 * cols - 1).bit_length()
+    edges = np.arange(buckets + 1) / buckets
+    mark = cols + 1
+    guide = np.empty((n_rows, buckets), dtype=np.min_scalar_type(mark))
+    for r in range(n_rows):
+        g = np.searchsorted(np.sort(cum[r]), edges, side="left")
+        guide[r] = np.where(g[:-1] == g[1:], g[:-1], mark)
+    guide = guide.ravel()
+
+    def draw(rows, u):
+        found = guide[rows * buckets + (u * buckets).astype(np.intp)]
+        idx = found.astype(np.intp)
+        unsure = np.flatnonzero(found == mark)
+        if unsure.size:
+            idx[unsure] = (u[unsure, None] > cum[rows[unsure]]).sum(axis=1)
+        return idx
+
+    return draw
+
+
 def simulate_payoffs(
     spec: StochasticGameSpec,
     result,
@@ -177,15 +218,22 @@ def simulate_payoffs(
 
     Trajectories start at cell ``s0`` (the sub-interval is drawn from the
     piece fractions), actions are drawn from the piece's strategies, and
-    transitions from the game's per-cell masses. The horizon is either
-    given or derived so the discarded tail is below ``truncation`` times
-    the payoff bound scale. Paths are simulated in fixed-size blocks,
-    each driven by a counter-based generator keyed on (seed, block), so
-    identical seeds reproduce the report bit for bit regardless of the
-    thread count (``SMPE_THREADS``).
+    transitions from the game's per-cell masses. Every draw is a
+    guide-table inverse-CDF lookup (``_inverse_cdf``) on the cumulative
+    tables, built once per call; it returns the index of the comparison
+    rule ``(u[:, None] > cum[rows]).sum(1)`` exactly. The horizon is
+    either given (at least 1) or derived so the discarded tail is below
+    ``truncation`` times the payoff bound scale. Paths are simulated in
+    fixed-size blocks, each driven by a counter-based generator keyed on
+    (seed, block) that yields ``players + 2`` uniforms per path and step,
+    so identical seeds reproduce the report bit for bit regardless of the
+    thread count (``SMPE_THREADS``). Each player's strategy in every piece
+    must be finite, nonnegative and carry positive mass.
     """
     if paths < 1:
         raise InvalidInput("need at least one path")
+    if horizon is not None and horizon < 1:
+        raise InvalidInput(f"horizon must be at least 1, got {horizon}")
     if not (0 <= s0 < spec.n_states):
         raise InvalidInput(f"initial state {s0} out of range")
     beta_max = float(spec.discounts.max())
@@ -217,23 +265,28 @@ def simulate_payoffs(
         cum = np.cumsum(fracs)
         cum[-1] = 1.0
         piece_cum[k, : len(fracs)] = cum
+    draw_piece = _inverse_cdf(piece_cum)
 
-    n_pieces = len(pieces)
-    sizes = [len(a) for a in spec.actions]
-    strat_cum = []
+    draw_action = []
     for i in range(spec.players):
-        rows = np.empty((n_pieces, sizes[i]))
-        for idx, (_k, _p, _f, _v, strat) in enumerate(pieces):
-            vec = strat[i]
-            total = vec.sum()
-            rows[idx] = np.cumsum(vec / total)
+        probs = np.array([strat[i] for (_k, _p, _f, _v, strat) in pieces])
+        bad = ~np.isfinite(probs).all(axis=1) | (probs < 0).any(axis=1)
+        if bad.any():
+            idx = int(np.argmax(bad))
+            raise InvalidInput(f"piece {idx}: strategy has negative or non-finite entries")
+        totals = probs.sum(axis=1)
+        if (totals <= 0).any():
+            idx = int(np.argmax(totals <= 0))
+            raise InvalidInput(f"piece {idx}: strategy carries no probability")
+        rows = np.cumsum(probs / totals[:, None], axis=1)
         rows[:, -1] = 1.0
-        strat_cum.append(rows)
+        draw_action.append(_inverse_cdf(rows))
 
     trans = spec.transition_masses()  # (target, state, profile)
     trans_rows = trans.transpose(1, 2, 0).reshape(-1, spec.n_states)  # (s*x, target)
     trans_cum = np.cumsum(trans_rows, axis=1)
     trans_cum /= trans_cum[:, -1:]
+    draw_next = _inverse_cdf(trans_cum)
     strides = np.array(
         [int(np.prod(spec.profile_shape[i + 1 :])) for i in range(spec.players)], dtype=int
     )
@@ -253,17 +306,14 @@ def simulate_payoffs(
         acc = np.zeros((spec.players, n))
         visits = np.zeros(spec.n_states)
         for t in range(horizon):
-            u_piece = rng.random(n)
-            piece_idx = (u_piece[:, None] > piece_cum[states]).sum(axis=1)
-            pid = piece_base[states] + piece_idx
-            profile = np.zeros(n, dtype=int)
+            # rows: piece, one per player's action, next state
+            u = rng.random((spec.players + 2, n))
+            pid = piece_base[states] + draw_piece(states, u[0])
+            row = states * spec.n_profiles  # (state, profile) row of the tables
             for i in range(spec.players):
-                u_act = rng.random(n)
-                act = (u_act[:, None] > strat_cum[i][pid]).sum(axis=1)
-                profile += act * strides[i]
-            acc += weights[:, t, None] * payoff_flat[:, states * spec.n_profiles + profile]
-            u_next = rng.random(n)
-            states = (u_next[:, None] > trans_cum[states * spec.n_profiles + profile]).sum(axis=1)
+                row += draw_action[i](pid, u[i + 1]) * strides[i]
+            acc += weights[:, t, None] * np.take(payoff_flat, row, axis=1)
+            states = draw_next(row, u[-1])
             if t + 1 < horizon:
                 visits += np.bincount(states, minlength=spec.n_states)
         return acc.sum(axis=1), (acc**2).sum(axis=1), visits, n

@@ -5,6 +5,13 @@ import numpy as np
 from smpe.game import KernelDecomposition, StochasticGameSpec
 from smpe.measure import GridSpace
 
+# Keyword arguments of ``random_nowak_game`` for the two generated families
+# the golden-digest tests pin (the benchmark's workloads of the same names).
+FAMILIES = {
+    "mixture-32": {"n_cells": 32, "j_components": 2, "k_atoms": 1},
+    "atom-heavy": {"n_cells": 4, "j_components": 2, "k_atoms": 8},
+}
+
 
 def single_atom_game(payoffs, discounts, payoff_bound=None, n_actions=None):
     """One absorbing atomic state; payoffs is (m, n_profiles)."""

@@ -5,9 +5,11 @@ enumeration so that library results can be checked against a second,
 structurally different computation. The exceptions are
 ``nash_two_reference``, two-player support enumeration one game and one
 support system at a time in floating point with the arithmetic of the
-library's stacked enumerator, and ``atom_operator_reference``, the atom
-operator computed from the full stage-payoff table at every step; both
-pin an optimized library path to a plain one bit for bit.
+library's stacked enumerator, ``atom_operator_reference``, the atom
+operator computed from the full stage-payoff table at every step, and
+``comparison_draw_reference``, the simulation's inverse-CDF draw by a
+full comparison over each row; they pin an optimized library path to a
+plain one bit for bit.
 """
 
 import itertools
@@ -288,3 +290,10 @@ def atom_fixed_point_reference(f2, c, spec, v2_init, tol):
         if delta <= tol:
             break
     return v2, iterations
+
+
+def comparison_draw_reference(cum, rows, u):
+    """Inverse-CDF draws by comparison: for each row ``r`` and uniform ``u``
+    the count ``#{j : cum[r, j] < u}``, one full row at a time."""
+    cum = np.asarray(cum, dtype=float)
+    return (np.asarray(u)[:, None] > cum[np.asarray(rows)]).sum(axis=1)

@@ -125,6 +125,15 @@ def test_non_integer_thread_count_exits_two(game_file, result_file):
     assert "SMPE_THREADS" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_simulate_horizon_below_one_exits_two(game_file, result_file, horizon):
+    args = ["simulate", "--game", str(game_file), "--result", str(result_file)]
+    args += ["--paths", "100", "--seed", "1", "--horizon", horizon]
+    code, err = run_cli(args)
+    assert code == 2
+    assert "horizon" in err and "Traceback" not in err
+
+
 def test_unknown_flag_exits_two(capsys):
     assert run_command(["solve", "--nonsense"]) == 2
     capsys.readouterr()

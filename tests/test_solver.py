@@ -30,7 +30,7 @@ from smpe.solver import (
 )
 from smpe.verify import deviation_residual
 
-from helpers import assert_same_points, constant_kernel_game, single_atom_game
+from helpers import FAMILIES, assert_same_points, constant_kernel_game, single_atom_game
 from oracles import atom_fixed_point_reference, atom_operator_reference, nash_two_reference
 
 
@@ -243,10 +243,6 @@ def test_stage_layer_matches_per_state_reference_across_signatures():
 # generated game [4242, index] of each family, recorded with Python 3.11.7 and
 # numpy 2.4.6 on x86-64. Any change to the enumeration order, the perturbation
 # or the arithmetic of the stage layer shows here.
-FAMILIES = {
-    "mixture-32": {"n_cells": 32, "j_components": 2, "k_atoms": 1},
-    "atom-heavy": {"n_cells": 4, "j_components": 2, "k_atoms": 8},
-}
 GOLDEN_RESULTS = {
     "mixture-32-0": "af9eca8cd41032a12f6e244314e539d08b54dc6866f71f0536d6a6669ea6d797",
     "mixture-32-8": "1ffe5961e17af39e49b75a43bdf3ccfcd40f19e6d1bd939d370a0bde39034390",
