@@ -409,7 +409,6 @@ def purify_selection(
     candidates: CandidateField,
     moments,
     space: GridSpace,
-    hull_tol: float = HULL_TOL,
 ) -> SplitSelection:
     """Replace a convexified per-cell target by a piecewise-pure selection.
 
@@ -422,9 +421,10 @@ def purify_selection(
     Divisible cells are split with convex weights found by a feasibility
     search over supports of Caratheodory size (lexicographically smallest
     support wins). Atomic cells cannot be split: their target must itself
-    be one of the candidates, otherwise ``NoSelection`` is raised. A
-    divisible target outside the candidate hull violates the
-    precondition and raises ``InvalidInput``.
+    be one of the candidates (within ``HULL_TOL``), otherwise
+    ``NoSelection`` is raised. A divisible target farther than
+    ``HULL_TOL`` outside the candidate hull violates the precondition and
+    raises ``InvalidInput``.
     """
     values = _values_matrix(vprime.values, space, "target selection")
     _moments_matrix(moments, space)
@@ -438,7 +438,7 @@ def purify_selection(
         cands = candidates.sets[k]
         target = values[k]
         if not space.divisible[k]:
-            idx = _match_candidate(target, cands, exact, hull_tol)
+            idx = _match_candidate(target, cands, exact, HULL_TOL)
             if idx is None:
                 raise NoSelection(
                     f"atomic cell {k}: target is not one of the {len(cands)} candidates"
@@ -449,10 +449,10 @@ def purify_selection(
         if exact:
             weights = convex_weights_exact(target, cands)
         else:
-            weights = convex_weights(target, cands, tol=hull_tol)
+            weights = convex_weights(target, cands, tol=HULL_TOL)
         if weights is None:
             raise InvalidInput(
-                f"divisible cell {k}: target lies outside the candidate hull (tol {hull_tol})"
+                f"divisible cell {k}: target lies outside the candidate hull (tol {HULL_TOL})"
             )
         cell_pieces = [
             Piece(w, cands[i]) for i, w in enumerate(weights) if w > 0

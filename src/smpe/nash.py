@@ -83,24 +83,15 @@ class NashPoint:
     """Mixed strategy profile plus its expected payoff vector.
 
     ``eps`` is 0 for exactly verified equilibria and the certified
-    best-response slack for approximate ones.
+    best-response slack for approximate ones. Every producer in this
+    module builds the strategies as clipped, normalized float arrays, so
+    the point is not re-validated; profiles from outside are checked
+    where they enter the certificate (:mod:`smpe.verify`).
     """
 
     strategies: tuple
     payoffs: np.ndarray
     eps: float = 0.0
-
-    def __post_init__(self):
-        strategies = tuple(np.asarray(s, dtype=float) for s in self.strategies)
-        payoffs = np.asarray(self.payoffs, dtype=float)
-        for s in strategies:
-            if np.any(s < -1e-12) or abs(s.sum() - 1.0) > 1e-12:
-                raise InvalidInput("strategies must be probability vectors")
-        for s in strategies:
-            s.setflags(write=False)
-        payoffs.setflags(write=False)
-        object.__setattr__(self, "strategies", strategies)
-        object.__setattr__(self, "payoffs", payoffs)
 
 
 @dataclass(frozen=True)
@@ -303,9 +294,7 @@ def _support_mixtures(perturbed: np.ndarray, rows, cols):
     return x, y, ok
 
 
-def nash_enumerate_stack(
-    payoffs, br_tol: float = BR_TOL, dedupe_tol: float = DEDUPE_TOL
-) -> list:
+def nash_enumerate_stack(payoffs) -> list:
     """Exact equilibria of a stack of two-player games, one list per game.
 
     ``payoffs`` is (2, n, k1, k2): both players' payoff matrices for n
@@ -331,7 +320,7 @@ def nash_enumerate_stack(
         for cols in itertools.combinations(range(k2), r)
     ]
     xs, ys, oks = (np.stack(part, axis=1) for part in zip(*supports))  # (n, supports, ...)
-    # The screen drops candidates whose gap exceeds br_tol by far more
+    # The screen drops candidates whose gap exceeds BR_TOL by far more
     # than rounding could explain; the survivors are verified game by game
     # with the arithmetic of a single-game enumeration, so no game's list
     # depends on the rest of the stack.
@@ -341,12 +330,12 @@ def nash_enumerate_stack(
         vec_x.max(axis=2) - np.einsum("nsa,nsa->ns", xs, vec_x),
         vec_y.max(axis=2) - np.einsum("nsb,nsb->ns", ys, vec_y),
     )
-    slack = br_tol + 1e-12 * np.maximum(1.0, np.abs(payoffs).max(axis=(0, 2, 3)))
+    slack = BR_TOL + 1e-12 * np.maximum(1.0, np.abs(payoffs).max(axis=(0, 2, 3)))
     keep = oks & (gap <= slack[:, None])
     out = []
     for g in range(n):
         candidates = [(xs[g, s], ys[g, s]) for s in np.flatnonzero(keep[g])]
-        out.append(_verify_candidates(payoffs[:, g], candidates, br_tol, dedupe_tol))
+        out.append(_verify_candidates(payoffs[:, g], candidates))
     return out
 
 
@@ -453,17 +442,17 @@ def _solve_indifference_three(sub, start, max_iter=60, tol=1e-12):
     return out
 
 
-def _verify_candidates(payoffs, candidates, br_tol, dedupe_tol):
+def _verify_candidates(payoffs, candidates):
     """Keep the candidates no player can improve on by more than
-    ``br_tol`` with a pure deviation, drop near-duplicates and sort."""
+    ``BR_TOL`` with a pure deviation, drop near-duplicates and sort."""
     points = []
     for strategies in candidates:
         vecs = [_against(payoffs, i, strategies) for i in range(len(payoffs))]
         played = [np.dot(s, vec) for s, vec in zip(strategies, vecs)]
-        if max(float(vec.max() - v) for vec, v in zip(vecs, played)) > br_tol:
+        if max(float(vec.max() - v) for vec, v in zip(vecs, played)) > BR_TOL:
             continue
         flat = np.concatenate(strategies)
-        if any(np.max(np.abs(flat - known)) <= dedupe_tol for known, _ in points):
+        if any(np.max(np.abs(flat - known)) <= DEDUPE_TOL for known, _ in points):
             continue
         points.append((flat, NashPoint(strategies=tuple(strategies), payoffs=np.array(played))))
     out = [point for _, point in points]
@@ -471,56 +460,39 @@ def _verify_candidates(payoffs, candidates, br_tol, dedupe_tol):
     return out
 
 
-def enumeration_mode(mode: str, shape) -> str:
-    """Resolve ``mode`` ("auto", "exact" or "approx") for a game whose
-    players have ``shape`` actions: "auto" is exact inside the envelope
-    of at most three players with at most four actions each."""
-    if mode not in ("auto", "exact", "approx"):
-        raise InvalidInput(f"unknown enumeration mode {mode!r}")
-    if mode == "auto":
-        exact_ok = len(shape) <= EXACT_MAX_PLAYERS and max(shape) <= EXACT_MAX_ACTIONS
-        mode = "exact" if exact_ok else "approx"
-    return mode
+def enumeration_mode(shape) -> str:
+    """"exact" for a game whose players have ``shape`` actions when it lies
+    inside the envelope of at most three players with at most four actions
+    each, "approx" otherwise."""
+    exact_ok = len(shape) <= EXACT_MAX_PLAYERS and max(shape) <= EXACT_MAX_ACTIONS
+    return "exact" if exact_ok else "approx"
 
 
-def nash_enumerate(
-    game: StageGame,
-    mode: str = "auto",
-    br_tol: float = BR_TOL,
-    dedupe_tol: float = DEDUPE_TOL,
-    approx_eps: float = 1e-3,
-    approx_iters: int = 200_000,
-):
+def nash_enumerate(game: StageGame):
     """All verified mixed equilibria of a small finite game.
 
-    Exact mode covers up to three players with at most four actions
-    each: supports are enumerated on a lexicographically perturbed copy
-    of the game and every solved candidate is re-verified against the
-    unperturbed payoffs (best-response slack at most ``br_tol``), then
-    deduplicated and sorted by payoff vector. Larger games run regret
-    matching in approximate mode and return a single point carrying its
-    certified slack.
+    Inside the exact envelope (:func:`enumeration_mode`), supports are
+    enumerated on a lexicographically perturbed copy of the game and every
+    solved candidate is re-verified against the unperturbed payoffs
+    (best-response slack at most ``BR_TOL``), then deduplicated and sorted
+    by payoff vector. Larger games run regret matching and return a single
+    approximate point carrying its certified slack.
     """
-    mode = enumeration_mode(mode, game.shape)
-    if mode == "approx":
-        return [regret_matching(game, eps_target=approx_eps, max_iter=approx_iters)]
-    if game.m > EXACT_MAX_PLAYERS:
-        raise InvalidInput("exact enumeration supports at most three players")
+    if enumeration_mode(game.shape) == "approx":
+        return [regret_matching(game)]
     stack = np.stack(game.payoffs)[:, None]
     if game.m == 2:
-        return nash_enumerate_stack(stack, br_tol, dedupe_tol)[0]
+        return nash_enumerate_stack(stack)[0]
     perturbed = _perturbed(stack)[:, 0]
     if game.m == 1:
         candidates = [(np.eye(game.shape[0])[a],) for a in np.argsort(-perturbed[0])]
     else:
         candidates = _candidates_three(perturbed)
-    points = _verify_candidates(game.payoffs, candidates, br_tol, dedupe_tol)
+    points = _verify_candidates(game.payoffs, candidates)
     if not points and game.m == 3:
         # degenerate perturbation may have displaced an isolated mixed
         # equilibrium; retry the support scan on the raw payoffs
-        points = _verify_candidates(
-            game.payoffs, _candidates_three(game.payoffs), br_tol, dedupe_tol
-        )
+        points = _verify_candidates(game.payoffs, _candidates_three(game.payoffs))
     return points
 
 

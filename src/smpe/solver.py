@@ -51,7 +51,13 @@ INNER_TOL = 1e-10
 @dataclass(frozen=True)
 class SolveOptions:
     """Solver knobs: outer tolerance, iteration caps, damping floor,
-    restart budget, RNG seed, and the target certified slack."""
+    restart budget, RNG seed, and the target certified slack.
+
+    The atom fixed point runs to ``INNER_TOL``; stage games are enumerated
+    in the mode :func:`~smpe.nash.enumeration_mode` picks. The game is
+    validated once, on entry to ``solve``, and the result's strategies
+    where they enter the certificate, never inside the loop.
+    """
 
     tol: float = 1e-9
     max_iter: int = 500
@@ -59,16 +65,13 @@ class SolveOptions:
     restarts: int = 3
     seed: int = 0
     eps_target: float = 1e-6
-    inner_tol: float = INNER_TOL
-    nash_mode: str = "auto"
 
 
 @dataclass
 class SolverState:
-    """Mutable loop state: continuation moments, atom values and
-    strategies, iteration counter, and the residual history."""
+    """Mutable loop state: atom values and strategies, per-cell values,
+    iteration counter, and the residual history."""
 
-    c: AggregateVector
     v2: np.ndarray
     f2: list
     cell_values: np.ndarray
@@ -105,8 +108,14 @@ def atom_value_operator(
     over the player's own feasible actions against the others' fixed
     atom strategies, with continuation folded in through the aggregates
     and current atom values. A sup-norm contraction with modulus equal
-    to the largest discount factor.
+    to the largest discount factor. The shapes of ``c`` and ``v2`` are
+    checked here; the step that ``atom_fixed_point`` iterates checks none.
     """
+    v2 = np.asarray(v2, dtype=float)
+    if c.c.shape != (spec.players, spec.kernel.n_components, spec.space.n_coarse):
+        raise InvalidInput("aggregate dimensions do not match the game")
+    if v2.shape != (spec.players, spec.n_atoms):
+        raise InvalidInput(f"atom values must be {(spec.players, spec.n_atoms)}")
     atoms = spec.space.atom_indices
     return _atom_operator(f2, c, spec, _signature_groups(spec, atoms))(v2)
 
@@ -122,8 +131,6 @@ def _atom_operator(f2, c, spec, groups):
     arithmetic of :func:`stage_payoff_tensor`, so it returns the same
     bits as slicing that full table would.
     """
-    if c.c.shape != (spec.players, spec.kernel.n_components, spec.space.n_coarse):
-        raise InvalidInput("aggregate dimensions do not match the game")
     atoms = spec.space.atom_indices
     beta = spec.discounts[:, None, None]
     base = (1.0 - beta) * spec.payoffs[:, atoms]
@@ -140,16 +147,11 @@ def _atom_operator(f2, c, spec, groups):
         blocks.append((members, grid, local))
 
     def step(v2):
-        v2 = np.asarray(v2, dtype=float)
-        if v2.shape != (spec.players, len(atoms)):
-            raise InvalidInput(f"atom values must be {(spec.players, len(atoms))}")
         cont = cont_q + np.einsum("asx,ia->isx", kernel, v2)
         table = (base + beta * cont).reshape(shape)
         new = np.empty((spec.players, len(atoms)))
         for members, grid, local in blocks:
             stack = table[grid]
-            if not np.all(np.isfinite(stack)):
-                raise InvalidInput("stage payoffs must be finite")
             for i in range(spec.players):
                 new[i, members] = payoff_against_stack(stack, i, local).max(axis=1)
         return new
@@ -182,13 +184,10 @@ def _stage_stack(table, spec, states, actions):
     """Stage payoffs at ``states`` restricted to ``actions``, as one
     (m, len(states), k_1, ..., k_m) stack sliced from ``table``."""
     full = table[:, states].reshape((spec.players, len(states)) + spec.profile_shape)
-    stack = full[np.ix_(range(spec.players), range(len(states)), *actions)]
-    if not np.all(np.isfinite(stack)):
-        raise InvalidInput("stage payoffs must be finite")
-    return stack
+    return full[np.ix_(range(spec.players), range(len(states)), *actions)]
 
 
-def _stage_equilibria(states, groups, c, v2, spec, table, nash_mode):
+def _stage_equilibria(states, groups, c, v2, spec, table):
     """Stage equilibria at each of ``states`` under the payoff ``table``,
     as (actions, points) pairs in the order of ``states``; ``groups`` is
     ``_signature_groups(spec, states)``. Two-player games inside the
@@ -197,14 +196,11 @@ def _stage_equilibria(states, groups, c, v2, spec, table, nash_mode):
     out = [None] * len(states)
     for actions, members in groups:
         shape = tuple(len(a) for a in actions)
-        if spec.players == 2 and enumeration_mode(nash_mode, shape) == "exact":
+        if spec.players == 2 and enumeration_mode(shape) == "exact":
             lists = nash_enumerate_stack(_stage_stack(table, spec, states[members], actions))
         else:
             lists = [
-                nash_enumerate(
-                    build_stage_game(int(states[p]), c, v2, spec, payoff_table=table),
-                    mode=nash_mode,
-                )
+                nash_enumerate(build_stage_game(int(states[p]), c, v2, spec, payoff_table=table))
                 for p in members
             ]
         for p, points in zip(members, lists):
@@ -255,7 +251,7 @@ def atom_fixed_point(f2, c, spec, v2_init, tol=INNER_TOL, groups=None):
     return v2, iterations
 
 
-def _atom_strategies(c, v2, spec, table, groups, nash_mode):
+def _atom_strategies(c, v2, spec, table, groups):
     """Stage equilibrium per atomic cell, chosen for value consistency.
 
     At a fixed point the selected profile must reproduce the atom's
@@ -268,7 +264,7 @@ def _atom_strategies(c, v2, spec, table, groups, nash_mode):
     n_actions = [len(a) for a in spec.actions]
     profiles = []
     points = []
-    stage = _stage_equilibria(spec.space.atom_indices, groups, c, v2, spec, table, nash_mode)
+    stage = _stage_equilibria(spec.space.atom_indices, groups, c, v2, spec, table)
     for a_idx, (actions, eqs) in enumerate(stage):
         gaps = [float(np.max(np.abs(p.payoffs - v2[:, a_idx]))) for p in eqs]
         point = eqs[int(np.argmin(gaps))]
@@ -347,9 +343,7 @@ def _initial_state(spec, opts, restart):
             vec = feas.astype(float)
             profile.append(vec / vec.sum())
         f2.append(profile)
-    return SolverState(
-        c=aggregate_moments(cell_values, spec), v2=v2, f2=f2, cell_values=cell_values
-    )
+    return SolverState(v2=v2, f2=f2, cell_values=cell_values)
 
 
 def _outer_loop(spec, opts, state: SolverState, cell_groups, atom_groups) -> bool:
@@ -359,19 +353,17 @@ def _outer_loop(spec, opts, state: SolverState, cell_groups, atom_groups) -> boo
         f2_change = 0.0
         v2_change = 0.0
         if spec.n_atoms:
-            v2_new, _ = atom_fixed_point(
-                state.f2, c, spec, state.v2, tol=opts.inner_tol, groups=atom_groups
-            )
+            v2_new, _ = atom_fixed_point(state.f2, c, spec, state.v2, groups=atom_groups)
             v2_change = float(np.max(np.abs(v2_new - state.v2)))
             state.v2 = v2_new
         # one table serves the atom strategies and the divisible cells
         table = stage_payoff_tensor(c, state.v2, spec)
         if spec.n_atoms:
-            f2_new, _ = _atom_strategies(c, state.v2, spec, table, atom_groups, opts.nash_mode)
+            f2_new, _ = _atom_strategies(c, state.v2, spec, table, atom_groups)
             f2_change = _profile_change(state.f2, f2_new)
             state.f2 = f2_new
         targets = state.cell_values.copy()
-        stage = _stage_equilibria(div_cells, cell_groups, c, state.v2, spec, table, opts.nash_mode)
+        stage = _stage_equilibria(div_cells, cell_groups, c, state.v2, spec, table)
         for k, (_, points) in zip(div_cells, stage):
             payoff_matrix = np.array([p.payoffs for p in points])
             projected, _ = project_to_hull(state.cell_values[k], payoff_matrix)
@@ -383,7 +375,6 @@ def _outer_loop(spec, opts, state: SolverState, cell_groups, atom_groups) -> boo
         residual = max(value_change, v2_change, f2_change)
         state.residuals.append(residual)
         state.iteration = t + 1
-        state.c = c
         if residual <= opts.tol:
             state.cell_values = targets
             return True
@@ -402,9 +393,7 @@ def _finalize(
     table = stage_payoff_tensor(c, state.v2, spec)
     n_actions = [len(a) for a in spec.actions]
     div_cells = spec.space.divisible_indices
-    stage = iter(
-        _stage_equilibria(div_cells, cell_groups, c, state.v2, spec, table, opts.nash_mode)
-    )
+    stage = iter(_stage_equilibria(div_cells, cell_groups, c, state.v2, spec, table))
     degenerate = sum(
         int(degenerate_games(_stage_stack(table, spec, div_cells[members], actions)).sum())
         for actions, members in cell_groups

@@ -1,15 +1,18 @@
 """Independent certification of candidate equilibria.
 
 This module re-derives everything it needs from the game data and the
-reported piecewise values/strategies alone; it deliberately shares no
-stage-game or enumeration code with the solver, so agreement between
-the two is a genuine cross-check. It computes one-shot deviation gains
-state by state (at the sub-interval granularity of the reported
-selections), the exact evaluation of the reported strategy profile via
-a linear solve, and reproducible Monte Carlo estimates of discounted
-play. The simulation draws pieces, actions and next states by exact
-guide-table inverse-CDF lookups, O(1) per draw, that return the indices
-of the comparison rule ``#{j : cum[r, j] < u}`` bit for bit.
+reported piecewise values/strategies alone, and it is where results
+enter: the certificate and the simulation both first reject a profile
+whose strategies are not probability vectors on the feasible actions.
+It deliberately shares no stage-game or enumeration code with the
+solver, so agreement between the two is a genuine cross-check. It
+computes one-shot deviation gains state by state (at the sub-interval
+granularity of the reported selections), the exact evaluation of the
+reported strategy profile via a linear solve, and reproducible Monte
+Carlo estimates of discounted play. The simulation draws pieces,
+actions and next states by exact guide-table inverse-CDF lookups, O(1)
+per draw, that return the indices of the comparison rule
+``#{j : cum[r, j] < u}`` bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .errors import InvalidInput
 from .game import StochasticGameSpec
 
 CHUNK_PATHS = 8192
+STRATEGY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,35 @@ def _pieces_of(result, spec):
     return pieces
 
 
+def _check_strategies(pieces, spec):
+    """Reject a reported profile that is not stationary Markov.
+
+    Every player's strategy in every piece must be a probability vector
+    (finite, nonnegative, positive mass, summing to 1 within
+    ``STRATEGY_TOL``) on the player's feasible actions at the piece's
+    cell; otherwise ``InvalidInput`` names an offending piece.
+    """
+
+    def reject(bad, message):
+        if bad.any():
+            raise InvalidInput(f"piece {int(np.argmax(bad))}: {message}")
+
+    cells = np.array([k for k, *_ in pieces], dtype=int)
+    for i, feasible in enumerate(spec.feasible):
+        probs = np.array([strat[i] for *_, strat in pieces])
+        reject(
+            ~np.isfinite(probs).all(axis=1) | (probs < 0).any(axis=1),
+            "strategy has negative or non-finite entries",
+        )
+        totals = probs.sum(axis=1)
+        reject(totals <= 0, "strategy carries no probability")
+        reject(np.abs(totals - 1.0) > STRATEGY_TOL, f"player {i}'s strategy does not sum to 1")
+        reject(
+            np.where(feasible[cells], 0.0, probs).any(axis=1),
+            f"player {i}'s strategy puts mass on an infeasible action",
+        )
+
+
 def deviation_residual(result, spec: StochasticGameSpec) -> Certificate:
     """One-shot deviation gains of the reported profile, plus the exact
     recursion gap.
@@ -95,8 +128,14 @@ def deviation_residual(result, spec: StochasticGameSpec) -> Certificate:
     recursion gap is the sup-norm distance between the reported values
     and the exact discounted evaluation of the reported strategies,
     obtained from a linear solve over pieces.
+
+    The bound holds only for a stationary Markov profile, so a piece
+    whose strategy is not a probability vector on its cell's feasible
+    actions raises ``InvalidInput`` first; this is where results from
+    outside the solver enter.
     """
     pieces = _pieces_of(result, spec)
+    _check_strategies(pieces, spec)
     averages = np.asarray(result.values.averages(), dtype=float)
     density = spec.cell_density()
     masses = np.asarray(spec.space.masses, dtype=float)
@@ -144,10 +183,7 @@ def _recursion_gap(pieces, spec):
         for s in strat[1:]:
             prob = np.multiply.outer(prob, s)
         prob = prob.reshape(-1)
-        total = prob.sum()
-        if total <= 0:
-            raise InvalidInput(f"piece {idx}: strategy carries no probability")
-        prob = prob / total
+        prob = prob / prob.sum()
         for i in range(spec.players):
             stage[i, idx] = float(np.dot(spec.payoffs[i, k], prob))
         to_cell = trans_masses[:, k, :] @ prob  # (n_cells,)
@@ -227,9 +263,11 @@ def simulate_payoffs(
     fixed-size blocks, each driven by a counter-based generator keyed on
     (seed, block) that yields ``players + 2`` uniforms per path and step,
     so identical seeds reproduce the report bit for bit regardless of the
-    thread count (``SMPE_THREADS``). Each player's strategy in every piece
-    must be finite, nonnegative and carry positive mass.
+    thread count (``SMPE_THREADS``). The strategies are checked as
+    :func:`deviation_residual` checks them.
     """
+    pieces = _pieces_of(result, spec)
+    _check_strategies(pieces, spec)
     if paths < 1:
         raise InvalidInput("need at least one path")
     if horizon is not None and horizon < 1:
@@ -253,7 +291,6 @@ def simulate_payoffs(
         )
     truncation_bound = beta_max**horizon * bound
 
-    pieces = _pieces_of(result, spec)
     max_pieces = max(len(result.values.pieces[k]) for k in range(spec.n_states))
     piece_cum = np.ones((spec.n_states, max_pieces))
     piece_base = np.zeros(spec.n_states, dtype=int)
@@ -270,14 +307,7 @@ def simulate_payoffs(
     draw_action = []
     for i in range(spec.players):
         probs = np.array([strat[i] for (_k, _p, _f, _v, strat) in pieces])
-        bad = ~np.isfinite(probs).all(axis=1) | (probs < 0).any(axis=1)
-        if bad.any():
-            idx = int(np.argmax(bad))
-            raise InvalidInput(f"piece {idx}: strategy has negative or non-finite entries")
         totals = probs.sum(axis=1)
-        if (totals <= 0).any():
-            idx = int(np.argmax(totals <= 0))
-            raise InvalidInput(f"piece {idx}: strategy carries no probability")
         rows = np.cumsum(probs / totals[:, None], axis=1)
         rows[:, -1] = 1.0
         draw_action.append(_inverse_cdf(rows))

@@ -117,6 +117,21 @@ def test_short_piece_array_exits_two(game_file, result_file, field):
     assert field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "strategy", [[-0.5, 1.5], [0.0, 0.5]], ids=["negative", "halved"]
+)
+def test_off_simplex_strategy_exits_two(game_file, result_file, strategy):
+    # a profile off the simplex has no certificate to print
+    doc = json.loads(result_file.read_text())
+    piece = doc["cells"][0]["pieces"][0]
+    assert piece["strategy"][:2] == [0.0, 1.0]
+    piece["strategy"][:2] = strategy
+    result_file.write_text(json.dumps(doc))
+    code, err = run_cli(["verify", "--game", str(game_file), "--result", str(result_file)])
+    assert code == 2
+    assert "piece 0" in err and "Traceback" not in err
+
+
 def test_non_integer_thread_count_exits_two(game_file, result_file):
     args = ["simulate", "--game", str(game_file), "--result", str(result_file)]
     args += ["--paths", "100", "--seed", "1", "--truncation", "1e-2"]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from smpe import solver
-from smpe.errors import NoConvergence, PreconditionFailed
+from smpe.errors import InvalidInput, NoConvergence, PreconditionFailed
 from smpe.game import KernelDecomposition
 from smpe.gamefile import canonical_bytes, result_to_doc
 from smpe.kernels import random_nowak_game
@@ -222,7 +222,7 @@ def test_stage_layer_matches_per_state_reference_across_signatures():
     v2 = rng.uniform(-1, 1, (spec.players, spec.n_atoms))
     table = stage_payoff_tensor(c, v2, spec)
     states = np.arange(spec.n_states)
-    stage = _stage_equilibria(states, _signature_groups(spec, states), c, v2, spec, table, "auto")
+    stage = _stage_equilibria(states, _signature_groups(spec, states), c, v2, spec, table)
     assert len({tuple(len(a) for a in actions) for actions, _ in stage}) == 2
     for state, (actions, points) in zip(states, stage):
         game = build_stage_game(int(state), c, v2, spec, payoff_table=table)
@@ -257,6 +257,38 @@ def test_result_bytes_match_golden_digest(name):
     _, spec = random_nowak_game(seed=[4242, int(index)], **FAMILIES[family])
     data = canonical_bytes(result_to_doc(solve(spec), spec))
     assert hashlib.sha256(data).hexdigest() == GOLDEN_RESULTS[name]
+
+
+def uniform_payoffs(key, shape):
+    return np.random.Generator(np.random.Philox(key=key)).uniform(-1, 1, shape)
+
+
+# Games on the per-state path of the stage layer (one player, three players,
+# and a 5x5 game outside the exact envelope, so regret matching), with the
+# SHA-256 of their default-option results, recorded as above.
+FALLBACK_GAMES = {
+    "one-player-3x3": (
+        lambda: constant_kernel_game(uniform_payoffs(31, (1, 3, 3)), [0.6], n_cells=3),
+        "37d87068f3ea52367bbb6515ebc62be0cbe68a625a7ed8216e901972d1708c67",
+    ),
+    "three-player-2x2x2": (
+        lambda: single_atom_game(uniform_payoffs(32, (3, 8)), [0.5, 0.6, 0.7]),
+        "056ba4c7add42b8152643d82562cb51b8b5ce1ebe2156d8d882d8af11c00b37f",
+    ),
+    "two-player-5x5": (
+        lambda: single_atom_game(uniform_payoffs(33, (2, 25)), [0.6, 0.5]),
+        "e56f51ccb9e89e3f60ebbba5fd650cff795d4a9e3eb682544bface941804fc78",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_GAMES))
+def test_fallback_result_bytes_match_golden_digest(name):
+    build, digest = FALLBACK_GAMES[name]
+    spec = build()
+    result = solve(spec)
+    assert result.epsilon <= 1e-9
+    assert hashlib.sha256(canonical_bytes(result_to_doc(result, spec))).hexdigest() == digest
 
 
 # --- hoisted atom operator ---------------------------------------------------------
@@ -302,6 +334,17 @@ def test_atom_operator_matches_full_table_reference(name):
         ref = atom_fixed_point_reference(f2, c, spec, np.zeros_like(v2), tol=1e-10)
         assert np.array_equal(got[0], ref[0])
         assert got[1] == ref[1]
+
+
+def test_atom_value_operator_rejects_mismatched_shapes():
+    spec = atom_game("atom-heavy-0")
+    f2 = uniform_atom_profile(spec)
+    c = aggregate_moments(np.zeros((spec.n_states, spec.players)), spec)
+    with pytest.raises(InvalidInput, match="atom values must be"):
+        atom_value_operator(f2, c, np.zeros((spec.players, spec.n_atoms - 1)), spec)
+    short = AggregateVector(c.c[:, :1])
+    with pytest.raises(InvalidInput, match="aggregate dimensions"):
+        atom_value_operator(f2, short, np.zeros((spec.players, spec.n_atoms)), spec)
 
 
 def test_outer_iteration_builds_one_stage_table(monkeypatch):

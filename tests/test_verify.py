@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,20 +120,30 @@ def test_simulation_horizon_truncation_consistency():
 
 
 @pytest.mark.parametrize(
-    "strategy, message",
+    "strategy, feasible, message",
     [
-        ([0.0, 0.0, 0.5, 0.5], "strategy carries no probability"),
-        ([1.5, -0.5, 0.5, 0.5], "strategy has negative or non-finite entries"),
-        ([np.nan, 1.0, 0.5, 0.5], "strategy has negative or non-finite entries"),
+        ([0.0, 0.0, 0.5, 0.5], [True, True], "strategy carries no probability"),
+        ([1.5, -0.5, 0.5, 0.5], [True, True], "strategy has negative or non-finite entries"),
+        ([np.nan, 1.0, 0.5, 0.5], [True, True], "strategy has negative or non-finite entries"),
+        ([0.25, 0.25, 0.5, 0.5], [True, True], "player 0's strategy does not sum to 1"),
+        (
+            [0.0, 1.0, 0.5, 0.5],
+            [True, False],
+            "player 0's strategy puts mass on an infeasible action",
+        ),
     ],
-    ids=["zero-mass", "negative", "nan"],
+    ids=["zero-mass", "negative", "nan", "halved", "infeasible"],
 )
-def test_simulation_rejects_malformed_strategy(strategy, message):
+def test_simulation_rejects_malformed_strategy(strategy, feasible, message):
+    # the simulation and the certificate refuse the same profiles alike
     payoffs = np.full((2, 4), 0.5)
     spec = single_atom_game(payoffs, [0.5, 0.5])
+    spec = replace(spec, feasible=(np.array([feasible]), spec.feasible[1]))
     result = stationary_result(spec, [np.array(strategy)], [np.array([0.5, 0.5])])
     with pytest.raises(InvalidInput, match=f"piece 0: {message}"):
         simulate_payoffs(spec, result, s0=0, paths=10, seed=0, horizon=3)
+    with pytest.raises(InvalidInput, match=f"piece 0: {message}"):
+        deviation_residual(result, spec)
 
 
 def test_threaded_simulation_identical(monkeypatch):
