@@ -64,14 +64,21 @@ def _add_solver_flags(parser):
     parser.add_argument("--eps-target", type=float, default=SolveOptions.eps_target)
 
 
+def _solve_or_best(spec, args):
+    """``(result, exit code)``: the certified result with 0, or the best
+    result of a failed solve with 1. A failed solve that certified
+    nothing re-raises, and ``run_command`` reports it in one line."""
+    try:
+        return solve(spec, _solve_options(args)), 0
+    except NoConvergence as exc:
+        if exc.result is None:
+            raise
+        return exc.result, 1
+
+
 def cmd_solve(args) -> int:
     spec = gamefile.parse_game_spec(args.game)
-    try:
-        result = solve(spec, _solve_options(args))
-        code = 0
-    except NoConvergence as exc:
-        result = exc.result
-        code = 1
+    result, code = _solve_or_best(spec, args)
     if args.out:
         gamefile.write_result(args.out, result, spec)
     print(f"epsilon {result.epsilon!r}")
@@ -165,12 +172,7 @@ def demo_nowak(args) -> int:
     report = validate_game(spec)
     kmtx = kernel_matrix(spec)
     ranks = block_rank_profile(kmtx)
-    try:
-        result = solve(spec, _solve_options(args))
-        code = 0
-    except NoConvergence as exc:
-        result = exc.result
-        code = 1
+    result, code = _solve_or_best(spec, args)
     if args.out:
         gamefile.write_game_spec(f"{args.out}.game.json", spec)
         gamefile.write_result(f"{args.out}.result.json", result, spec)
@@ -224,12 +226,7 @@ def demo_sunspot(args) -> int:
     extended = sunspot_extend(spec, args.sunspots)
     report = validate_game(extended)
     kmtx = kernel_matrix(extended)
-    try:
-        result = solve(extended, _solve_options(args))
-        code = 0
-    except NoConvergence as exc:
-        result = exc.result
-        code = 1
+    result, code = _solve_or_best(extended, args)
     _emit(
         {
             "family": "sunspot",

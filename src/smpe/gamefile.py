@@ -262,6 +262,8 @@ def load_result(path, spec: StochasticGameSpec):
     value_pieces, strategy_pieces = [], []
     for k, cell in enumerate(cells):
         pieces = _require(cell, "pieces", list, f"cells[{k}].")
+        if not pieces:
+            raise ParseError(f"cells[{k}].pieces must not be empty")
         v_parts, s_parts = [], []
         for p, piece in enumerate(pieces):
             where = f"cells[{k}].pieces[{p}]."

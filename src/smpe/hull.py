@@ -1,12 +1,14 @@
-"""Small-scale convex hull helpers: membership weights and projections.
+"""Small-scale convex hull helpers: Caratheodory weights of hull points.
 
 Everything here is deterministic. Supports are searched in order of
 (size, lexicographic index tuple), so the reported weight vector for a
 feasible target is always the one with the lexicographically smallest
 support of Caratheodory size (at most dimension + 1).
 
-Two arithmetic backends coexist: plain floats (numpy) and exact
-``fractions.Fraction`` rows for oracle-grade computations.
+There is one routine per arithmetic: :func:`project_to_hull` in floats,
+which returns the nearest hull point with its weights and serves both
+the solver and float purification, and :func:`convex_weights_exact` in
+``fractions.Fraction`` arithmetic for exact-mode purification.
 """
 
 from __future__ import annotations
@@ -81,44 +83,6 @@ def convex_weights_exact(target, points):
             weights[j] = w
         return weights
     return None
-
-
-def convex_weights(target, points, tol=1e-9):
-    """Float convex-combination weights, or None if outside the hull.
-
-    The first support (in lexicographic order) that reconstructs the
-    target to machine precision wins; when none does, the support with
-    the smallest residual within ``tol`` (scaled by the data magnitude)
-    is returned instead, so targets that sit exactly in the hull are
-    matched exactly while nearby ones are still admitted.
-    """
-    pts = np.asarray(points, dtype=float)
-    tgt = np.asarray(target, dtype=float)
-    n, d = pts.shape
-    scale = max(1.0, float(np.max(np.abs(tgt))), float(np.max(np.abs(pts))))
-    strict = 1e-12 * scale
-    b = np.concatenate([tgt, [1.0]])
-    best = None  # (residual, weights)
-    for support in _supports(n, min(n, d + 1)):
-        a = np.vstack([pts[list(support)].T, np.ones(len(support))])
-        w, *_ = np.linalg.lstsq(a, b, rcond=None)
-        if np.min(w) < -1e-9:
-            continue
-        w = np.clip(w, 0.0, None)
-        s = w.sum()
-        if s <= 0.0:
-            continue
-        w /= s
-        residual = float(np.max(np.abs(a @ w - b)))
-        if residual > tol * scale:
-            continue
-        weights = np.zeros(n)
-        weights[list(support)] = w
-        if residual <= strict:
-            return weights
-        if best is None or residual < best[0] - 1e-18:
-            best = (residual, weights)
-    return None if best is None else best[1]
 
 
 def project_to_hull(target, points):

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AtomicMass, InvalidInput, NoSelection
-from .hull import convex_weights, convex_weights_exact
+from .hull import convex_weights_exact, project_to_hull
 
 MASS_TOL = 1e-12
 HULL_TOL = 1e-9
@@ -121,15 +121,6 @@ class GridSpace:
 
     def coarse_members(self, coarse_id: int) -> np.ndarray:
         return np.flatnonzero(self.coarse == coarse_id)
-
-    def coarse_masses(self):
-        """Total mass per coarse cell, ordered by coarse id."""
-        if self.exact:
-            out = np.empty(self.n_coarse, dtype=object)
-            for e in range(self.n_coarse):
-                out[e] = sum((self.masses[k] for k in self.coarse_members(e)), Fraction(0))
-            return out
-        return np.bincount(self.coarse, weights=self.masses, minlength=self.n_coarse)
 
 
 def _values_matrix(values, space, name):
@@ -418,13 +409,16 @@ def purify_selection(
     matching per-cell averages makes every conditional moment of the
     result agree with the target's across the coarse partition.
 
-    Divisible cells are split with convex weights found by a feasibility
-    search over supports of Caratheodory size (lexicographically smallest
-    support wins). Atomic cells cannot be split: their target must itself
+    Divisible cells are split with the Caratheodory weights (support of at
+    most dimension + 1 candidates, lexicographically smallest support on
+    ties) of the target's nearest point in the candidate hull, as
+    :func:`~smpe.hull.project_to_hull` returns them; in exact mode,
+    :func:`~smpe.hull.convex_weights_exact` finds them in Fraction
+    arithmetic. Atomic cells cannot be split: their target must itself
     be one of the candidates (within ``HULL_TOL``), otherwise
     ``NoSelection`` is raised. A divisible target farther than
-    ``HULL_TOL`` outside the candidate hull violates the precondition and
-    raises ``InvalidInput``.
+    ``HULL_TOL`` (scaled by the data magnitude) outside the candidate hull
+    violates the precondition and raises ``InvalidInput``.
     """
     values = _values_matrix(vprime.values, space, "target selection")
     _moments_matrix(moments, space)
@@ -449,17 +443,15 @@ def purify_selection(
         if exact:
             weights = convex_weights_exact(target, cands)
         else:
-            weights = convex_weights(target, cands, tol=HULL_TOL)
+            point, weights = project_to_hull(target, cands)
+            scale = max(1.0, float(np.max(np.abs(target))), float(np.max(np.abs(cands))))
+            if np.max(np.abs(point - target)) > HULL_TOL * scale:
+                weights = None
         if weights is None:
             raise InvalidInput(
                 f"divisible cell {k}: target lies outside the candidate hull (tol {HULL_TOL})"
             )
-        cell_pieces = [
-            Piece(w, cands[i]) for i, w in enumerate(weights) if w > 0
-        ]
-        if not cell_pieces:  # zero-weight degenerate corner; keep first candidate
-            cell_pieces = [Piece(Fraction(1) if exact else 1.0, cands[0])]
-        pieces.append(tuple(cell_pieces))
+        pieces.append(tuple(Piece(w, cands[i]) for i, w in enumerate(weights) if w > 0))
     return SplitSelection(tuple(pieces))
 
 

@@ -25,7 +25,7 @@ number, never less.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,9 +54,10 @@ class SolveOptions:
     restart budget, RNG seed, and the target certified slack.
 
     The atom fixed point runs to ``INNER_TOL``; stage games are enumerated
-    in the mode :func:`~smpe.nash.enumeration_mode` picks. The game is
-    validated once, on entry to ``solve``, and the result's strategies
-    where they enter the certificate, never inside the loop.
+    in the mode :func:`~smpe.nash.enumeration_mode` picks. The options
+    and the game are validated once, on entry to ``solve``, and the
+    result's strategies where they enter the certificate, never inside
+    the loop.
     """
 
     tol: float = 1e-9
@@ -288,8 +289,20 @@ def solve(spec: StochasticGameSpec, opts: SolveOptions = SolveOptions()) -> Equi
     cells only. Runs up to ``opts.restarts`` extra attempts from
     seed-perturbed starting values and returns as soon as the certified
     slack reaches ``opts.eps_target``; otherwise raises
-    :class:`NoConvergence` carrying the best certified result.
+    :class:`NoConvergence` carrying the best certified result. A stage
+    game that regret matching cannot solve ends the solve at once; its
+    :class:`NoConvergence` carries the best result certified before it,
+    or None. Out-of-range options raise :class:`InvalidInput`.
     """
+    for name, ok, rule in (
+        ("tol", opts.tol > 0, "> 0"),
+        ("max_iter", opts.max_iter >= 1, ">= 1"),
+        ("damping", 0 < opts.damping <= 1, "in (0, 1]"),
+        ("restarts", opts.restarts >= 0, ">= 0"),
+        ("eps_target", opts.eps_target > 0, "> 0"),
+    ):
+        if not ok:
+            raise InvalidInput(f"solver option {name} must be {rule}, got {getattr(opts, name)!r}")
     report = validate_game(spec)
     if not report.passed:
         raise ValidationError("game fails validation", report=report)
@@ -306,8 +319,15 @@ def solve(spec: StochasticGameSpec, opts: SolveOptions = SolveOptions()) -> Equi
     best = None
     for restart in range(opts.restarts + 1):
         state = _initial_state(spec, opts, restart)
-        converged = _outer_loop(spec, opts, state, cell_groups, atom_groups)
-        result = _finalize(spec, opts, state, restart, converged, cell_groups)
+        try:
+            converged = _outer_loop(spec, opts, state, cell_groups, atom_groups)
+            result = _finalize(spec, opts, state, restart, converged, cell_groups)
+        except NoConvergence as exc:  # regret matching missed on a stage game
+            raise NoConvergence(
+                f"attempt {restart + 1}: {exc}",
+                result=best,
+                epsilon=None if best is None else best.epsilon,
+            ) from None
         cert = deviation_residual(result, spec)
         result = EquilibriumResult(
             values=result.values,
@@ -393,54 +413,40 @@ def _finalize(
     table = stage_payoff_tensor(c, state.v2, spec)
     n_actions = [len(a) for a in spec.actions]
     div_cells = spec.space.divisible_indices
-    stage = iter(_stage_equilibria(div_cells, cell_groups, c, state.v2, spec, table))
+    stage = _stage_equilibria(div_cells, cell_groups, c, state.v2, spec, table)
     degenerate = sum(
         int(degenerate_games(_stage_stack(table, spec, div_cells[members], actions)).sum())
         for actions, members in cell_groups
     )
-    candidate_sets = []
-    point_lists = []
+    # per cell, the candidate payoff vectors and their global profiles
+    candidate_sets = [None] * spec.n_states
+    profiles = [None] * spec.n_states
+    for a_idx, k in enumerate(spec.space.atom_indices):
+        candidate_sets[k] = state.cell_values[k].reshape(1, -1)
+        profiles[k] = [np.concatenate(state.f2[a_idx])]
     multi_eq = 0
-    atom_iter = iter(range(spec.n_atoms))
-    for k in range(spec.n_states):
-        if spec.space.divisible[k]:
-            actions, points = next(stage)
-            projected, _ = project_to_hull(
-                state.cell_values[k], np.array([p.payoffs for p in points])
-            )
-            state.cell_values[k] = projected
-            candidate_sets.append(np.array([p.payoffs for p in points]))
-            point_lists.append([(actions, p) for p in points])
-            if len(points) > 1:
-                multi_eq += 1
-        else:
-            a_idx = next(atom_iter)
-            candidate_sets.append(state.cell_values[k].reshape(1, -1))
-            point_lists.append([(None, a_idx)])
+    for k, (actions, points) in zip(div_cells, stage):
+        payoff_matrix = np.array([p.payoffs for p in points])
+        state.cell_values[k], _ = project_to_hull(state.cell_values[k], payoff_matrix)
+        candidate_sets[k] = payoff_matrix
+        profiles[k] = [np.concatenate(_globalize(actions, p, n_actions)) for p in points]
+        if len(points) > 1:
+            multi_eq += 1
     split = purify_selection(
         StepFunction.of(state.cell_values),
         CandidateField(tuple(candidate_sets)),
         spec.kernel.rho,
         spec.space,
     )
-    value_pieces = []
-    strategy_pieces = []
-    for k in range(spec.n_states):
-        v_parts = []
-        s_parts = []
-        for piece in split.pieces[k]:
-            v_parts.append(piece)
-            idx = _candidate_index(candidate_sets[k], piece.value)
-            if spec.space.divisible[k]:
-                actions, point = point_lists[k][idx]
-                profile = _globalize(actions, point, n_actions)
-            else:
-                profile = state.f2[point_lists[k][0][1]]
-            s_parts.append(Piece(piece.fraction, np.concatenate(profile)))
-        value_pieces.append(tuple(v_parts))
-        strategy_pieces.append(tuple(s_parts))
-    values = SplitSelection(tuple(value_pieces))
-    strategies = SplitSelection(tuple(strategy_pieces))
+    strategies = SplitSelection(
+        tuple(
+            tuple(
+                Piece(p.fraction, profiles[k][_candidate_index(candidate_sets[k], p.value)])
+                for p in parts
+            )
+            for k, parts in enumerate(split.pieces)
+        )
+    )
     diagnostics = {
         "iterations": state.iteration,
         "restart": restart,
@@ -448,17 +454,10 @@ def _finalize(
         "residuals": [float(r) for r in state.residuals[-10:]],
         "multi_equilibrium_cells": multi_eq,
         "degenerate_cells": degenerate,
-        "options": {
-            "tol": opts.tol,
-            "max_iter": opts.max_iter,
-            "damping": opts.damping,
-            "restarts": opts.restarts,
-            "seed": opts.seed,
-            "eps_target": opts.eps_target,
-        },
+        "options": asdict(opts),
     }
     return EquilibriumResult(
-        values=values, strategies=strategies, epsilon=float("nan"), diagnostics=diagnostics
+        values=split, strategies=strategies, epsilon=float("nan"), diagnostics=diagnostics
     )
 
 

@@ -6,12 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import smpe
 from smpe import gamefile
 from smpe.cli import run_command
 from smpe.kernels import random_nowak_game
+
+from helpers import single_atom_game
 
 
 @pytest.fixture()
@@ -115,6 +118,49 @@ def test_short_piece_array_exits_two(game_file, result_file, field):
     code, err = run_cli(["verify", "--game", str(game_file), "--result", str(result_file)])
     assert code == 2
     assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_cell_without_pieces_exits_two(game_file, result_file, command):
+    doc = json.loads(result_file.read_text())
+    doc["cells"][0]["pieces"] = []
+    result_file.write_text(json.dumps(doc))
+    code, err = run_cli([command, "--game", str(game_file), "--result", str(result_file)])
+    assert code == 2
+    assert "pieces" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--tol", "-1"),
+        ("--max-iter", "0"),
+        ("--damping", "2"),
+        ("--restarts", "-1"),
+        ("--eps-target", "-1"),
+    ],
+)
+def test_out_of_range_solver_option_exits_two(game_file, tmp_path, flag, value):
+    out = tmp_path / "result.json"
+    code, err = run_cli(["solve", "--game", str(game_file), "--out", str(out), flag, value])
+    assert code == 2
+    assert flag[2:].replace("-", "_") in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_stage_game_without_certified_result_exits_one(tmp_path):
+    # regret matching stops at eps 0.0032 on this 5x5 atom game, above its
+    # 1e-3 target, so no attempt is certified and nothing is written
+    rng = np.random.default_rng(0)
+    rng.uniform(-1, 1, (2, 5, 5))  # the first pair of 5x5 matrices is skipped
+    payoffs = rng.uniform(-1, 1, (2, 5, 5)).reshape(2, 25)
+    game, out = tmp_path / "game.json", tmp_path / "result.json"
+    gamefile.write_game_spec(game, single_atom_game(payoffs, [0.6, 0.5]))
+    code, err = run_cli(["solve", "--game", str(game), "--out", str(out)])
+    assert code == 1
+    assert err.startswith("no convergence: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -269,6 +269,24 @@ def test_purify_lexicographic_support():
     sel = purify_selection(StepFunction.of([0.5]), cands, np.ones((1, 1)), sp)
     assert len(sel.pieces[0]) == 1
     assert sel.pieces[0][0].value[0] == 0.5
+    # each target with the candidates that carry it, first support first:
+    # a vertex listed twice goes to its first copy, and a point on the edge
+    # {1, 2} shared by the triangles {0, 1, 2} and {1, 2, 3} to that edge
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    cases = [
+        (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), [1.0, 0.0], {1: 1.0}),
+        (square, [0.25, 0.75], {1: 0.25, 2: 0.75}),
+    ]
+    for points, target, expected in cases:
+        cands = CandidateField((points,))
+        sel = purify_selection(StepFunction.of([target]), cands, np.ones((1, 1)), sp)
+        carried = {}
+        for piece in sel.pieces[0]:
+            # the row of the candidate array the piece's value is a view of
+            rows = enumerate(cands.sets[0])
+            (i,) = [i for i, row in rows if np.shares_memory(piece.value, row)]
+            carried[i] = piece.fraction
+        assert carried == pytest.approx(expected, rel=0, abs=1e-15)
 
 
 def test_purify_exact_rational_mode():

@@ -244,10 +244,10 @@ def test_stage_layer_matches_per_state_reference_across_signatures():
 # numpy 2.4.6 on x86-64. Any change to the enumeration order, the perturbation
 # or the arithmetic of the stage layer shows here.
 GOLDEN_RESULTS = {
-    "mixture-32-0": "af9eca8cd41032a12f6e244314e539d08b54dc6866f71f0536d6a6669ea6d797",
-    "mixture-32-8": "1ffe5961e17af39e49b75a43bdf3ccfcd40f19e6d1bd939d370a0bde39034390",
+    "mixture-32-0": "6a9087e3756749c2e593c7a70c181a73382b16196b21ab6157c413cf1522f0ca",
+    "mixture-32-8": "2e84accb274f073858d3cdc4456ab2d72f782e6e36447867c2b0bb05f114d688",
     "atom-heavy-7": "577c4f9343da8afc01e7a8f6ce83493f0d30908634e2079d5ca1a26b158f5c1f",
-    "atom-heavy-13": "19fdbf2b4c4e39c1e0f02035075a8a8066bb3dcafbc8dd6ec16d953f46db4f73",
+    "atom-heavy-13": "ffd99e71c9ca58f51c645d76c68fce0e509f14034da12bd330f14f2dd9b88f97",
 }
 
 
