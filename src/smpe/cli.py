@@ -96,6 +96,9 @@ def cmd_verify(args) -> int:
             fh.write(gamefile.canonical_bytes(gamefile.certificate_to_doc(cert, spec)))
     print(f"epsilon {cert.epsilon!r}")
     print(f"recursion_residual {cert.recursion_residual!r}")
+    piece, player = np.unravel_index(np.argmax(cert.gains), cert.gains.shape)
+    cell, index = cert.piece_labels[piece]
+    print(f"attained_by cell {cell} piece {index} player {player}")
     return 0
 
 

@@ -253,7 +253,8 @@ def atom_fixed_point(f2, c, spec, v2_init, tol=INNER_TOL, groups=None):
 
 
 def _atom_strategies(c, v2, spec, table, groups):
-    """Stage equilibrium per atomic cell, chosen for value consistency.
+    """Global profile of one stage equilibrium per atomic cell, chosen for
+    value consistency.
 
     At a fixed point the selected profile must reproduce the atom's
     optimal values, so among the enumerated equilibria the one whose
@@ -264,14 +265,11 @@ def _atom_strategies(c, v2, spec, table, groups):
     """
     n_actions = [len(a) for a in spec.actions]
     profiles = []
-    points = []
     stage = _stage_equilibria(spec.space.atom_indices, groups, c, v2, spec, table)
     for a_idx, (actions, eqs) in enumerate(stage):
-        gaps = [float(np.max(np.abs(p.payoffs - v2[:, a_idx]))) for p in eqs]
-        point = eqs[int(np.argmin(gaps))]
-        profiles.append(_globalize(actions, point, n_actions))
-        points.append(point)
-    return profiles, points
+        gaps = np.abs(np.array([p.payoffs for p in eqs]) - v2[:, a_idx]).max(axis=1)
+        profiles.append(_globalize(actions, eqs[int(np.argmin(gaps))], n_actions))
+    return profiles
 
 
 def _profile_change(old, new):
@@ -379,7 +377,7 @@ def _outer_loop(spec, opts, state: SolverState, cell_groups, atom_groups) -> boo
         # one table serves the atom strategies and the divisible cells
         table = stage_payoff_tensor(c, state.v2, spec)
         if spec.n_atoms:
-            f2_new, _ = _atom_strategies(c, state.v2, spec, table, atom_groups)
+            f2_new = _atom_strategies(c, state.v2, spec, table, atom_groups)
             f2_change = _profile_change(state.f2, f2_new)
             state.f2 = f2_new
         targets = state.cell_values.copy()

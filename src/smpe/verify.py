@@ -3,7 +3,8 @@
 This module re-derives everything it needs from the game data and the
 reported piecewise values/strategies alone, and it is where results
 enter: the certificate and the simulation both first reject a profile
-whose strategies are not probability vectors on the feasible actions.
+whose piece fractions or strategies are not probability vectors (the
+strategies on the feasible actions).
 It deliberately shares no stage-game or enumeration code with the
 solver, so agreement between the two is a genuine cross-check. It
 computes one-shot deviation gains state by state (at the sub-interval
@@ -129,11 +130,13 @@ def deviation_residual(result, spec: StochasticGameSpec) -> Certificate:
     and the exact discounted evaluation of the reported strategies,
     obtained from a linear solve over pieces.
 
-    The bound holds only for a stationary Markov profile, so a piece
+    The bound holds only for a stationary Markov profile, so piece
+    fractions that are negative or do not sum to 1 per cell, and a piece
     whose strategy is not a probability vector on its cell's feasible
-    actions raises ``InvalidInput`` first; this is where results from
+    actions, raise ``InvalidInput`` first; this is where results from
     outside the solver enter.
     """
+    result.values.validate(spec.space)
     pieces = _pieces_of(result, spec)
     _check_strategies(pieces, spec)
     averages = np.asarray(result.values.averages(), dtype=float)
@@ -263,9 +266,10 @@ def simulate_payoffs(
     fixed-size blocks, each driven by a counter-based generator keyed on
     (seed, block) that yields ``players + 2`` uniforms per path and step,
     so identical seeds reproduce the report bit for bit regardless of the
-    thread count (``SMPE_THREADS``). The strategies are checked as
-    :func:`deviation_residual` checks them.
+    thread count (``SMPE_THREADS``). The fractions and strategies are
+    checked as :func:`deviation_residual` checks them.
     """
+    result.values.validate(spec.space)
     pieces = _pieces_of(result, spec)
     _check_strategies(pieces, spec)
     if paths < 1:

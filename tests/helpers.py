@@ -75,12 +75,13 @@ def constant_kernel_game(payoffs, discounts, n_cells=2, payoff_bound=None):
 
 
 def assert_same_points(points, reference):
-    """Library equilibria equal reference ((x, y), payoffs) pairs bit for
-    bit and in the same order."""
+    """Library equilibria equal reference (strategies, payoffs) pairs bit
+    for bit and in the same order."""
     assert len(points) == len(reference)
-    for point, ((x, y), payoffs) in zip(points, reference):
-        assert np.array_equal(point.strategies[0], x)
-        assert np.array_equal(point.strategies[1], y)
+    for point, (strategies, payoffs) in zip(points, reference):
+        assert len(point.strategies) == len(strategies)
+        for mine, theirs in zip(point.strategies, strategies):
+            assert np.array_equal(mine, theirs)
         assert np.array_equal(point.payoffs, payoffs)
 
 

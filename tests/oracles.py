@@ -5,7 +5,9 @@ enumeration so that library results can be checked against a second,
 structurally different computation. The exceptions are
 ``nash_two_reference``, two-player support enumeration one game and one
 support system at a time in floating point with the arithmetic of the
-library's stacked enumerator, ``atom_operator_reference``, the atom
+library's stacked enumerator, ``verify_candidates_reference``, the
+library's candidate check, duplicate test and sort one game and one
+candidate at a time, ``atom_operator_reference``, the atom
 operator computed from the full stage-payoff table at every step, and
 ``comparison_draw_reference``, the simulation's inverse-CDF draw by a
 full comparison over each row; they pin an optimized library path to a
@@ -253,6 +255,45 @@ def nash_two_reference(a, b, br_tol=1e-10, dedupe_tol=1e-8, perturb_scale=1e-12)
             continue
         payoffs = np.array([float(np.dot(x, vec_a)), float(np.dot(y, vec_b))])
         points.append((flat, ((x, y), payoffs)))
+    out = [point for _, point in points]
+    out.sort(key=lambda p: (tuple(p[1]), tuple(np.concatenate(p[0]))))
+    return out
+
+
+# per player count, the einsum programs that contract a payoff tensor
+# against the other players' mixtures
+_AGAINST = {
+    1: ("a->a",),
+    2: ("ab,b->a", "ab,a->b"),
+    3: ("abc,b,c->a", "abc,a,c->b", "abc,a,b->c"),
+}
+
+
+def verify_candidates_reference(payoffs, candidates, br_tol=1e-10, dedupe_tol=1e-8):
+    """Verified equilibria among one game's candidate profiles, one
+    candidate at a time.
+
+    ``payoffs`` is a sequence of m payoff tensors, ``candidates`` a
+    sequence of m-tuples of mixed strategies in enumeration order. Keeps
+    the candidates no player can improve on by more than ``br_tol`` with
+    a pure deviation, drops those within ``dedupe_tol`` of a kept one,
+    and sorts by (payoffs, strategies). Returns a list of (strategies,
+    payoffs).
+    """
+    programs = _AGAINST[len(payoffs)]
+    points = []
+    for strategies in candidates:
+        vecs = [
+            np.einsum(program, payoffs[i], *(s for j, s in enumerate(strategies) if j != i))
+            for i, program in enumerate(programs)
+        ]
+        played = [np.dot(s, vec) for s, vec in zip(strategies, vecs)]
+        if max(float(vec.max() - v) for vec, v in zip(vecs, played)) > br_tol:
+            continue
+        flat = np.concatenate(strategies)
+        if any(np.max(np.abs(flat - known)) <= dedupe_tol for known, _ in points):
+            continue
+        points.append((flat, (tuple(strategies), np.array(played))))
     out = [point for _, point in points]
     out.sort(key=lambda p: (tuple(p[1]), tuple(np.concatenate(p[0]))))
     return out

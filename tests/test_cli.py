@@ -13,6 +13,7 @@ import smpe
 from smpe import gamefile
 from smpe.cli import run_command
 from smpe.kernels import random_nowak_game
+from smpe.verify import deviation_residual
 
 from helpers import single_atom_game
 
@@ -110,6 +111,45 @@ def test_non_numeric_fraction_exits_two(game_file, result_file, fraction):
     assert "fraction" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_fractions_not_summing_to_one_exit_two(game_file, result_file, command):
+    # a halved piece no longer covers its cell: no profile to certify or play
+    doc = json.loads(result_file.read_text())
+    assert [p["fraction"] for p in doc["cells"][0]["pieces"]] == ["1"]
+    doc["cells"][0]["pieces"][0]["fraction"] = "0.5"
+    result_file.write_text(json.dumps(doc))
+    code, err = run_cli([command, "--game", str(game_file), "--result", str(result_file)])
+    assert code == 2
+    assert "cell 0 fractions" in err and "Traceback" not in err
+
+
+def test_verify_names_the_piece_that_attains_epsilon(game_file, result_file, tmp_path, capsys):
+    # player 0 leaves cell 0's equilibrium action, so cell 0 carries epsilon
+    doc = json.loads(result_file.read_text())
+    strategy = doc["cells"][0]["pieces"][0]["strategy"]
+    strategy[:2] = strategy[1::-1]
+    result_file.write_text(json.dumps(doc))
+    cert_file = tmp_path / "cert.json"
+    args = ["verify", "--game", str(game_file), "--result", str(result_file)]
+    assert run_command(args + ["--out", str(cert_file)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    spec = gamefile.parse_game_spec(game_file)
+    cert = deviation_residual(gamefile.load_result(result_file, spec), spec)
+    assert cert.epsilon > 0.01
+    assert lines[:2] == [
+        f"epsilon {cert.epsilon!r}",
+        f"recursion_residual {cert.recursion_residual!r}",
+    ]
+    assert cert_file.read_bytes() == gamefile.canonical_bytes(
+        gamefile.certificate_to_doc(cert, spec)
+    )
+    words = lines[2].split()
+    assert words[0] == "attained_by" and words[1::2] == ["cell", "piece", "player"]
+    cell, piece, player = int(words[2]), int(words[4]), int(words[6])
+    assert cell == 0
+    assert cert.gains[cert.piece_labels.index((cell, piece)), player] == cert.epsilon
+
+
 @pytest.mark.parametrize("field", ["strategy", "value"])
 def test_short_piece_array_exits_two(game_file, result_file, field):
     doc = json.loads(result_file.read_text())
@@ -149,7 +189,7 @@ def test_out_of_range_solver_option_exits_two(game_file, tmp_path, flag, value):
 
 
 def test_stage_game_without_certified_result_exits_one(tmp_path):
-    # regret matching stops at eps 0.0032 on this 5x5 atom game, above its
+    # regret matching stalls at eps 0.0032 on this 5x5 atom game, above its
     # 1e-3 target, so no attempt is certified and nothing is written
     rng = np.random.default_rng(0)
     rng.uniform(-1, 1, (2, 5, 5))  # the first pair of 5x5 matrices is skipped

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smpe.errors import InvalidInput
+from smpe.errors import InvalidInput, NoConvergence
 from smpe.nash import (
     AggregateVector,
     StageGame,
+    _candidates_three,
+    _perturbed,
+    _verify_stack,
     aggregate_moments,
     best_response_gap,
     build_stage_game,
@@ -20,7 +23,7 @@ from smpe.nash import (
 )
 
 from helpers import assert_same_points, constant_kernel_game, single_atom_game
-from oracles import nash_two_reference, pure_equilibria_bruteforce
+from oracles import nash_two_reference, pure_equilibria_bruteforce, verify_candidates_reference
 
 
 def bimatrix(a, b):
@@ -169,6 +172,51 @@ def test_stack_with_singular_supports_falls_back_per_game(monkeypatch):
     assert_matches_reference(stack, lists)
 
 
+def test_stack_with_duplicates_and_payoff_ties_matches_reference():
+    # 0/1 games are degenerate: distinct support pairs solve to the same
+    # profile, and distinct equilibria share a payoff vector; in constant
+    # games every pure profile is an equilibrium with the same payoffs
+    rng = np.random.Generator(np.random.Philox(key=[34, 32]))
+    stack = rng.integers(0, 2, (2, 16, 3, 3)).astype(float)
+    stack[:, 3] = 0.0
+    stack[:, 9] = 0.5
+    lists = nash_enumerate_stack(stack)
+    assert_matches_reference(stack, lists)
+    raw = sum(
+        len(nash_two_reference(stack[0, g], stack[1, g], dedupe_tol=-1.0))
+        for g in range(stack.shape[1])
+    )
+    assert raw > sum(len(points) for points in lists)
+    for g in (3, 9):
+        assert len(lists[g]) == 9
+        assert all(np.array_equal(p.payoffs, lists[g][0].payoffs) for p in lists[g])
+
+
+def test_verify_stack_matches_reference_on_one_player_stacks():
+    # integer payoffs tie at the maximum, so a game keeps several pure
+    # points with equal payoffs; every candidate comes twice
+    rng = np.random.Generator(np.random.Philox(key=[35, 1]))
+    payoffs = rng.integers(0, 3, (1, 12, 4)).astype(float)
+    order = np.argsort(-_perturbed(payoffs)[0], axis=1)
+    candidates = np.concatenate([np.eye(4)[order], np.eye(4)[order]], axis=1)
+    lists = _verify_stack(payoffs, (candidates,), np.ones((12, 8), dtype=bool))
+    assert any(len(points) > 1 for points in lists)
+    for g, points in enumerate(lists):
+        reference = verify_candidates_reference(payoffs[:, g], [(c,) for c in candidates[g]])
+        assert_same_points(points, reference)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_verify_stack_matches_reference_on_three_player_candidates(k):
+    rng = np.random.Generator(np.random.Philox(key=[36, k]))
+    payoffs = rng.uniform(-1, 1, (3, 1, k, k, k))
+    candidates = list(_candidates_three(_perturbed(payoffs)[:, 0]))
+    strategies = tuple(np.stack(part)[None] for part in zip(*candidates))
+    (points,) = _verify_stack(payoffs, strategies, np.ones((1, len(candidates)), dtype=bool))
+    assert points
+    assert_same_points(points, verify_candidates_reference(payoffs[:, 0], candidates))
+
+
 def test_stack_rejects_non_finite_payoffs():
     stack = np.zeros((2, 3, 2, 2))
     stack[1, 2, 0, 1] = np.inf
@@ -186,6 +234,32 @@ def test_approximate_mode_regret_matching():
     assert len(points) == 1
     assert points[0].eps <= 1e-3
     assert max(best_response_gap(game, points[0].strategies)) <= points[0].eps + 1e-12
+
+
+def test_regret_matching_gives_up_when_the_best_eps_stalls():
+    # on this 5x5 game the averaged profile's eps stops improving near
+    # 0.0065, far above the target, long before the iteration cap
+    rng = np.random.default_rng(0)
+    rng.uniform(-1, 1, (2, 5, 5))
+    game = StageGame(payoffs=tuple(rng.uniform(-1, 1, (2, 5, 5))), actions=(range(5), range(5)))
+    with pytest.raises(NoConvergence) as info:
+        regret_matching(game)
+    steps = int(str(info.value).split(" after ")[1].split()[0])
+    assert steps < 200_000  # the iteration cap
+    point = info.value.result
+    assert info.value.epsilon == point.eps > 1e-3
+    assert max(best_response_gap(game, point.strategies)) == point.eps
+
+
+def test_regret_matching_converges_after_a_long_plateau():
+    # this game's averaged eps goes 151 checks (37 750 steps) without a new
+    # best before it meets the target at step 101 500: the stall stop must
+    # outlast that wait
+    rng = np.random.Generator(np.random.Philox(key=1050))
+    game = StageGame(payoffs=tuple(rng.uniform(-1, 1, (2, 5, 5))), actions=(range(5), range(5)))
+    point = regret_matching(game)
+    assert point.eps <= 1e-3
+    assert max(best_response_gap(game, point.strategies)) == point.eps
 
 
 def test_regret_matching_on_pennies():

@@ -57,6 +57,28 @@ def test_overwritten_atom_strategy_shows_hand_computed_gap():
     assert cert.recursion_residual <= 1e-12
 
 
+@pytest.mark.parametrize("fractions", [[0.5], [1.5, -0.5]], ids=["halved", "negative"])
+def test_certificate_rejects_fractions_off_the_simplex(fractions):
+    # a selection whose fractions are no probability split of its cell is
+    # no stationary profile, whatever its one-shot gains
+    _, spec = random_nowak_game(seed=20, n_cells=4, j_components=1, k_atoms=1)
+    result = solve(spec)
+    assert deviation_residual(result, spec).epsilon <= 1e-6
+    (value,), (strategy,) = result.values.pieces[0], result.strategies.pieces[0]
+
+    def cell_zero(selection, piece):
+        parts = tuple(Piece(f, piece.value) for f in fractions)
+        return SplitSelection((parts,) + selection.pieces[1:])
+
+    forged = replace(
+        result,
+        values=cell_zero(result.values, value),
+        strategies=cell_zero(result.strategies, strategy),
+    )
+    with pytest.raises(InvalidInput, match="cell 0 fractions"):
+        deviation_residual(forged, spec)
+
+
 def test_absorbing_atom_constant_payoff_simulates_exactly():
     payoffs = np.array([[0.7, 0.7, 0.7, 0.7], [0.7, 0.7, 0.7, 0.7]])
     spec = single_atom_game(payoffs, [0.5, 0.5])
