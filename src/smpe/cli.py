@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import gamefile
-from .errors import NoConvergence, ParseError, SmpeError, ValidationError
+from .errors import InvalidInput, NoConvergence, ParseError, SmpeError, ValidationError
 from .game import sunspot_extend, validate_game
 from .kernels import (
     LevyParams,
@@ -142,7 +142,10 @@ def cmd_analyze(args) -> int:
 
 
 def demo_levy(args) -> int:
-    sizes = [int(v) for v in args.sizes.split(",")]
+    try:
+        sizes = [int(v) for v in args.sizes.split(",")]
+    except ValueError:
+        raise ParseError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     rows = []
     for n in sizes:
         spec = make_levy_kernel(
@@ -193,6 +196,8 @@ def demo_nowak(args) -> int:
 
 
 def demo_noisy(args) -> int:
+    if args.splits < 0:
+        raise InvalidInput(f"--splits must be >= 0, got {args.splits}")
     _params, spec = random_noisy_game(seed=args.seed, n_h=args.h, n_r=args.r)
     report = validate_game(spec)
     kmtx = kernel_matrix(spec)
@@ -285,8 +290,7 @@ def _walsh(n: int) -> np.ndarray:
 
 def demo_prop3(args) -> int:
     if args.k < 1 or args.k > 4:
-        print("k must lie in 1..4 (pattern count is 2^(2^k))", file=sys.stderr)
-        return 2
+        raise InvalidInput("k must lie in 1..4 (pattern count is 2^(2^k))")
     n = 2**args.k
     space = GridSpace(np.full(n, 1.0 / n), np.zeros(n, bool), np.zeros(n, int))
     candidates = CandidateField(tuple([np.array([[-1.0], [1.0]])] * n))

@@ -53,6 +53,10 @@ class KernelMatrix:
             raise InvalidInput("kernel matrix entries must be finite and nonnegative")
         if columns.ndim != 2 or columns.shape[1] != 2:
             raise InvalidInput("column labels must be (state, profile) pairs")
+        n = self.space.n_cells
+        for name, labels in (("row cells", rows), ("column states", columns[:, 0])):
+            if np.any((labels < 0) | (labels >= n)):
+                raise InvalidInput(f"{name} must lie in [0, {n})")
         for arr in (matrix, rows, columns):
             arr.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
@@ -401,6 +405,8 @@ def random_nowak_game(
     beta_range=(0.2, 0.9),
 ):
     """Seeded random mixture-family instance; returns (params, spec)."""
+    if n_cells < 1 or j_components < 1 or k_atoms < 0:
+        raise InvalidInput("need n_cells >= 1, j_components >= 1 and k_atoms >= 0")
     rng = np.random.Generator(np.random.Philox(key=seed))
     m = len(n_actions)
     n_states = n_cells + k_atoms
@@ -518,6 +524,8 @@ def random_noisy_game(
     uniform_noise: bool = False,
 ):
     """Seeded random noisy-family instance; returns (params, spec)."""
+    if n_h < 1 or n_r < 1:
+        raise InvalidInput("need n_h >= 1 and n_r >= 1")
     rng = np.random.Generator(np.random.Philox(key=seed))
     m = len(n_actions)
     n_states = n_h * n_r

@@ -12,10 +12,11 @@ games are never built cell by cell: the cells that share a
 feasible-action signature are sliced from the stage-payoff table as one
 stack, two-player stacks are enumerated in one batched pass per support
 pair, and the atom operator contracts a whole stack against the atom
-profiles at once. The signature groups are formed once per solve, the
-atom operator once per fixed point (only its atom channel moves between
-contraction steps), and one stage-payoff table per outer iteration
-serves the atom strategies and the divisible cells alike. A converged
+profiles at once. The signature groups of all states are formed once
+per solve, the atom operator once per fixed point (only its atom channel
+moves between contraction steps), and one stage step per outer iteration
+(one table, one enumeration of every state) serves the atom strategies
+and the divisible cells; purification takes the same step. A converged
 convexified value is then purified into a piecewise-pure selection
 whose pieces carry actual stage equilibria, and the result is certified
 by the independent verifier; the reported slack is the verifier's
@@ -252,9 +253,9 @@ def atom_fixed_point(f2, c, spec, v2_init, tol=INNER_TOL, groups=None):
     return v2, iterations
 
 
-def _atom_strategies(c, v2, spec, table, groups):
+def _atom_strategies(v2, spec, stage):
     """Global profile of one stage equilibrium per atomic cell, chosen for
-    value consistency.
+    value consistency among the stage step's equilibria ``stage``.
 
     At a fixed point the selected profile must reproduce the atom's
     optimal values, so among the enumerated equilibria the one whose
@@ -265,11 +266,25 @@ def _atom_strategies(c, v2, spec, table, groups):
     """
     n_actions = [len(a) for a in spec.actions]
     profiles = []
-    stage = _stage_equilibria(spec.space.atom_indices, groups, c, v2, spec, table)
-    for a_idx, (actions, eqs) in enumerate(stage):
+    for a_idx, k in enumerate(spec.space.atom_indices):
+        actions, eqs = stage[k]
         gaps = np.abs(np.array([p.payoffs for p in eqs]) - v2[:, a_idx]).max(axis=1)
         profiles.append(_globalize(actions, eqs[int(np.argmin(gaps))], n_actions))
     return profiles
+
+
+def _stage_step(c, v2, spec, groups, cell_values):
+    """The stage-payoff table, the (actions, points) of every state in the
+    signature ``groups`` from one enumeration, and the target values:
+    each divisible cell projected onto its equilibrium hull, the atoms at
+    ``v2``."""
+    table = stage_payoff_tensor(c, v2, spec)
+    stage = _stage_equilibria(np.arange(spec.n_states), groups, c, v2, spec, table)
+    targets = cell_values.copy()
+    for k in spec.space.divisible_indices:
+        targets[k], _ = project_to_hull(cell_values[k], np.array([p.payoffs for p in stage[k][1]]))
+    targets[spec.space.atom_indices] = v2.T
+    return table, stage, targets
 
 
 def _profile_change(old, new):
@@ -312,14 +327,14 @@ def solve(spec: StochasticGameSpec, opts: SolveOptions = SolveOptions()) -> Equi
     from .verify import deviation_residual  # local import to keep code paths separate
 
     # feasible-action signatures depend on the game alone
-    cell_groups = _signature_groups(spec, spec.space.divisible_indices)
+    groups = _signature_groups(spec, np.arange(spec.n_states))
     atom_groups = _signature_groups(spec, spec.space.atom_indices)
     best = None
     for restart in range(opts.restarts + 1):
         state = _initial_state(spec, opts, restart)
         try:
-            converged = _outer_loop(spec, opts, state, cell_groups, atom_groups)
-            result = _finalize(spec, opts, state, restart, converged, cell_groups)
+            converged = _outer_loop(spec, opts, state, groups, atom_groups)
+            result = _finalize(spec, opts, state, restart, converged, groups)
         except NoConvergence as exc:  # regret matching missed on a stage game
             raise NoConvergence(
                 f"attempt {restart + 1}: {exc}",
@@ -364,31 +379,19 @@ def _initial_state(spec, opts, restart):
     return SolverState(v2=v2, f2=f2, cell_values=cell_values)
 
 
-def _outer_loop(spec, opts, state: SolverState, cell_groups, atom_groups) -> bool:
-    div_cells = spec.space.divisible_indices
+def _outer_loop(spec, opts, state: SolverState, groups, atom_groups) -> bool:
+    atoms = spec.space.atom_indices
     for t in range(opts.max_iter):
         c = aggregate_moments(state.cell_values, spec)
-        f2_change = 0.0
         v2_change = 0.0
         if spec.n_atoms:
             v2_new, _ = atom_fixed_point(state.f2, c, spec, state.v2, groups=atom_groups)
             v2_change = float(np.max(np.abs(v2_new - state.v2)))
             state.v2 = v2_new
-        # one table serves the atom strategies and the divisible cells
-        table = stage_payoff_tensor(c, state.v2, spec)
-        if spec.n_atoms:
-            f2_new = _atom_strategies(c, state.v2, spec, table, atom_groups)
-            f2_change = _profile_change(state.f2, f2_new)
-            state.f2 = f2_new
-        targets = state.cell_values.copy()
-        stage = _stage_equilibria(div_cells, cell_groups, c, state.v2, spec, table)
-        for k, (_, points) in zip(div_cells, stage):
-            payoff_matrix = np.array([p.payoffs for p in points])
-            projected, _ = project_to_hull(state.cell_values[k], payoff_matrix)
-            targets[k] = projected
-        atoms = spec.space.atom_indices
-        if len(atoms):
-            targets[atoms] = state.v2.T
+        _, stage, targets = _stage_step(c, state.v2, spec, groups, state.cell_values)
+        f2_new = _atom_strategies(state.v2, spec, stage)
+        f2_change = _profile_change(state.f2, f2_new)
+        state.f2 = f2_new
         value_change = float(np.max(np.abs(targets - state.cell_values)))
         residual = max(value_change, v2_change, f2_change)
         state.residuals.append(residual)
@@ -398,24 +401,22 @@ def _outer_loop(spec, opts, state: SolverState, cell_groups, atom_groups) -> boo
             return True
         gamma = max(opts.damping, 1.0 / (t + 2.0))
         state.cell_values = state.cell_values + gamma * (targets - state.cell_values)
-        if len(atoms):
-            state.cell_values[atoms] = state.v2.T
+        state.cell_values[atoms] = state.v2.T
     return False
 
 
-def _finalize(
-    spec, opts, state: SolverState, restart, converged, cell_groups
-) -> EquilibriumResult:
+def _finalize(spec, opts, state: SolverState, restart, converged, groups) -> EquilibriumResult:
     """Purify the converged convexified values and attach strategies."""
     c = aggregate_moments(state.cell_values, spec)
-    table = stage_payoff_tensor(c, state.v2, spec)
-    n_actions = [len(a) for a in spec.actions]
-    div_cells = spec.space.divisible_indices
-    stage = _stage_equilibria(div_cells, cell_groups, c, state.v2, spec, table)
+    # the atoms keep state.f2, so only the divisible cells are enumerated
+    divisible = spec.space.divisible
+    cell_groups = [(a, m[divisible[m]]) for a, m in groups if divisible[m].any()]
+    table, stage, state.cell_values = _stage_step(c, state.v2, spec, cell_groups, state.cell_values)
     degenerate = sum(
-        int(degenerate_games(_stage_stack(table, spec, div_cells[members], actions)).sum())
+        int(degenerate_games(_stage_stack(table, spec, members, actions)).sum())
         for actions, members in cell_groups
     )
+    n_actions = [len(a) for a in spec.actions]
     # per cell, the candidate payoff vectors and their global profiles
     candidate_sets = [None] * spec.n_states
     profiles = [None] * spec.n_states
@@ -423,13 +424,11 @@ def _finalize(
         candidate_sets[k] = state.cell_values[k].reshape(1, -1)
         profiles[k] = [np.concatenate(state.f2[a_idx])]
     multi_eq = 0
-    for k, (actions, points) in zip(div_cells, stage):
-        payoff_matrix = np.array([p.payoffs for p in points])
-        state.cell_values[k], _ = project_to_hull(state.cell_values[k], payoff_matrix)
-        candidate_sets[k] = payoff_matrix
+    for k in spec.space.divisible_indices:
+        actions, points = stage[k]
+        candidate_sets[k] = np.array([p.payoffs for p in points])
         profiles[k] = [np.concatenate(_globalize(actions, p, n_actions)) for p in points]
-        if len(points) > 1:
-            multi_eq += 1
+        multi_eq += len(points) > 1
     split = purify_selection(
         StepFunction.of(state.cell_values),
         CandidateField(tuple(candidate_sets)),

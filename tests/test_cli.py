@@ -257,6 +257,52 @@ def test_analyze_coarser_kernel(tmp_path, capsys):
     assert all(rank <= 1 for rank in doc["ranks"].values())
 
 
+@pytest.mark.parametrize(
+    "header, old, new",
+    [
+        ("row-cells", "8", "99"),
+        ("row-cells", "0", "-1"),
+        ("col-states", "8", "9"),
+    ],
+)
+def test_analyze_label_outside_the_grid_exits_two(tmp_path, capsys, header, old, new):
+    from smpe.kernels import kernel_matrix, random_noisy_game
+
+    _, spec = random_noisy_game(seed=2, n_h=3, n_r=3)
+    path = tmp_path / "kernel.kmtx"
+    gamefile.write_kernel_matrix(path, kernel_matrix(spec))
+    lines = path.read_text().splitlines()
+    for idx, line in enumerate(lines):
+        if line.startswith(f"# {header} "):
+            labels = line.split()
+            labels[labels.index(old)] = new
+            lines[idx] = " ".join(labels)
+    path.write_text("\n".join(lines) + "\n")
+    assert run_command(["analyze", "--kernel", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must lie in [0, 9)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["levy", "--sizes", "8,abc"],
+        ["levy", "--sizes", ""],
+        ["nowak", "--k", "-1"],
+        ["noisy", "--h", "0"],
+        ["noisy", "--h", "-1"],
+        ["noisy", "--r", "0"],
+        ["noisy", "--splits", "-1"],
+        ["sunspot", "--cells", "-3"],
+        ["prop3", "--k", "0"],
+    ],
+)
+def test_demo_bad_size_argument_exits_two(capsys, argv):
+    assert run_command(["demo", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_demo_prop3_output(capsys):
     assert run_command(["demo", "prop3", "--k", "4"]) == 0
     out = capsys.readouterr().out

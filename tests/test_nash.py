@@ -172,6 +172,33 @@ def test_stack_with_singular_supports_falls_back_per_game(monkeypatch):
     assert_matches_reference(stack, lists)
 
 
+def test_game_lists_do_not_depend_on_stack_composition(monkeypatch):
+    # a constant and a 0/1 game make the batched support solves singular,
+    # so the regular games beside them are solved one by one; each list
+    # must still equal the game's own one-game stack, bit for bit
+    rng = np.random.Generator(np.random.Philox(key=[36, 32]))
+    stack = rng.uniform(-1, 1, (2, 6, 3, 3))
+    stack[:, 2] = 0.25
+    stack[:, 4] = rng.integers(0, 2, (2, 3, 3))
+    raised = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            raised.append(np.ndim(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    lists = nash_enumerate_stack(stack)
+    monkeypatch.undo()
+    assert 4 in raised
+    for g, points in enumerate(lists):
+        alone = nash_enumerate_stack(stack[:, g : g + 1])[0]
+        assert_same_points(points, [(p.strategies, p.payoffs) for p in alone])
+
+
 def test_stack_with_duplicates_and_payoff_ties_matches_reference():
     # 0/1 games are degenerate: distinct support pairs solve to the same
     # profile, and distinct equilibria share a payoff vector; in constant

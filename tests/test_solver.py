@@ -239,6 +239,26 @@ def test_stage_layer_matches_per_state_reference_across_signatures():
     assert solve(spec).epsilon <= 1e-6
 
 
+def test_stage_equilibria_do_not_depend_on_stack_composition():
+    # the solver enumerates atoms and divisible cells in shared stacks;
+    # each state's list must be what the atom-only and cell-only calls give
+    spec = two_signature_game()
+    rng = np.random.Generator(np.random.Philox(key=[7, 89]))
+    c = aggregate_moments(rng.uniform(-1, 1, (spec.n_states, spec.players)), spec)
+    v2 = rng.uniform(-1, 1, (spec.players, spec.n_atoms))
+    table = stage_payoff_tensor(c, v2, spec)
+
+    def stage_of(states):
+        return _stage_equilibria(states, _signature_groups(spec, states), c, v2, spec, table)
+
+    together = stage_of(np.arange(spec.n_states))
+    for states in (spec.space.atom_indices, spec.space.divisible_indices):
+        assert len(_signature_groups(spec, states)) == 2
+        for k, (actions, points) in zip(states, stage_of(states)):
+            assert [tuple(a) for a in actions] == [tuple(a) for a in together[k][0]]
+            assert_same_points(points, [(p.strategies, p.payoffs) for p in together[k][1]])
+
+
 # SHA-256 of the canonical result bytes of default-option solves of the
 # generated game [4242, index] of each family, recorded with Python 3.11.7 and
 # numpy 2.4.6 on x86-64. Any change to the enumeration order, the perturbation
@@ -352,7 +372,9 @@ def test_outer_iteration_builds_one_stage_table(monkeypatch):
     tables = []
     fixed_point_depth = []
     fixed_point_calls = []
+    enumerations = []
     real_table, real_fixed_point = solver.stage_payoff_tensor, solver.atom_fixed_point
+    real_enumerate = solver.nash_enumerate_stack
 
     def table_spy(*args, **kwargs):
         tables.append(bool(fixed_point_depth))
@@ -366,14 +388,21 @@ def test_outer_iteration_builds_one_stage_table(monkeypatch):
         finally:
             fixed_point_depth.pop()
 
+    def enumerate_spy(stack):
+        enumerations.append(stack.shape[1])
+        return real_enumerate(stack)
+
     monkeypatch.setattr(solver, "stage_payoff_tensor", table_spy)
     monkeypatch.setattr(solver, "atom_fixed_point", fixed_point_spy)
+    monkeypatch.setattr(solver, "nash_enumerate_stack", enumerate_spy)
     opts = SolveOptions(max_iter=1)
     state = solver._initial_state(spec, opts, 0)
-    cell_groups = _signature_groups(spec, spec.space.divisible_indices)
+    groups = _signature_groups(spec, np.arange(spec.n_states))
     atom_groups = _signature_groups(spec, spec.space.atom_indices)
-    solver._outer_loop(spec, opts, state, cell_groups, atom_groups)
-    # one table, built outside the fixed point, for the atom strategies
-    # and the divisible cells together
+    solver._outer_loop(spec, opts, state, groups, atom_groups)
+    # one table, built outside the fixed point, and one enumeration of
+    # every state's stage game, for the atom strategies and the divisible
+    # cells together
     assert tables == [False]
+    assert enumerations == [spec.n_states]
     assert len(fixed_point_calls) == 1 and state.iteration == 1
