@@ -248,6 +248,32 @@ def demo_sunspot(args) -> int:
     return code
 
 
+def _refusal_demo(doc, space, candidates, target, moments) -> int:
+    """Check that purification refuses ``target`` and that no pure
+    assignment of the candidates matches its moments either; emits ``doc``
+    with the findings and returns 0 when both refuse."""
+    try:
+        purify_selection(target, candidates, moments, space)
+        refused = False
+    except NoSelection:
+        refused = True
+    patterns = int(np.prod([len(c) for c in candidates.sets]))
+    found = exhaustive_selection_search(space, candidates, target, moments, max_patterns=patterns)
+    confirmed = refused and found is None
+    if confirmed:
+        print(f"NoSelection confirmed by exhaustive search ({patterns} patterns)")
+    _emit(
+        {
+            **doc,
+            "no_selection": refused,
+            "exhaustive_match": found,
+            "patterns": patterns,
+            "confirmed": confirmed,
+        }
+    )
+    return 0 if confirmed else 1
+
+
 def demo_prop2(args) -> int:
     space = GridSpace(
         np.array([0.35, 0.35, 0.3]),
@@ -258,27 +284,7 @@ def demo_prop2(args) -> int:
         (np.array([[0.0]]), np.array([[0.0]]), np.array([[0.0], [1.0]]))
     )
     target = StepFunction.of([0.0, 0.0, 0.5])
-    moments = np.ones((1, 3))
-    try:
-        purify_selection(target, candidates, moments, space)
-        refused = False
-    except NoSelection:
-        refused = True
-    found = exhaustive_selection_search(space, candidates, target, moments)
-    patterns = 2
-    confirmed = refused and found is None
-    if confirmed:
-        print(f"NoSelection confirmed by exhaustive search ({patterns} patterns)")
-    _emit(
-        {
-            "demo": "prop2",
-            "no_selection": refused,
-            "exhaustive_match": found,
-            "patterns": patterns,
-            "confirmed": confirmed,
-        }
-    )
-    return 0 if confirmed else 1
+    return _refusal_demo({"demo": "prop2"}, space, candidates, target, np.ones((1, 3)))
 
 
 def _walsh(n: int) -> np.ndarray:
@@ -295,30 +301,7 @@ def demo_prop3(args) -> int:
     space = GridSpace(np.full(n, 1.0 / n), np.zeros(n, bool), np.zeros(n, int))
     candidates = CandidateField(tuple([np.array([[-1.0], [1.0]])] * n))
     target = StepFunction.constant(0.0, n)
-    moments = _walsh(n) + 1.0
-    try:
-        purify_selection(target, candidates, moments, space)
-        refused = False
-    except NoSelection:
-        refused = True
-    found = exhaustive_selection_search(
-        space, candidates, target, moments, max_patterns=2**n
-    )
-    patterns = 2**n
-    confirmed = refused and found is None
-    if confirmed:
-        print(f"NoSelection confirmed by exhaustive search ({patterns} patterns)")
-    _emit(
-        {
-            "demo": "prop3",
-            "cells": n,
-            "no_selection": refused,
-            "exhaustive_match": found,
-            "patterns": patterns,
-            "confirmed": confirmed,
-        }
-    )
-    return 0 if confirmed else 1
+    return _refusal_demo({"demo": "prop3", "cells": n}, space, candidates, target, _walsh(n) + 1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -187,16 +187,20 @@ def write_game_spec(path, spec: StochasticGameSpec) -> None:
         fh.write(canonical_bytes(spec_to_doc(spec)))
 
 
-def parse_game_spec(path) -> StochasticGameSpec:
-    """Read, schema-check and semantically validate a game file."""
+def _read_json(path):
+    """The JSON document at ``path``; an unreadable or malformed file is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    spec = spec_from_doc(doc)
+
+
+def parse_game_spec(path) -> StochasticGameSpec:
+    """Read, schema-check and semantically validate a game file."""
+    spec = spec_from_doc(_read_json(path))
     report = validate_game(spec)
     if not report.passed:
         raise ValidationError("; ".join(report.violations), report=report)
@@ -242,13 +246,7 @@ def write_result(path, result, spec) -> None:
 def load_result(path, spec: StochasticGameSpec):
     from .solver import EquilibriumResult  # deferred: results are solver types
 
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != "result":
         raise ParseError("not a result document")
     if doc.get("spec_hash") != spec_hash(spec):

@@ -396,6 +396,14 @@ def make_nowak_game(
     )
 
 
+def _seeded_rng(seed):
+    """Philox generator keyed by ``seed``; a key Philox refuses is an input error."""
+    try:
+        return np.random.Generator(np.random.Philox(key=seed))
+    except (ValueError, OverflowError) as exc:
+        raise InvalidInput(f"seed {seed!r} is not a Philox key: {exc}") from None
+
+
 def random_nowak_game(
     seed: int,
     n_cells: int = 32,
@@ -407,7 +415,7 @@ def random_nowak_game(
     """Seeded random mixture-family instance; returns (params, spec)."""
     if n_cells < 1 or j_components < 1 or k_atoms < 0:
         raise InvalidInput("need n_cells >= 1, j_components >= 1 and k_atoms >= 0")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _seeded_rng(seed)
     m = len(n_actions)
     n_states = n_cells + k_atoms
     n_profiles = int(np.prod(n_actions))
@@ -526,7 +534,7 @@ def random_noisy_game(
     """Seeded random noisy-family instance; returns (params, spec)."""
     if n_h < 1 or n_r < 1:
         raise InvalidInput("need n_h >= 1 and n_r >= 1")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _seeded_rng(seed)
     m = len(n_actions)
     n_states = n_h * n_r
     n_profiles = int(np.prod(n_actions))

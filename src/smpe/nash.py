@@ -1,18 +1,18 @@
 """One-shot stage games and their mixed Nash equilibria.
 
-Stage games are built per state by folding continuation moments and
-atom values into the stage payoffs; equilibria are found by support
-enumeration with every candidate verified by an independent
-best-response check. Two-player games go through one stacked routine,
-:func:`nash_enumerate_stack`, which solves a support pair's linear
-indifference systems for a whole stack of games in one batched solve;
-a single game is a stack of one. Three-player games run damped Newton
-from a fixed start grid, game by game. Every candidate list, of any
-player count, is checked, deduplicated and sorted by one stacked
-verifier over its (games, candidates) arrays, with the arithmetic of a
-single-profile check. Games beyond the exact-mode envelope fall back to
-regret matching toward a single approximate equilibrium, which gives up
-once its best slack stalls.
+Stage games fold continuation moments and atom values into the stage
+payoffs; equilibria are found by support enumeration with every
+candidate verified by an independent best-response check. Every game
+inside the exact-mode envelope (one to three players, at most four
+actions each) goes through one stacked entry point,
+:func:`nash_enumerate_stack`; a single game is a stack of one. Two
+players' indifference systems are solved for the whole stack in one
+batched solve per support pair; three players run damped Newton from a
+fixed start grid, game by game. Every candidate list is checked,
+deduplicated and sorted by one stacked verifier over its (games,
+candidates) arrays, with the arithmetic of a single-profile check.
+Games beyond the envelope run regret matching one at a time, which
+gives up once its best slack stalls.
 """
 
 from __future__ import annotations
@@ -297,23 +297,41 @@ def _support_mixtures(perturbed: np.ndarray, rows, cols):
 
 
 def nash_enumerate_stack(payoffs) -> list:
-    """Exact equilibria of a stack of two-player games, one list per game.
+    """Exact equilibria of a stack of games, one list per game.
 
-    ``payoffs`` is (2, n, k1, k2): both players' payoff matrices for n
-    games with the same action counts. Each game gets the list
-    :func:`nash_enumerate` documents, in the same order: supports of
-    equal size are solved in (size, rows, cols) order on the perturbed
-    stack, one batched solve per support pair, and the whole
-    (games, supports) array of candidates goes through
-    :func:`_verify_stack` at once.
+    ``payoffs`` is (m, n, k_1, ..., k_m), 1 <= m <= 3: every player's
+    payoff tensor for n games with the same action counts. Each game gets
+    the list :func:`nash_enumerate` documents. The candidates are one
+    player's pure actions, two players' support pairs in (size, rows,
+    cols) order on the perturbed stack, one batched solve per pair, or
+    three players' Newton solutions game by game; :func:`_verify_stack`
+    checks them, so no game's list depends on the rest of the stack.
     """
     payoffs = np.asarray(payoffs, dtype=float)
-    if payoffs.ndim != 4 or len(payoffs) != 2:
-        raise InvalidInput("a two-player stack must be (2, games, k1, k2)")
+    m = payoffs.shape[0] if payoffs.ndim else 0
+    if not 1 <= m <= EXACT_MAX_PLAYERS or payoffs.ndim != m + 2:
+        raise InvalidInput("a stack must be (m, games, k_1, ..., k_m) with 1 <= m <= 3")
     if not np.all(np.isfinite(payoffs)):
         raise InvalidInput("payoffs must be finite")
-    _, _, k1, k2 = payoffs.shape
+    n, *shape = payoffs.shape[1:]
+    if m == 1:  # distinct pure actions never dedupe, and the sort orders them
+        pure = np.tile(np.eye(shape[0]), (n, 1, 1))
+        return _verify_stack(payoffs, (pure,), np.ones((n, shape[0]), dtype=bool))
     perturbed = _perturbed(payoffs)
+    if m == 3:
+        lists = []
+        for g in range(n):
+            # degenerate perturbation may displace an isolated mixed
+            # equilibrium; a scan that finds none is retried on the raw payoffs
+            for tensors in (perturbed[:, g], payoffs[:, g]):
+                strategies = tuple(np.stack(p)[None] for p in zip(*_candidates_three(tensors)))
+                found = np.ones(strategies[0].shape[:2], dtype=bool)
+                points = _verify_stack(payoffs[:, g : g + 1], strategies, found)[0]
+                if points:
+                    break
+            lists.append(points)
+        return lists
+    k1, k2 = shape
     supports = [
         _support_mixtures(perturbed, rows, cols)
         for r in range(1, min(k1, k2) + 1)
@@ -474,31 +492,17 @@ def enumeration_mode(shape) -> str:
 def nash_enumerate(game: StageGame):
     """All verified mixed equilibria of a small finite game.
 
-    Inside the exact envelope (:func:`enumeration_mode`), supports are
-    enumerated on a lexicographically perturbed copy of the game and every
-    solved candidate is re-verified against the unperturbed payoffs
-    (best-response slack at most ``BR_TOL``), then deduplicated and sorted
-    by payoff vector. Larger games run regret matching and return a single
-    approximate point carrying its certified slack.
+    Inside the exact envelope (:func:`enumeration_mode`), a stack of one
+    for :func:`nash_enumerate_stack`: supports are enumerated on a
+    perturbed copy of the game and every solved candidate is re-verified
+    against the unperturbed payoffs (best-response slack at most
+    ``BR_TOL``), then deduplicated and sorted by payoff vector. Larger
+    games run regret matching and return a single approximate point
+    carrying its certified slack.
     """
     if enumeration_mode(game.shape) == "approx":
         return [regret_matching(game)]
-    stack = np.stack(game.payoffs)[:, None]
-    if game.m == 2:
-        return nash_enumerate_stack(stack)[0]
-    perturbed = _perturbed(stack)[:, 0]
-    if game.m == 1:
-        scans = [[(np.eye(game.shape[0])[a],) for a in np.argsort(-perturbed[0])]]
-    else:
-        # degenerate perturbation may displace an isolated mixed equilibrium;
-        # a scan that finds none is retried on the raw payoffs
-        scans = [_candidates_three(perturbed), _candidates_three(game.payoffs)]
-    for candidates in scans:
-        strategies = tuple(np.stack(part)[None] for part in zip(*candidates))
-        points = _verify_stack(stack, strategies, np.ones(strategies[0].shape[:2], dtype=bool))[0]
-        if points:
-            break
-    return points
+    return nash_enumerate_stack(np.stack(game.payoffs)[:, None])[0]
 
 
 def regret_matching(game: StageGame, eps_target: float = 1e-3, max_iter: int = 200_000):

@@ -7,12 +7,12 @@ and refresh the atom strategy profile with the stage equilibrium that
 reproduces the atom values; (b) on each divisible cell, enumerate the
 stage equilibria under the current continuation data and pick the point
 of their convex hull closest to the previous per-cell value; (c) fold
-the chosen values back into continuation moments with damping. Stage
-games are never built cell by cell: the cells that share a
-feasible-action signature are sliced from the stage-payoff table as one
-stack, two-player stacks are enumerated in one batched pass per support
-pair, and the atom operator contracts a whole stack against the atom
-profiles at once. The signature groups of all states are formed once
+the chosen values back into continuation moments with damping. The
+cells that share a feasible-action signature are sliced from the
+stage-payoff table as one stack, enumerated exactly for any player count
+(only games outside the exact envelope are built one by one, for regret
+matching), and the atom operator contracts a whole stack against the
+atom profiles at once. The signature groups of all states are formed once
 per solve, the atom operator once per fixed point (only its atom channel
 moves between contraction steps), and one stage step per outer iteration
 (one table, one enumeration of every state) serves the atom strategies
@@ -192,13 +192,12 @@ def _stage_stack(table, spec, states, actions):
 def _stage_equilibria(states, groups, c, v2, spec, table):
     """Stage equilibria at each of ``states`` under the payoff ``table``,
     as (actions, points) pairs in the order of ``states``; ``groups`` is
-    ``_signature_groups(spec, states)``. Two-player games inside the
-    exact envelope are enumerated one stack per feasible-action
-    signature; any other game on its own."""
+    ``_signature_groups(spec, states)``. Exact-envelope games are
+    enumerated one stack per feasible-action signature; regret matching
+    runs game by game, each stopping at its own check."""
     out = [None] * len(states)
     for actions, members in groups:
-        shape = tuple(len(a) for a in actions)
-        if spec.players == 2 and enumeration_mode(shape) == "exact":
+        if enumeration_mode(tuple(len(a) for a in actions)) == "exact":
             lists = nash_enumerate_stack(_stage_stack(table, spec, states[members], actions))
         else:
             lists = [
@@ -307,11 +306,13 @@ def solve(spec: StochasticGameSpec, opts: SolveOptions = SolveOptions()) -> Equi
     :class:`NoConvergence` carries the best result certified before it,
     or None. Out-of-range options raise :class:`InvalidInput`.
     """
+    seed_ok = isinstance(opts.seed, (int, np.integer)) and 0 <= opts.seed < 2**64
     for name, ok, rule in (
         ("tol", opts.tol > 0, "> 0"),
         ("max_iter", opts.max_iter >= 1, ">= 1"),
         ("damping", 0 < opts.damping <= 1, "in (0, 1]"),
         ("restarts", opts.restarts >= 0, ">= 0"),
+        ("seed", seed_ok, "an integer in [0, 2**64)"),
         ("eps_target", opts.eps_target > 0, "> 0"),
     ):
         if not ok:

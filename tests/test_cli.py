@@ -160,6 +160,18 @@ def test_short_piece_array_exits_two(game_file, result_file, field):
     assert field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("damage", ["missing", "truncated"])
+def test_unreadable_result_file_exits_two(game_file, result_file, damage):
+    if damage == "missing":
+        result_file.unlink()
+    else:
+        result_file.write_bytes(result_file.read_bytes()[:40])
+    code, err = run_cli(["verify", "--game", str(game_file), "--result", str(result_file)])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(result_file) in err
+
+
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 def test_cell_without_pieces_exits_two(game_file, result_file, command):
     doc = json.loads(result_file.read_text())
@@ -178,6 +190,8 @@ def test_cell_without_pieces_exits_two(game_file, result_file, command):
         ("--damping", "2"),
         ("--restarts", "-1"),
         ("--eps-target", "-1"),
+        ("--seed", "-1"),
+        ("--seed", str(2**70)),
     ],
 )
 def test_out_of_range_solver_option_exits_two(game_file, tmp_path, flag, value):
@@ -295,6 +309,9 @@ def test_analyze_label_outside_the_grid_exits_two(tmp_path, capsys, header, old,
         ["noisy", "--splits", "-1"],
         ["sunspot", "--cells", "-3"],
         ["prop3", "--k", "0"],
+        ["nowak", "--seed", "-1"],
+        ["noisy", "--seed", "-1"],
+        ["sunspot", "--seed", "-1"],
     ],
 )
 def test_demo_bad_size_argument_exits_two(capsys, argv):

@@ -1,5 +1,7 @@
 """Stage-game construction and equilibrium enumeration."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,11 +84,7 @@ def test_degenerate_duplicate_action_handled():
 
 
 def test_three_player_coordination():
-    t = np.zeros((2, 2, 2))
-    t[0, 0, 0] = 1.0
-    t[1, 1, 1] = 1.0
-    game = StageGame(payoffs=(t, t, t), actions=((0, 1),) * 3)
-    points = nash_enumerate(game)
+    points = nash_enumerate(coordination_game())
     payoff_vectors = [tuple(np.round(p.payoffs, 6)) for p in points]
     assert (1.0, 1.0, 1.0) in payoff_vectors
     assert len(points) >= 3  # two pure plus the symmetric mixed point
@@ -244,11 +242,73 @@ def test_verify_stack_matches_reference_on_three_player_candidates(k):
     assert_same_points(points, verify_candidates_reference(payoffs[:, 0], candidates))
 
 
+def coordination_game():
+    t = np.zeros((2, 2, 2))
+    t[0, 0, 0] = 1.0
+    t[1, 1, 1] = 1.0
+    return StageGame(payoffs=(t, t, t), actions=((0, 1),) * 3)
+
+
+def one_and_three_player_games():
+    """One-player games with integer ties at the maximum, random 2x2x2 and
+    2x3x2 three-player games, and the three-player coordination game."""
+    rng = np.random.Generator(np.random.Philox(key=[35, 1]))
+    ties = rng.integers(0, 3, (5, 4)).astype(float)
+    games = [StageGame(payoffs=(p,), actions=(range(4),)) for p in ties]
+    for key, shape in enumerate([(2, 2, 2)] * 3 + [(2, 3, 2)] * 3):
+        rng = np.random.Generator(np.random.Philox(key=[key, 37]))
+        payoffs = tuple(rng.uniform(-1, 1, (3,) + shape))
+        games.append(StageGame(payoffs=payoffs, actions=tuple(range(k) for k in shape)))
+    return games + [coordination_game()]
+
+
+# SHA-256 over the point counts, strategies and payoffs of nash_enumerate on
+# one_and_three_player_games(), recorded with Python 3.11 and numpy 2.4.6 on
+# x86-64 before one- and three-player games joined the stacked entry point.
+STAGE_DIGEST = "91925327fdf2502ad162b74fef3ce8b2af93c44916b5d63511fe94adc60888f7"
+
+
+def test_one_and_three_player_equilibria_match_golden_digest():
+    digest = hashlib.sha256()
+    for game in one_and_three_player_games():
+        points = nash_enumerate(game)
+        digest.update(np.int64(len(points)).tobytes())
+        for point in points:
+            for strategy in point.strategies:
+                digest.update(strategy.tobytes())
+            digest.update(point.payoffs.tobytes())
+    assert digest.hexdigest() == STAGE_DIGEST
+
+
+@pytest.mark.parametrize("shape", [(4,), (3,), (2, 2, 2), (2, 3, 2)])
+def test_one_and_three_player_stacks_list_game_by_game(shape):
+    # integer one-player payoffs tie, so several pure points share a game
+    rng = np.random.Generator(np.random.Philox(key=[len(shape), 38]))
+    if len(shape) == 1:
+        stack = rng.integers(0, 3, (1, 6) + shape).astype(float)
+    else:
+        stack = rng.uniform(-1, 1, (3, 2) + shape)
+    lists = nash_enumerate_stack(stack)
+    assert len(lists) == stack.shape[1] and all(lists)
+    for g, points in enumerate(lists):
+        alone = nash_enumerate_stack(stack[:, g : g + 1])[0]
+        assert_same_points(points, [(p.strategies, p.payoffs) for p in alone])
+
+
 def test_stack_rejects_non_finite_payoffs():
     stack = np.zeros((2, 3, 2, 2))
     stack[1, 2, 0, 1] = np.inf
-    with pytest.raises(InvalidInput):
-        nash_enumerate_stack(stack)
+    malformed = [
+        stack,
+        np.full((1, 2, 3), np.nan),
+        np.zeros((0, 3)),  # no players
+        np.zeros((4, 1, 2, 2, 2, 2)),  # four players
+        np.zeros((2, 3, 2)),  # ndim != players + 2
+        np.zeros((3, 1, 2, 2)),
+    ]
+    for payoffs in malformed:
+        with pytest.raises(InvalidInput):
+            nash_enumerate_stack(payoffs)
 
 
 def test_approximate_mode_regret_matching():

@@ -241,22 +241,31 @@ def test_stage_layer_matches_per_state_reference_across_signatures():
 
 def test_stage_equilibria_do_not_depend_on_stack_composition():
     # the solver enumerates atoms and divisible cells in shared stacks;
-    # each state's list must be what the atom-only and cell-only calls give
-    spec = two_signature_game()
+    # each state's list must be what the atom-only and cell-only calls
+    # give, and so must each cell of a three-player stack of three cells
+    two_player = two_signature_game()
+    three_player = constant_kernel_game(
+        uniform_payoffs(35, (3, 3, 8)), [0.5, 0.6, 0.7], n_cells=3
+    )
+    cases = [
+        (two_player, (two_player.space.atom_indices, two_player.space.divisible_indices), 2),
+        (three_player, (np.array([0, 2]), np.array([1])), 1),
+    ]
     rng = np.random.Generator(np.random.Philox(key=[7, 89]))
-    c = aggregate_moments(rng.uniform(-1, 1, (spec.n_states, spec.players)), spec)
-    v2 = rng.uniform(-1, 1, (spec.players, spec.n_atoms))
-    table = stage_payoff_tensor(c, v2, spec)
+    for spec, splits, n_signatures in cases:
+        c = aggregate_moments(rng.uniform(-1, 1, (spec.n_states, spec.players)), spec)
+        v2 = rng.uniform(-1, 1, (spec.players, spec.n_atoms))
+        table = stage_payoff_tensor(c, v2, spec)
 
-    def stage_of(states):
-        return _stage_equilibria(states, _signature_groups(spec, states), c, v2, spec, table)
+        def stage_of(states):
+            return _stage_equilibria(states, _signature_groups(spec, states), c, v2, spec, table)
 
-    together = stage_of(np.arange(spec.n_states))
-    for states in (spec.space.atom_indices, spec.space.divisible_indices):
-        assert len(_signature_groups(spec, states)) == 2
-        for k, (actions, points) in zip(states, stage_of(states)):
-            assert [tuple(a) for a in actions] == [tuple(a) for a in together[k][0]]
-            assert_same_points(points, [(p.strategies, p.payoffs) for p in together[k][1]])
+        together = stage_of(np.arange(spec.n_states))
+        for states in splits:
+            assert len(_signature_groups(spec, states)) == n_signatures
+            for k, (actions, points) in zip(states, stage_of(states)):
+                assert [tuple(a) for a in actions] == [tuple(a) for a in together[k][0]]
+                assert_same_points(points, [(p.strategies, p.payoffs) for p in together[k][1]])
 
 
 # SHA-256 of the canonical result bytes of default-option solves of the
@@ -303,10 +312,20 @@ FALLBACK_GAMES = {
 
 
 @pytest.mark.parametrize("name", sorted(FALLBACK_GAMES))
-def test_fallback_result_bytes_match_golden_digest(name):
+def test_fallback_result_bytes_match_golden_digest(name, monkeypatch):
     build, digest = FALLBACK_GAMES[name]
     spec = build()
+    built = []
+    real_build = solver.build_stage_game
+
+    def build_spy(*args, **kwargs):
+        built.append(1)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "build_stage_game", build_spy)
     result = solve(spec)
+    # only a game outside the exact envelope is built state by state
+    assert bool(built) == (name == "two-player-5x5")
     assert result.epsilon <= 1e-9
     assert hashlib.sha256(canonical_bytes(result_to_doc(result, spec))).hexdigest() == digest
 
