@@ -19,6 +19,7 @@ from .errors import InvalidInput, NoConvergence, ParseError, SmpeError, Validati
 from .game import sunspot_extend, validate_game
 from .kernels import (
     LevyParams,
+    _seeded_rng,
     block_rank_profile,
     check_coarser,
     kernel_matrix,
@@ -201,7 +202,7 @@ def demo_noisy(args) -> int:
     _params, spec = random_noisy_game(seed=args.seed, n_h=args.h, n_r=args.r)
     report = validate_game(spec)
     kmtx = kernel_matrix(spec)
-    rng = np.random.Generator(np.random.Philox(key=args.seed))
+    rng = _seeded_rng(args.seed)
     masses = np.asarray(spec.space.masses, dtype=float)
     ok_splits = 0
     for _ in range(args.splits):

@@ -5,15 +5,20 @@ Everything here is deterministic. Supports are searched in order of
 feasible target is always the one with the lexicographically smallest
 support of Caratheodory size (at most dimension + 1).
 
-There is one routine per arithmetic: :func:`project_to_hull` in floats,
-which returns the nearest hull point with its weights and serves both
-the solver and float purification, and :func:`convex_weights_exact` in
+There is one routine per arithmetic. :func:`project_to_hull` works in
+floats on a stack of point sets with the same number of points: it
+returns each set's nearest hull point with its weights, solving every
+support size in one batched operation over (sets x supports), and
+serves both the solver and float purification, one call per point
+count. :func:`convex_weights_exact` works one set at a time in
 ``fractions.Fraction`` arithmetic for exact-mode purification.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +67,21 @@ def _supports(n_points, max_size):
         yield from itertools.combinations(range(n_points), size)
 
 
+@functools.lru_cache(maxsize=None)
+def _support_table(n_points, max_size):
+    """The supports of ``n_points`` points up to ``max_size`` in search
+    order, as a read-only (supports, max_size) index array padded with
+    ``n_points``, and each size's ``(size, start, stop)`` rows."""
+    supports, spans = [], []
+    for size in range(1, max_size + 1):
+        combos = list(itertools.combinations(range(n_points), size))
+        spans.append((size, len(supports), len(supports) + len(combos)))
+        supports += [c + (n_points,) * (max_size - size) for c in combos]
+    idx = np.array(supports)
+    idx.flags.writeable = False
+    return idx, tuple(spans)
+
+
 def convex_weights_exact(target, points):
     """Exact convex-combination weights of ``target`` over ``points``.
 
@@ -85,39 +105,87 @@ def convex_weights_exact(target, points):
     return None
 
 
-def project_to_hull(target, points):
-    """Euclidean projection of ``target`` onto the convex hull of ``points``.
+def _face_weights(sub, target):
+    """Affine weights of each ``target``'s projection onto the affine hull
+    of each support of k >= 2 points, and which rows were solvable.
 
-    Returns ``(point, weights)`` where ``weights`` has Caratheodory-size
-    support (at most dimension + 1); ties between equally close faces are
-    broken toward the lexicographically earliest support.
+    ``sub`` is (c, s, k, d), each support's points in order, ``target``
+    (c, d). The last point is the base; the other k - 1 span. A segment
+    takes the scalar projection, a full-dimensional simplex (k = d + 1)
+    its square system, and anything between the triangular system of a
+    reduced QR of its span, which rounds like the square solve where the
+    Gram system squares the condition number. Singular rows are marked,
+    not solved.
+    """
+    k, d = sub.shape[-2:]
+    base = sub[..., -1, :]
+    rhs = target[:, None, :] - base  # (c, s, d)
+    span = sub[..., :-1, :] - base[..., None, :]  # (c, s, k - 1, d)
+    if k == 2:
+        edge = span[..., 0, :]
+        sq = (edge * edge).sum(axis=-1)
+        ok = sq > 0
+        z = ((rhs * edge).sum(axis=-1) / np.where(ok, sq, 1.0))[..., None]
+    else:
+        mat = np.swapaxes(span, -1, -2)
+        if k < d + 1:
+            q, mat = np.linalg.qr(mat)
+            rhs = (q * rhs[..., :, None]).sum(axis=-2)
+        # solvable: |det| above machine epsilon times the product of the
+        # column norms (Hadamard's bound); an exactly singular one has det 0
+        norms = np.sqrt((mat * mat).sum(axis=-2))
+        ok = np.abs(np.linalg.det(mat)) > np.finfo(float).eps * np.prod(norms, axis=-1)
+        mat = np.where(ok[..., None, None], mat, np.eye(k - 1))
+        z = np.linalg.solve(mat, rhs[..., None])[..., 0]
+    return np.concatenate([z, 1.0 - z.sum(axis=-1, keepdims=True)], axis=-1), ok
+
+
+def project_to_hull(target, points):
+    """Euclidean projection of each ``target`` onto the convex hull of its
+    ``points``.
+
+    ``points`` is a (c, n, d) stack of c point sets and ``target`` (c, d);
+    returns the (c, d) nearest points and their (c, n) weights. One
+    (n, d) set with a (d,) target is a stack of one and returns (d,) and
+    (n,). Each weight vector has Caratheodory-size support (at most
+    d + 1): supports are tried in (size, lexicographic) order, each size
+    solved at once for every set, and a support replaces the best so far
+    only when it is closer by more than 1e-15, so ties go to the
+    lexicographically earliest support. Supports whose affine system is
+    singular (a repeated point, three collinear points) are skipped row
+    by row; each row's result does not depend on the rest of the stack.
     """
     pts = np.asarray(points, dtype=float)
     tgt = np.asarray(target, dtype=float)
-    n, d = pts.shape
-    if n == 1:
-        w = np.ones(1)
-        return pts[0].copy(), w
-    best = None  # (dist, point, weights)
-    for support in _supports(n, min(n, d + 1)):
-        sub = pts[list(support)]
-        base = sub[-1]
-        if len(support) == 1:
-            cand, w_sub = base, np.ones(1)
-        else:
-            span = (sub[:-1] - base).T  # (d, size-1)
-            z, *_ = np.linalg.lstsq(span, tgt - base, rcond=None)
-            w_sub = np.concatenate([z, [1.0 - z.sum()]])
-            if np.min(w_sub) < -1e-12:
-                continue
-            w_sub = np.clip(w_sub, 0.0, None)
-            w_sub /= w_sub.sum()
-            cand = w_sub @ sub
-        dist = float(np.linalg.norm(cand - tgt))
-        if best is None or dist < best[0] - 1e-15:
-            weights = np.zeros(n)
-            weights[list(support)] = w_sub
-            best = (dist, cand, weights)
-            if dist <= 1e-15:
-                break
-    return best[1], best[2]
+    single = pts.ndim == 2
+    if single:
+        pts, tgt = pts[None], tgt[None]
+    c, n, d = pts.shape
+    idx, spans = _support_table(n, min(n, d + 1))
+    # a padded slot points at an appended zero point with weight 0
+    sub = np.concatenate([pts, np.zeros((c, 1, d))], axis=1)[:, idx]  # (c, s, K, d)
+    w = np.zeros(sub.shape[:-1])
+    ok = np.ones(sub.shape[:2], dtype=bool)
+    w[:, : spans[0][2], 0] = 1.0  # the single points
+    for k, lo, hi in spans[1:]:
+        w[:, lo:hi, :k], ok[:, lo:hi] = _face_weights(sub[:, lo:hi, :k], tgt)
+    ok &= ~(w.min(axis=-1) < -1e-12)
+    w = np.maximum(w, 0.0)
+    w /= w.sum(axis=-1, keepdims=True)
+    cand = (w[..., None] * sub).sum(axis=-2)
+    dist = np.where(ok, np.sqrt(((cand - tgt[:, None]) ** 2).sum(axis=-1)), np.inf)
+    # the sequential rule, set by set; a set within 1e-15 of its target
+    # can take no later support, which is the early stop of a search
+    choice = []
+    for row in dist.tolist():
+        bar, pick = math.inf, 0
+        for j, dist_j in enumerate(row):
+            if dist_j < bar:
+                bar, pick = dist_j - 1e-15, j
+        choice.append(pick)
+    rows = np.arange(c)
+    point = cand[rows, choice]
+    weights = np.zeros((c, n + 1))
+    weights[rows[:, None], idx[choice]] = w[rows, choice]
+    weights = weights[:, :n]
+    return (point[0], weights[0]) if single else (point, weights)

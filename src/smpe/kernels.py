@@ -397,7 +397,16 @@ def make_nowak_game(
 
 
 def _seeded_rng(seed):
-    """Philox generator keyed by ``seed``; a key Philox refuses is an input error."""
+    """Philox generator keyed by ``seed``, an integer or a list of integers
+    in [0, 2**64); a key Philox refuses, or a list entry that is not such
+    an integer (numpy would cast it with a warning), is an input error."""
+    if isinstance(seed, (list, tuple)) or getattr(seed, "ndim", 0) > 0:
+        if not all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < 2**64
+            for v in seed
+        ):
+            raise InvalidInput(f"seed {seed!r}: list entries must be integers in [0, 2**64)")
+        seed = np.array(seed, dtype=np.uint64)
     try:
         return np.random.Generator(np.random.Philox(key=seed))
     except (ValueError, OverflowError) as exc:

@@ -427,6 +427,16 @@ def purify_selection(
     if len(candidates.sets) != space.n_cells:
         raise InvalidInput("candidate field must cover every cell")
     exact = space.exact or values.dtype == object
+    weights_of = {}  # float mode: one projection per candidate count
+    cells = [] if exact else space.divisible_indices
+    counts = np.array([len(candidates.sets[k]) for k in cells])
+    for count in np.unique(counts):
+        ks = cells[counts == count]
+        cands = np.array([candidates.sets[k] for k in ks], dtype=float)
+        point, weights = project_to_hull(values[ks], cands)
+        scale = np.max(np.abs(np.concatenate([values[ks, None], cands], axis=1)), axis=(1, 2))
+        outside = np.max(np.abs(point - values[ks]), axis=1) > HULL_TOL * np.maximum(1.0, scale)
+        weights_of.update((k, None if out else w) for k, w, out in zip(ks, weights, outside))
     pieces = []
     for k in range(space.n_cells):
         cands = candidates.sets[k]
@@ -440,13 +450,7 @@ def purify_selection(
             one = Fraction(1) if exact else 1.0
             pieces.append((Piece(one, cands[idx]),))
             continue
-        if exact:
-            weights = convex_weights_exact(target, cands)
-        else:
-            point, weights = project_to_hull(target, cands)
-            scale = max(1.0, float(np.max(np.abs(target))), float(np.max(np.abs(cands))))
-            if np.max(np.abs(point - target)) > HULL_TOL * scale:
-                weights = None
+        weights = convex_weights_exact(target, cands) if exact else weights_of[k]
         if weights is None:
             raise InvalidInput(
                 f"divisible cell {k}: target lies outside the candidate hull (tol {HULL_TOL})"

@@ -321,15 +321,9 @@ def nash_enumerate_stack(payoffs) -> list:
     if m == 3:
         lists = []
         for g in range(n):
-            # degenerate perturbation may displace an isolated mixed
-            # equilibrium; a scan that finds none is retried on the raw payoffs
-            for tensors in (perturbed[:, g], payoffs[:, g]):
-                strategies = tuple(np.stack(p)[None] for p in zip(*_candidates_three(tensors)))
-                found = np.ones(strategies[0].shape[:2], dtype=bool)
-                points = _verify_stack(payoffs[:, g : g + 1], strategies, found)[0]
-                if points:
-                    break
-            lists.append(points)
+            strategies = tuple(np.stack(p)[None] for p in zip(*_candidates_three(perturbed[:, g])))
+            found = np.ones(strategies[0].shape[:2], dtype=bool)
+            lists += _verify_stack(payoffs[:, g : g + 1], strategies, found)
         return lists
     k1, k2 = shape
     supports = [

@@ -15,12 +15,12 @@ matching), and the atom operator contracts a whole stack against the
 atom profiles at once. The signature groups of all states are formed once
 per solve, the atom operator once per fixed point (only its atom channel
 moves between contraction steps), and one stage step per outer iteration
-(one table, one enumeration of every state) serves the atom strategies
-and the divisible cells; purification takes the same step. A converged
-convexified value is then purified into a piecewise-pure selection
-whose pieces carry actual stage equilibria, and the result is certified
-by the independent verifier; the reported slack is the verifier's
-number, never less.
+(one table, one enumeration of every state, one hull projection per
+equilibrium count) serves the atom strategies and the divisible cells;
+purification takes the same step. A converged convexified value is then
+purified into a piecewise-pure selection whose pieces carry actual
+stage equilibria, and the result is certified by the independent
+verifier; the reported slack is the verifier's number, never less.
 """
 
 from __future__ import annotations
@@ -275,13 +275,21 @@ def _atom_strategies(v2, spec, stage):
 def _stage_step(c, v2, spec, groups, cell_values):
     """The stage-payoff table, the (actions, points) of every state in the
     signature ``groups`` from one enumeration, and the target values:
-    each divisible cell projected onto its equilibrium hull, the atoms at
-    ``v2``."""
+    each divisible cell projected onto its equilibrium hull, one
+    projection per equilibrium count (a single point is a gather), the
+    atoms at ``v2``."""
     table = stage_payoff_tensor(c, v2, spec)
     stage = _stage_equilibria(np.arange(spec.n_states), groups, c, v2, spec, table)
     targets = cell_values.copy()
-    for k in spec.space.divisible_indices:
-        targets[k], _ = project_to_hull(cell_values[k], np.array([p.payoffs for p in stage[k][1]]))
+    cells = spec.space.divisible_indices
+    counts = np.array([len(stage[k][1]) for k in cells])
+    for count in np.unique(counts):
+        ks = cells[counts == count]
+        points = np.array([[p.payoffs for p in stage[k][1]] for k in ks])
+        if count == 1:
+            targets[ks] = points[:, 0]
+        else:
+            targets[ks], _ = project_to_hull(cell_values[ks], points)
     targets[spec.space.atom_indices] = v2.T
     return table, stage, targets
 

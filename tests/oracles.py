@@ -11,7 +11,9 @@ candidate at a time, ``atom_operator_reference``, the atom
 operator computed from the full stage-payoff table at every step, and
 ``comparison_draw_reference``, the simulation's inverse-CDF draw by a
 full comparison over each row; they pin an optimized library path to a
-plain one bit for bit.
+plain one bit for bit. ``project_to_hull_reference``, the hull
+projection one point set and one ``lstsq`` per support, pins the
+stacked projection's supports, and its points and weights to rounding.
 """
 
 import itertools
@@ -338,3 +340,40 @@ def comparison_draw_reference(cum, rows, u):
     the count ``#{j : cum[r, j] < u}``, one full row at a time."""
     cum = np.asarray(cum, dtype=float)
     return (np.asarray(u)[:, None] > cum[np.asarray(rows)]).sum(axis=1)
+
+
+def project_to_hull_reference(target, points):
+    """Euclidean projection of one ``target`` onto the hull of its (n, d)
+    ``points``, one support at a time: supports in (size, lexicographic)
+    order, each by ``np.linalg.lstsq`` (minimum norm on a singular
+    system), a support taken when closer by more than 1e-15, the search
+    stopped within 1e-15 of the target. Returns ``(point, weights)``."""
+    pts = np.asarray(points, dtype=float)
+    tgt = np.asarray(target, dtype=float)
+    n, d = pts.shape
+    if n == 1:
+        return pts[0].copy(), np.ones(1)
+    best = None  # (dist, point, weights)
+    for size in range(1, min(n, d + 1) + 1):
+        for support in itertools.combinations(range(n), size):
+            sub = pts[list(support)]
+            base = sub[-1]
+            if size == 1:
+                cand, w_sub = base, np.ones(1)
+            else:
+                span = (sub[:-1] - base).T  # (d, size - 1)
+                z, *_ = np.linalg.lstsq(span, tgt - base, rcond=None)
+                w_sub = np.concatenate([z, [1.0 - z.sum()]])
+                if np.min(w_sub) < -1e-12:
+                    continue
+                w_sub = np.clip(w_sub, 0.0, None)
+                w_sub /= w_sub.sum()
+                cand = w_sub @ sub
+            dist = float(np.linalg.norm(cand - tgt))
+            if best is None or dist < best[0] - 1e-15:
+                weights = np.zeros(n)
+                weights[list(support)] = w_sub
+                best = (dist, cand, weights)
+                if dist <= 1e-15:
+                    return best[1], best[2]
+    return best[1], best[2]

@@ -9,6 +9,7 @@ from smpe.errors import InvalidInput
 from smpe.game import sunspot_extend, validate_game
 from smpe.kernels import (
     LevyParams,
+    _seeded_rng,
     NoisyGameParams,
     NowakParams,
     block_rank_profile,
@@ -238,3 +239,28 @@ def test_coarser_allows_atoms_outside_covered_blocks():
     _, spec = random_nowak_game(seed=0, n_cells=8, j_components=2, k_atoms=1)
     ext = sunspot_extend(spec, 2)
     assert check_coarser(kernel_matrix(ext))
+
+
+# --- seeds ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [[-1, 1], [1.5, 2], [2**64, 0], [True, 1], ["1", 2]])
+@pytest.mark.parametrize("family", [random_nowak_game, random_noisy_game])
+def test_list_seed_entries_must_be_uint64(family, seed):
+    # numpy would cast [-1, 1] or [1.5, 2] into some other key with only a warning
+    with pytest.raises(InvalidInput, match="list entries"):
+        family(seed=seed)
+
+
+@pytest.mark.parametrize("key", [[4242, 3], (7, 2**64 - 1)])
+def test_valid_list_seed_draws_the_philox_stream_of_its_key(key):
+    array = np.array(key, dtype=np.uint64)
+    expected = np.random.Generator(np.random.Philox(key=array)).random(8)
+    for seed in (key, list(key), array):
+        assert np.array_equal(_seeded_rng(seed).random(8), expected)
+
+
+def test_pool_list_seed_keeps_its_stream():
+    # the key the benchmark pools and the golden results are generated from
+    expected = np.random.Generator(np.random.Philox(key=[4242, 3])).random(8)
+    assert np.array_equal(_seeded_rng([4242, 3]).random(8), expected)

@@ -271,12 +271,12 @@ def test_stage_equilibria_do_not_depend_on_stack_composition():
 # SHA-256 of the canonical result bytes of default-option solves of the
 # generated game [4242, index] of each family, recorded with Python 3.11.7 and
 # numpy 2.4.6 on x86-64. Any change to the enumeration order, the perturbation
-# or the arithmetic of the stage layer shows here.
+# or the arithmetic of the stage layer or of the hull projection shows here.
 GOLDEN_RESULTS = {
-    "mixture-32-0": "6a9087e3756749c2e593c7a70c181a73382b16196b21ab6157c413cf1522f0ca",
-    "mixture-32-8": "2e84accb274f073858d3cdc4456ab2d72f782e6e36447867c2b0bb05f114d688",
+    "mixture-32-0": "97cdc802f4b07215a74a7a859a556a321247af4b2d61852b58eb894aba573bc7",
+    "mixture-32-8": "0988b2601b7e2b6eb8773d3abff1f917bb2948488dba99488757eb49aebdbdc0",
     "atom-heavy-7": "577c4f9343da8afc01e7a8f6ce83493f0d30908634e2079d5ca1a26b158f5c1f",
-    "atom-heavy-13": "ffd99e71c9ca58f51c645d76c68fce0e509f14034da12bd330f14f2dd9b88f97",
+    "atom-heavy-13": "fb18d06564a3554a817ae22f3b0d5bbcfd564bae5caeabba7d4470461082c51c",
 }
 
 
