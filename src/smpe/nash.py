@@ -1,18 +1,17 @@
 """One-shot stage games and their mixed Nash equilibria.
 
 Stage games fold continuation moments and atom values into the stage
-payoffs; equilibria are found by support enumeration with every
-candidate verified by an independent best-response check. Every game
-inside the exact-mode envelope (one to three players, at most four
-actions each) goes through one stacked entry point,
-:func:`nash_enumerate_stack`; a single game is a stack of one. Two
-players' indifference systems are solved for the whole stack in one
-batched solve per support pair; three players run damped Newton from a
-fixed start grid, game by game. Every candidate list is checked,
-deduplicated and sorted by one stacked verifier over its (games,
-candidates) arrays, with the arithmetic of a single-profile check.
-Games beyond the envelope run regret matching one at a time, which
-gives up once its best slack stalls.
+payoffs; equilibria are found by support enumeration, every candidate
+verified by an independent best-response check. Every game inside the
+exact envelope (one to three players, at most four actions each) goes
+through one stacked entry point, :func:`nash_enumerate_stack`, which
+returns padded arrays (counts, strategies, payoffs); only the public
+:func:`nash_enumerate`, a stack of one, builds :class:`NashPoint`s. Two
+players' pure support pairs need no solve, the others one batched solve
+per pair; three players run damped Newton game by game. One stacked
+verifier checks, dedupes and sorts the candidates of every player count
+with the arithmetic of a single-profile check. Games beyond the envelope
+run regret matching, which gives up once its best slack stalls.
 """
 
 from __future__ import annotations
@@ -296,16 +295,25 @@ def _support_mixtures(perturbed: np.ndarray, rows, cols):
     return x, y, ok
 
 
-def nash_enumerate_stack(payoffs) -> list:
-    """Exact equilibria of a stack of games, one list per game.
+def _pure_supports(n, k1, k2):
+    """:func:`_support_mixtures` of every 1x1 pair of an (n, k1, k2) stack,
+    in (rows, cols) order, with no solve: the system [[a, -1], [1, 0]] has
+    determinant 1 and its one positive entry normalizes to exactly 1.0."""
+    pure = np.eye(k1).repeat(k2, axis=0), np.tile(np.eye(k2), (k1, 1)), np.ones(k1 * k2, bool)
+    return tuple(p[None].repeat(n, axis=0) for p in pure)
+
+
+def nash_enumerate_stack(payoffs):
+    """Exact equilibria of a stack of games, as the padded arrays
+    ``(counts, strategies, payoffs)`` of :func:`_verify_stack`.
 
     ``payoffs`` is (m, n, k_1, ..., k_m), 1 <= m <= 3: every player's
-    payoff tensor for n games with the same action counts. Each game gets
-    the list :func:`nash_enumerate` documents. The candidates are one
-    player's pure actions, two players' support pairs in (size, rows,
-    cols) order on the perturbed stack, one batched solve per pair, or
-    three players' Newton solutions game by game; :func:`_verify_stack`
-    checks them, so no game's list depends on the rest of the stack.
+    payoff tensor for n games with the same action counts. Game g's first
+    ``counts[g]`` slots hold the list :func:`nash_enumerate` documents.
+    The candidates are one player's pure actions, two players' support
+    pairs in (size, rows, cols) order on the perturbed stack, or three
+    players' Newton solutions, found game by game; no game's slots depend
+    on the rest of the stack.
     """
     payoffs = np.asarray(payoffs, dtype=float)
     m = payoffs.shape[0] if payoffs.ndim else 0
@@ -318,35 +326,40 @@ def nash_enumerate_stack(payoffs) -> list:
         pure = np.tile(np.eye(shape[0]), (n, 1, 1))
         return _verify_stack(payoffs, (pure,), np.ones((n, shape[0]), dtype=bool))
     perturbed = _perturbed(payoffs)
-    if m == 3:
-        lists = []
-        for g in range(n):
-            strategies = tuple(np.stack(p)[None] for p in zip(*_candidates_three(perturbed[:, g])))
-            found = np.ones(strategies[0].shape[:2], dtype=bool)
-            lists += _verify_stack(payoffs[:, g : g + 1], strategies, found)
-        return lists
+    if m == 3:  # each game's Newton candidates, padded to the longest list
+        candidates = [list(zip(*_candidates_three(perturbed[:, g]))) for g in range(n)]
+        sizes = np.array([len(c[0]) for c in candidates], dtype=int)
+        strategies = tuple(np.zeros((n, sizes.max(initial=0), k)) for k in shape)
+        for g, found in enumerate(candidates):
+            for part, rows in zip(strategies, found):
+                part[g, : sizes[g]] = rows
+        return _verify_stack(payoffs, strategies, np.arange(sizes.max(initial=0)) < sizes[:, None])
     k1, k2 = shape
-    supports = [
+    mixed = [
         _support_mixtures(perturbed, rows, cols)
-        for r in range(1, min(k1, k2) + 1)
+        for r in range(2, min(k1, k2) + 1)
         for rows in itertools.combinations(range(k1), r)
         for cols in itertools.combinations(range(k2), r)
     ]
-    xs, ys, oks = (np.stack(part, axis=1) for part in zip(*supports))  # (n, supports, ...)
+    xs, ys, oks = (  # (n, supports, ...)
+        np.concatenate([pure] + [part[:, None] for part in parts], axis=1)
+        for pure, *parts in zip(_pure_supports(n, k1, k2), *mixed)
+    )
     return _verify_stack(payoffs, (xs, ys), oks)
 
 
 def _verify_stack(payoffs, strategies, found):
-    """Verified, deduplicated and sorted equilibria of a game stack, as
-    one list of :class:`NashPoint` per game.
+    """Verified, deduplicated and sorted equilibria of a game stack: counts
+    (n,), strategies (n, w, k_i) per player and payoffs (n, w, m).
 
     ``payoffs`` is the unperturbed (m, n, *shape) stack; ``strategies[i]``
     is (n, s, k_i), each game's s candidates in enumeration order, of which
     ``found`` (n, s) marks those that exist. A candidate is kept when no
     pure deviation gains more than ``BR_TOL`` and no kept candidate before
-    it lies within ``DEDUPE_TOL``; points are sorted by (payoffs, flat
-    strategies). Played payoffs are a batched ``matmul``, which rounds as
-    ``np.dot`` does, so no game's list depends on the rest of the stack.
+    it lies within ``DEDUPE_TOL``; game g's ``counts[g]`` kept points fill
+    its first slots, sorted by (payoffs, flat strategies), and zeros the
+    rest. Played payoffs are a batched ``matmul``, which rounds as
+    ``np.dot`` does, so no game's slots depend on the rest of the stack.
     """
     m = len(payoffs)
     played = np.empty(found.shape + (m,))
@@ -356,20 +369,24 @@ def _verify_stack(payoffs, strategies, found):
         played[..., i] = (strategies[i][..., None, :] @ vec[..., :, None])[..., 0, 0]
         gap = np.maximum(gap, vec.max(axis=-1) - played[..., i])
     kept = found & (gap <= BR_TOL)
-    flat = np.concatenate(strategies, axis=-1)
-    for j in np.flatnonzero(kept.any(axis=0))[1:]:  # greedy, in enumeration order
-        near = np.max(np.abs(flat[:, j, None] - flat[:, :j]), axis=2) <= DEDUPE_TOL
-        kept[:, j] &= ~(near & kept[:, :j]).any(axis=1)
+    # each game's kept candidates, moved to the front in enumeration order;
+    # greedily, any within DEDUPE_TOL of a kept one before it is dropped
+    games = np.arange(len(kept))[:, None]
+    front = np.argsort(~kept, axis=1, kind="stable")[:, : kept.sum(axis=1).max(initial=0)]
+    alive = kept[games, front]
+    rows = np.concatenate([played, *strategies], axis=-1)[games, front]
+    flat = rows[..., m:]
+    near = np.max(np.abs(flat[:, :, None] - flat[:, None]), axis=3) <= DEDUPE_TOL
+    near &= np.tri(front.shape[1], k=-1, dtype=bool) & alive[:, :, None] & alive[:, None]
+    for a in np.flatnonzero(near.any(axis=(0, 2))):
+        alive[:, a] &= ~(near[:, a] & alive).any(axis=1)
     # kept points first, each game's in (payoffs, flat strategies) order
-    keys = np.moveaxis(np.concatenate([flat[..., ::-1], played[..., ::-1]], axis=-1), -1, 0)
-    order = np.lexsort(tuple(keys) + (~kept,), axis=1).tolist()
-    return [
-        [
-            NashPoint(strategies=tuple([st[g, j] for st in strategies]), payoffs=played[g, j])
-            for j in order[g][:count]
-        ]
-        for g, count in enumerate(kept.sum(axis=1).tolist())
-    ]
+    counts = alive.sum(axis=1)
+    keys = tuple(np.moveaxis(rows[..., ::-1], -1, 0)) + (~alive,)
+    rows = rows[games, np.lexsort(keys, axis=1)[:, : counts.max(initial=0)]]
+    rows[np.arange(rows.shape[1]) >= counts[:, None]] = 0.0
+    ends = np.cumsum([m] + [s.shape[-1] for s in strategies])
+    return counts, tuple(rows[..., a:b] for a, b in zip(ends, ends[1:])), rows[..., :m]
 
 
 def _newton_starts(sizes, count=8):
@@ -496,7 +513,9 @@ def nash_enumerate(game: StageGame):
     """
     if enumeration_mode(game.shape) == "approx":
         return [regret_matching(game)]
-    return nash_enumerate_stack(np.stack(game.payoffs)[:, None])[0]
+    _, strategies, payoffs = nash_enumerate_stack(np.stack(game.payoffs)[:, None])
+    profiles = zip(*(s[0] for s in strategies))  # a stack of one has no padded slots
+    return [NashPoint(strategies=p, payoffs=v) for p, v in zip(profiles, payoffs[0])]
 
 
 def regret_matching(game: StageGame, eps_target: float = 1e-3, max_iter: int = 200_000):

@@ -7,20 +7,16 @@ and refresh the atom strategy profile with the stage equilibrium that
 reproduces the atom values; (b) on each divisible cell, enumerate the
 stage equilibria under the current continuation data and pick the point
 of their convex hull closest to the previous per-cell value; (c) fold
-the chosen values back into continuation moments with damping. The
-cells that share a feasible-action signature are sliced from the
-stage-payoff table as one stack, enumerated exactly for any player count
-(only games outside the exact envelope are built one by one, for regret
-matching), and the atom operator contracts a whole stack against the
-atom profiles at once. The signature groups of all states are formed once
-per solve, the atom operator once per fixed point (only its atom channel
-moves between contraction steps), and one stage step per outer iteration
-(one table, one enumeration of every state, one hull projection per
-equilibrium count) serves the atom strategies and the divisible cells;
-purification takes the same step. A converged convexified value is then
-purified into a piecewise-pure selection whose pieces carry actual
-stage equilibria, and the result is certified by the independent
-verifier; the reported slack is the verifier's number, never less.
+the chosen values back into continuation moments with damping. One
+stage step per outer iteration enumerates the stage-payoff table exactly,
+one stack per feasible-action signature (regret matching builds games
+outside the exact envelope one by one), into padded arrays of counts,
+payoffs and global profiles; the hull projection (one per equilibrium
+count), the atom profile (one masked argmin) and purification read them;
+no NashPoint is built on the exact path. The atom operator is built once
+per fixed point. The purified pieces carry actual stage equilibria, and
+the result is certified by the independent verifier; the reported slack
+is the verifier's number, never less.
 """
 
 from __future__ import annotations
@@ -71,11 +67,11 @@ class SolveOptions:
 
 @dataclass
 class SolverState:
-    """Mutable loop state: atom values and strategies, per-cell values,
-    iteration counter, and the residual history."""
+    """Mutable loop state: atom values, atom strategies (one global profile
+    per atom), per-cell values, iteration counter, residual history."""
 
     v2: np.ndarray
-    f2: list
+    f2: np.ndarray
     cell_values: np.ndarray
     iteration: int = 0
     residuals: list = field(default_factory=list)
@@ -110,14 +106,18 @@ def atom_value_operator(
     over the player's own feasible actions against the others' fixed
     atom strategies, with continuation folded in through the aggregates
     and current atom values. A sup-norm contraction with modulus equal
-    to the largest discount factor. The shapes of ``c`` and ``v2`` are
-    checked here; the step that ``atom_fixed_point`` iterates checks none.
+    to the largest discount factor. ``f2`` is (n_atoms, sum of action
+    counts), laid out as result strategies. The shapes of ``f2``, ``c`` and
+    ``v2`` are checked here; the step ``atom_fixed_point`` iterates checks none.
     """
     v2 = np.asarray(v2, dtype=float)
     if c.c.shape != (spec.players, spec.kernel.n_components, spec.space.n_coarse):
         raise InvalidInput("aggregate dimensions do not match the game")
     if v2.shape != (spec.players, spec.n_atoms):
         raise InvalidInput(f"atom values must be {(spec.players, spec.n_atoms)}")
+    f2 = np.asarray(f2, dtype=float)
+    if f2.shape != (spec.n_atoms, sum(len(a) for a in spec.actions)):
+        raise InvalidInput("atom strategies must be (atoms, sum of action counts)")
     atoms = spec.space.atom_indices
     return _atom_operator(f2, c, spec, _signature_groups(spec, atoms))(v2)
 
@@ -139,13 +139,11 @@ def _atom_operator(f2, c, spec, groups):
     cont_q = np.einsum("jesx,ije->isx", spec.kernel.q[:, :, atoms], c.c)
     kernel = spec.atom_kernel[:, atoms]
     shape = (spec.players, len(atoms)) + spec.profile_shape
+    offsets = np.cumsum([0] + [len(a) for a in spec.actions])  # player blocks of a profile
     blocks = []
     for actions, members in groups:
         grid = np.ix_(range(spec.players), members, *actions)
-        local = [
-            np.array([f2[a_idx][i] for a_idx in members], dtype=float)[:, actions[i]]
-            for i in range(spec.players)
-        ]
+        local = [f2[members][:, offsets[i] + actions[i]] for i in range(spec.players)]
         blocks.append((members, grid, local))
 
     def step(v2):
@@ -190,32 +188,36 @@ def _stage_stack(table, spec, states, actions):
 
 
 def _stage_equilibria(states, groups, c, v2, spec, table):
-    """Stage equilibria at each of ``states`` under the payoff ``table``,
-    as (actions, points) pairs in the order of ``states``; ``groups`` is
-    ``_signature_groups(spec, states)``. Exact-envelope games are
-    enumerated one stack per feasible-action signature; regret matching
-    runs game by game, each stopping at its own check."""
-    out = [None] * len(states)
+    """Stage equilibria at the positions of ``states`` under ``table``, as
+    padded arrays: counts (N,), payoffs (N, S, m) and profiles (N, S, sum
+    of action counts) laid out as result strategies, zeros past each
+    count. ``groups`` is ``_signature_groups(spec, states)``. Exact games
+    are enumerated one stack per signature; regret matching runs game by
+    game, each stopping at its own check with one point."""
+    parts = []
     for actions, members in groups:
         if enumeration_mode(tuple(len(a) for a in actions)) == "exact":
-            lists = nash_enumerate_stack(_stage_stack(table, spec, states[members], actions))
-        else:
-            lists = [
-                nash_enumerate(build_stage_game(int(states[p]), c, v2, spec, payoff_table=table))
-                for p in members
-            ]
-        for p, points in zip(members, lists):
-            out[p] = (actions, points)
-    return out
-
-
-def _globalize(actions, point, n_actions):
-    out = []
-    for i, strat in enumerate(point.strategies):
-        vec = np.zeros(n_actions[i])
-        vec[actions[i]] = strat
-        out.append(vec)
-    return out
+            parts.append(nash_enumerate_stack(_stage_stack(table, spec, states[members], actions)))
+            continue
+        points = [
+            nash_enumerate(build_stage_game(int(states[p]), c, v2, spec, payoff_table=table))[0]
+            for p in members
+        ]
+        strategies = tuple(np.array(s)[:, None] for s in zip(*(q.strategies for q in points)))
+        values = np.array([q.payoffs for q in points])[:, None]
+        parts.append((np.ones(len(members), int), strategies, values))
+    width = max((values.shape[1] for _, _, values in parts), default=0)
+    offsets = np.cumsum([0] + [len(a) for a in spec.actions])  # player blocks of a profile
+    counts = np.zeros(len(states), int)
+    payoffs = np.zeros((len(states), width, spec.players))
+    profiles = np.zeros((len(states), width, offsets[-1]))
+    for (actions, members), (n_eq, strategies, values) in zip(groups, parts):
+        slots = np.arange(values.shape[1])[:, None]
+        counts[members] = n_eq
+        payoffs[members, : len(slots)] = values
+        for i, strategy in enumerate(strategies):
+            profiles[members[:, None, None], slots, offsets[i] + actions[i]] = strategy
+    return counts, payoffs, profiles
 
 
 def atom_fixed_point(f2, c, spec, v2_init, tol=INNER_TOL, groups=None):
@@ -253,53 +255,42 @@ def atom_fixed_point(f2, c, spec, v2_init, tol=INNER_TOL, groups=None):
 
 
 def _atom_strategies(v2, spec, stage):
-    """Global profile of one stage equilibrium per atomic cell, chosen for
-    value consistency among the stage step's equilibria ``stage``.
+    """Global profiles (n_atoms, sum of action counts), one stage
+    equilibrium per atomic cell from the stage step's arrays ``stage``.
 
     At a fixed point the selected profile must reproduce the atom's
-    optimal values, so among the enumerated equilibria the one whose
-    payoff vector is closest to the current values wins; exact ties go
-    to the lexicographically first point. Blind lexicographic choice can
-    flip between two equilibria forever when their payoff order depends
-    on the very values they induce.
+    optimal values, so the equilibrium whose payoff vector is closest to
+    the current values wins: one argmin, padded slots set to ``inf`` after
+    the gaps are taken, so exact ties go to the lexicographically first
+    point. Blind lexicographic choice can flip between two equilibria
+    forever when their payoff order depends on the values they induce.
     """
-    n_actions = [len(a) for a in spec.actions]
-    profiles = []
-    for a_idx, k in enumerate(spec.space.atom_indices):
-        actions, eqs = stage[k]
-        gaps = np.abs(np.array([p.payoffs for p in eqs]) - v2[:, a_idx]).max(axis=1)
-        profiles.append(_globalize(actions, eqs[int(np.argmin(gaps))], n_actions))
-    return profiles
+    counts, payoffs, profiles = stage
+    atoms = spec.space.atom_indices
+    gaps = np.abs(payoffs[atoms] - v2.T[:, None]).max(axis=2)
+    gaps[np.arange(gaps.shape[1]) >= counts[atoms, None]] = np.inf
+    return profiles[atoms, np.argmin(gaps, axis=1)]
 
 
 def _stage_step(c, v2, spec, groups, cell_values):
-    """The stage-payoff table, the (actions, points) of every state in the
-    signature ``groups`` from one enumeration, and the target values:
-    each divisible cell projected onto its equilibrium hull, one
-    projection per equilibrium count (a single point is a gather), the
-    atoms at ``v2``."""
+    """The stage-payoff table, the arrays ``(counts, payoffs, profiles)``
+    of :func:`_stage_equilibria` for the signature ``groups`` from one
+    enumeration, and the target values: each divisible cell k projected
+    onto the hull of ``payoffs[k, :counts[k]]``, one projection per
+    equilibrium count (a single point is a gather), the atoms at ``v2``."""
     table = stage_payoff_tensor(c, v2, spec)
     stage = _stage_equilibria(np.arange(spec.n_states), groups, c, v2, spec, table)
+    counts, payoffs, _ = stage
     targets = cell_values.copy()
     cells = spec.space.divisible_indices
-    counts = np.array([len(stage[k][1]) for k in cells])
-    for count in np.unique(counts):
-        ks = cells[counts == count]
-        points = np.array([[p.payoffs for p in stage[k][1]] for k in ks])
+    for count in np.unique(counts[cells]):
+        ks = cells[counts[cells] == count]
         if count == 1:
-            targets[ks] = points[:, 0]
+            targets[ks] = payoffs[ks, 0]
         else:
-            targets[ks], _ = project_to_hull(cell_values[ks], points)
+            targets[ks], _ = project_to_hull(cell_values[ks], payoffs[ks, :count])
     targets[spec.space.atom_indices] = v2.T
     return table, stage, targets
-
-
-def _profile_change(old, new):
-    worst = 0.0
-    for a, b in zip(old, new):
-        for x, y in zip(a, b):
-            worst = max(worst, float(np.max(np.abs(x - y))))
-    return worst
 
 
 def solve(spec: StochasticGameSpec, opts: SolveOptions = SolveOptions()) -> EquilibriumResult:
@@ -377,14 +368,10 @@ def _initial_state(spec, opts, restart):
             -0.1 * spec.payoff_bound, 0.1 * spec.payoff_bound, size=cell_values.shape
         )
     v2 = np.zeros((spec.players, spec.n_atoms))
-    f2 = []
-    for state in spec.space.atom_indices:
-        profile = []
-        for i in range(spec.players):
-            feas = spec.feasible[i][state]
-            vec = feas.astype(float)
-            profile.append(vec / vec.sum())
-        f2.append(profile)
+    atoms = spec.space.atom_indices
+    f2 = np.concatenate(
+        [feas[atoms] / feas[atoms].sum(axis=1, keepdims=True) for feas in spec.feasible], axis=1
+    )
     return SolverState(v2=v2, f2=f2, cell_values=cell_values)
 
 
@@ -399,7 +386,7 @@ def _outer_loop(spec, opts, state: SolverState, groups, atom_groups) -> bool:
             state.v2 = v2_new
         _, stage, targets = _stage_step(c, state.v2, spec, groups, state.cell_values)
         f2_new = _atom_strategies(state.v2, spec, stage)
-        f2_change = _profile_change(state.f2, f2_new)
+        f2_change = float(np.max(np.abs(state.f2 - f2_new), initial=0.0))
         state.f2 = f2_new
         value_change = float(np.max(np.abs(targets - state.cell_values)))
         residual = max(value_change, v2_change, f2_change)
@@ -425,19 +412,13 @@ def _finalize(spec, opts, state: SolverState, restart, converged, groups) -> Equ
         int(degenerate_games(_stage_stack(table, spec, members, actions)).sum())
         for actions, members in cell_groups
     )
-    n_actions = [len(a) for a in spec.actions]
     # per cell, the candidate payoff vectors and their global profiles
-    candidate_sets = [None] * spec.n_states
-    profiles = [None] * spec.n_states
+    counts, payoffs, profiles = stage
+    candidate_sets = [payoffs[k, :count] for k, count in enumerate(counts)]
+    profile_sets = [profiles[k, :count] for k, count in enumerate(counts)]
     for a_idx, k in enumerate(spec.space.atom_indices):
         candidate_sets[k] = state.cell_values[k].reshape(1, -1)
-        profiles[k] = [np.concatenate(state.f2[a_idx])]
-    multi_eq = 0
-    for k in spec.space.divisible_indices:
-        actions, points = stage[k]
-        candidate_sets[k] = np.array([p.payoffs for p in points])
-        profiles[k] = [np.concatenate(_globalize(actions, p, n_actions)) for p in points]
-        multi_eq += len(points) > 1
+        profile_sets[k] = state.f2[a_idx : a_idx + 1]
     split = purify_selection(
         StepFunction.of(state.cell_values),
         CandidateField(tuple(candidate_sets)),
@@ -447,7 +428,7 @@ def _finalize(spec, opts, state: SolverState, restart, converged, groups) -> Equ
     strategies = SplitSelection(
         tuple(
             tuple(
-                Piece(p.fraction, profiles[k][_candidate_index(candidate_sets[k], p.value)])
+                Piece(p.fraction, profile_sets[k][_candidate_index(candidate_sets[k], p.value)])
                 for p in parts
             )
             for k, parts in enumerate(split.pieces)
@@ -458,7 +439,7 @@ def _finalize(spec, opts, state: SolverState, restart, converged, groups) -> Equ
         "restart": restart,
         "converged": bool(converged),
         "residuals": [float(r) for r in state.residuals[-10:]],
-        "multi_equilibrium_cells": multi_eq,
+        "multi_equilibrium_cells": int((counts > 1).sum()),  # atoms count 0 here
         "degenerate_cells": degenerate,
         "options": asdict(opts),
     }

@@ -14,6 +14,8 @@ full comparison over each row; they pin an optimized library path to a
 plain one bit for bit. ``project_to_hull_reference``, the hull
 projection one point set and one ``lstsq`` per support, pins the
 stacked projection's supports, and its points and weights to rounding.
+``points_of`` reads the stage layer's padded arrays back as one game's
+list of points, so they can be held against the one-game references.
 """
 
 import itertools
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from smpe.nash import payoff_against_stack, stage_payoff_tensor
+from smpe.nash import NashPoint, payoff_against_stack, stage_payoff_tensor
 from smpe.solver import _signature_groups, _stage_stack
 
 
@@ -301,17 +303,40 @@ def verify_candidates_reference(payoffs, candidates, br_tol=1e-10, dedupe_tol=1e
     return out
 
 
+def points_of(arrays, g):
+    """Game ``g``'s equilibria from a stage layer's padded arrays, as a list
+    of ``NashPoint``s, after checking that its slots past the count hold
+    zeros.
+
+    ``(counts, strategies, payoffs)`` from ``smpe.nash`` keeps the
+    per-player strategies; ``(counts, payoffs, profiles)`` from the
+    solver's stage step gives each point its concatenated global profile
+    as a one-entry strategies tuple.
+    """
+    counts, first, second = arrays
+    strategies, payoffs = (first, second) if isinstance(first, tuple) else ((second,), first)
+    count = int(counts[g])
+    for part in (*strategies, payoffs):
+        assert part.shape[1] >= count and not np.any(part[g, count:])
+    return [
+        NashPoint(strategies=tuple(s[g, j] for s in strategies), payoffs=payoffs[g, j])
+        for j in range(count)
+    ]
+
+
 def atom_operator_reference(f2, c, v2, spec):
     """One step of the atom operator from scratch: the whole stage-payoff
     table, the atom rows sliced per feasible-action signature, and each
-    player's best payoff against the others' atom strategies."""
+    player's best payoff against the others' atom strategies, read atom by
+    atom from ``f2``'s (n_atoms, sum of action counts) global profiles."""
     table = stage_payoff_tensor(c, v2, spec)
     atoms = spec.space.atom_indices
+    offsets = np.cumsum([0] + [len(a) for a in spec.actions])
     new = np.empty((spec.players, len(atoms)))
     for actions, members in _signature_groups(spec, atoms):
         stack = _stage_stack(table, spec, atoms[members], actions)
         local = [
-            np.array([f2[a_idx][i] for a_idx in members], dtype=float)[:, actions[i]]
+            np.array([f2[a_idx][offsets[i] + actions[i]] for a_idx in members], dtype=float)
             for i in range(spec.players)
         ]
         for i in range(spec.players):

@@ -220,14 +220,17 @@ def test_criterion_4_atom_contraction():
     for inst in range(5):
         _, spec = random_nowak_game(seed=[4000, inst], n_cells=8, j_components=2, k_atoms=2)
         beta = float(spec.discounts.max())
-        f2 = []
-        for state in spec.space.atom_indices:
-            f2.append(
-                [
-                    spec.feasible[i][state].astype(float) / spec.feasible[i][state].sum()
-                    for i in range(spec.players)
-                ]
-            )
+        f2 = np.array(
+            [
+                np.concatenate(
+                    [
+                        spec.feasible[i][state].astype(float) / spec.feasible[i][state].sum()
+                        for i in range(spec.players)
+                    ]
+                )
+                for state in spec.space.atom_indices
+            ]
+        )
         rng = np.random.Generator(np.random.Philox(key=[4100, inst]))
         from smpe.nash import aggregate_moments
 

@@ -1,6 +1,8 @@
 """Stage-game construction and equilibrium enumeration."""
 
 import hashlib
+import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from smpe.nash import (
     StageGame,
     _candidates_three,
     _perturbed,
+    _pure_supports,
+    _support_mixtures,
     _verify_stack,
     aggregate_moments,
     best_response_gap,
@@ -25,7 +29,12 @@ from smpe.nash import (
 )
 
 from helpers import assert_same_points, constant_kernel_game, single_atom_game
-from oracles import nash_two_reference, pure_equilibria_bruteforce, verify_candidates_reference
+from oracles import (
+    nash_two_reference,
+    points_of,
+    pure_equilibria_bruteforce,
+    verify_candidates_reference,
+)
 
 
 def bimatrix(a, b):
@@ -129,10 +138,10 @@ def test_random_three_player_equilibria_verified(seed):
         assert max(best_response_gap(game, point.strategies)) <= 1e-10
 
 
-def assert_matches_reference(stack, lists):
-    assert len(lists) == stack.shape[1]
-    for g, points in enumerate(lists):
-        assert_same_points(points, nash_two_reference(stack[0, g], stack[1, g]))
+def assert_matches_reference(stack, arrays):
+    assert len(arrays[0]) == stack.shape[1]
+    for g in range(stack.shape[1]):
+        assert_same_points(points_of(arrays, g), nash_two_reference(stack[0, g], stack[1, g]))
 
 
 @pytest.mark.parametrize("k1, k2", [(2, 2), (2, 3), (3, 3), (4, 4)])
@@ -142,7 +151,7 @@ def test_stack_equals_per_game_reference(k1, k2):
     assert_matches_reference(stack, nash_enumerate_stack(stack))
     # a game enumerated alone gives the same list as inside the stack
     alone = nash_enumerate(StageGame(payoffs=tuple(stack[:, 5]), actions=(range(k1), range(k2))))
-    assert_matches_reference(stack[:, 5:6], [alone])
+    assert_same_points(alone, nash_two_reference(stack[0, 5], stack[1, 5]))
 
 
 def test_stack_with_singular_supports_falls_back_per_game(monkeypatch):
@@ -163,11 +172,11 @@ def test_stack_with_singular_supports_falls_back_per_game(monkeypatch):
             raise
 
     monkeypatch.setattr(np.linalg, "solve", spy)
-    lists = nash_enumerate_stack(stack)
+    arrays = nash_enumerate_stack(stack)
     monkeypatch.undo()
     assert 4 in raised and 2 in raised  # a batch failed, then single games did
-    assert all(lists), "every finite game has an equilibrium"
-    assert_matches_reference(stack, lists)
+    assert np.all(arrays[0] > 0), "every finite game has an equilibrium"
+    assert_matches_reference(stack, arrays)
 
 
 def test_game_lists_do_not_depend_on_stack_composition(monkeypatch):
@@ -189,12 +198,12 @@ def test_game_lists_do_not_depend_on_stack_composition(monkeypatch):
             raise
 
     monkeypatch.setattr(np.linalg, "solve", spy)
-    lists = nash_enumerate_stack(stack)
+    arrays = nash_enumerate_stack(stack)
     monkeypatch.undo()
     assert 4 in raised
-    for g, points in enumerate(lists):
-        alone = nash_enumerate_stack(stack[:, g : g + 1])[0]
-        assert_same_points(points, [(p.strategies, p.payoffs) for p in alone])
+    for g in range(stack.shape[1]):
+        alone = points_of(nash_enumerate_stack(stack[:, g : g + 1]), 0)
+        assert_same_points(points_of(arrays, g), [(p.strategies, p.payoffs) for p in alone])
 
 
 def test_stack_with_duplicates_and_payoff_ties_matches_reference():
@@ -205,16 +214,17 @@ def test_stack_with_duplicates_and_payoff_ties_matches_reference():
     stack = rng.integers(0, 2, (2, 16, 3, 3)).astype(float)
     stack[:, 3] = 0.0
     stack[:, 9] = 0.5
-    lists = nash_enumerate_stack(stack)
-    assert_matches_reference(stack, lists)
+    arrays = nash_enumerate_stack(stack)
+    assert_matches_reference(stack, arrays)
     raw = sum(
         len(nash_two_reference(stack[0, g], stack[1, g], dedupe_tol=-1.0))
         for g in range(stack.shape[1])
     )
-    assert raw > sum(len(points) for points in lists)
+    assert raw > arrays[0].sum()
     for g in (3, 9):
-        assert len(lists[g]) == 9
-        assert all(np.array_equal(p.payoffs, lists[g][0].payoffs) for p in lists[g])
+        points = points_of(arrays, g)
+        assert len(points) == 9
+        assert all(np.array_equal(p.payoffs, points[0].payoffs) for p in points)
 
 
 def test_verify_stack_matches_reference_on_one_player_stacks():
@@ -224,11 +234,30 @@ def test_verify_stack_matches_reference_on_one_player_stacks():
     payoffs = rng.integers(0, 3, (1, 12, 4)).astype(float)
     order = np.argsort(-_perturbed(payoffs)[0], axis=1)
     candidates = np.concatenate([np.eye(4)[order], np.eye(4)[order]], axis=1)
-    lists = _verify_stack(payoffs, (candidates,), np.ones((12, 8), dtype=bool))
-    assert any(len(points) > 1 for points in lists)
-    for g, points in enumerate(lists):
+    arrays = _verify_stack(payoffs, (candidates,), np.ones((12, 8), dtype=bool))
+    assert np.any(arrays[0] > 1)
+    for g in range(12):
         reference = verify_candidates_reference(payoffs[:, g], [(c,) for c in candidates[g]])
-        assert_same_points(points, reference)
+        assert_same_points(points_of(arrays, g), reference)
+
+
+def test_verify_stack_dedupes_greedily_in_enumeration_order():
+    # in a constant game every profile is an equilibrium; candidates
+    # 0.6e-8 apart chain within DEDUPE_TOL, so the greedy rule keeps every
+    # other one, and each game meets them in its own order, some missing
+    rng = np.random.Generator(np.random.Philox(key=[39, 4]))
+    n, s = 16, 12
+    payoffs = np.broadcast_to(rng.uniform(-1, 1, (2, n, 1, 1)), (2, n, 2, 2)).copy()
+    p = 0.5 + 0.6e-8 * rng.permuted(np.tile(np.arange(s, dtype=float), (n, 1)), axis=1)
+    xs = np.stack([p, 1.0 - p], axis=-1)
+    ys = np.broadcast_to([0.25, 0.75], (n, s, 2))
+    found = rng.uniform(size=(n, s)) < 0.8
+    arrays = _verify_stack(payoffs, (xs, ys), found)
+    assert np.all(arrays[0] < found.sum(axis=1))
+    for g in range(n):
+        candidates = [(xs[g, j], ys[g, j]) for j in range(s) if found[g, j]]
+        reference = verify_candidates_reference(payoffs[:, g], candidates)
+        assert_same_points(points_of(arrays, g), reference)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -237,9 +266,24 @@ def test_verify_stack_matches_reference_on_three_player_candidates(k):
     payoffs = rng.uniform(-1, 1, (3, 1, k, k, k))
     candidates = list(_candidates_three(_perturbed(payoffs)[:, 0]))
     strategies = tuple(np.stack(part)[None] for part in zip(*candidates))
-    (points,) = _verify_stack(payoffs, strategies, np.ones((1, len(candidates)), dtype=bool))
+    points = points_of(_verify_stack(payoffs, strategies, np.ones((1, len(candidates)), bool)), 0)
     assert points
     assert_same_points(points, verify_candidates_reference(payoffs[:, 0], candidates))
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3, 2)])
+def test_three_player_stack_matches_per_game_reference(shape):
+    # games with different candidate counts share one padded verification;
+    # each game's slots must equal its own candidates checked one by one
+    rng = np.random.Generator(np.random.Philox(key=[39, 5]))
+    stack = rng.uniform(-1, 1, (3, 4) + shape)
+    stack[:, 2] = 0.5  # a constant game: every pure profile is an equilibrium
+    arrays = nash_enumerate_stack(stack)
+    perturbed = _perturbed(stack)
+    for g in range(4):
+        candidates = list(_candidates_three(perturbed[:, g]))
+        reference = verify_candidates_reference(stack[:, g], candidates)
+        assert_same_points(points_of(arrays, g), reference)
 
 
 def coordination_game():
@@ -288,11 +332,60 @@ def test_one_and_three_player_stacks_list_game_by_game(shape):
         stack = rng.integers(0, 3, (1, 6) + shape).astype(float)
     else:
         stack = rng.uniform(-1, 1, (3, 2) + shape)
-    lists = nash_enumerate_stack(stack)
-    assert len(lists) == stack.shape[1] and all(lists)
-    for g, points in enumerate(lists):
-        alone = nash_enumerate_stack(stack[:, g : g + 1])[0]
-        assert_same_points(points, [(p.strategies, p.payoffs) for p in alone])
+    arrays = nash_enumerate_stack(stack)
+    assert len(arrays[0]) == stack.shape[1] and np.all(arrays[0] > 0)
+    for g in range(stack.shape[1]):
+        alone = points_of(nash_enumerate_stack(stack[:, g : g + 1]), 0)
+        assert_same_points(points_of(arrays, g), [(p.strategies, p.payoffs) for p in alone])
+
+
+def scan_stacks():
+    """Seeded two-player stacks: every action count from 1 to 4 per player,
+    64 games, payoff scales from 1e-3 to 1e3, and in every other game the
+    payoffs rounded to half units of the scale, so that entries tie."""
+    rng = np.random.Generator(np.random.Philox(key=[39, 2]))
+    for k1, k2 in itertools.product(range(1, 5), repeat=2):
+        for scale in (1e-3, 1e-1, 1e1, 1e3):
+            stack = scale * rng.uniform(-1, 1, (2, 64, k1, k2))
+            stack[:, ::2] = np.round(stack[:, ::2] * 2 / scale) * scale / 2
+            yield stack
+
+
+def test_pure_support_pairs_equal_their_solved_mixtures():
+    for stack in scan_stacks():
+        _, n, k1, k2 = stack.shape
+        perturbed = _perturbed(stack)
+        xs, ys, oks = _pure_supports(n, k1, k2)
+        for p, (row, col) in enumerate(itertools.product(range(k1), range(k2))):
+            x, y, ok = _support_mixtures(perturbed, (row,), (col,))
+            assert np.array_equal(xs[:, p], x) and np.array_equal(ys[:, p], y)
+            assert np.array_equal(oks[:, p], ok) and ok.all()
+
+
+def test_two_by_two_stack_runs_one_solve(monkeypatch):
+    # four pure support pairs need no solve; the one mixed pair is batched
+    shapes = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        shapes.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    stack = np.random.Generator(np.random.Philox(key=[39, 3])).uniform(-1, 1, (2, 64, 2, 2))
+    nash_enumerate_stack(stack)
+    assert shapes == [(2, 64, 3, 3)]
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 1), (2, 2, 2)])
+def test_empty_stacks_give_empty_arrays(shape):
+    m = len(shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts, strategies, payoffs = nash_enumerate_stack(np.zeros((m, 0) + shape))
+    assert counts.shape == (0,) and counts.dtype.kind == "i"
+    assert [s.shape for s in strategies] == [(0, 0, k) for k in shape]
+    assert payoffs.shape == (0, 0, m)
 
 
 def test_stack_rejects_non_finite_payoffs():

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from smpe import solver
+from smpe import nash, solver
 from smpe.errors import InvalidInput, NoConvergence, PreconditionFailed
 from smpe.game import KernelDecomposition
 from smpe.gamefile import canonical_bytes, result_to_doc
@@ -31,18 +31,23 @@ from smpe.solver import (
 from smpe.verify import deviation_residual
 
 from helpers import FAMILIES, assert_same_points, constant_kernel_game, single_atom_game
-from oracles import atom_fixed_point_reference, atom_operator_reference, nash_two_reference
+from oracles import (
+    atom_fixed_point_reference,
+    atom_operator_reference,
+    nash_two_reference,
+    points_of,
+)
 
 
 def uniform_atom_profile(spec):
-    out = []
-    for state in spec.space.atom_indices:
-        profile = []
-        for i in range(spec.players):
-            feas = spec.feasible[i][state].astype(float)
-            profile.append(feas / feas.sum())
-        out.append(profile)
-    return out
+    """Per atom, each player's uniform mixture over the feasible actions,
+    as (n_atoms, sum of action counts) in the concatenated layout."""
+    return np.array(
+        [
+            np.concatenate([feas[state] / feas[state].sum() for feas in spec.feasible])
+            for state in spec.space.atom_indices
+        ]
+    )
 
 
 # --- atom operator ---------------------------------------------------------------
@@ -205,6 +210,15 @@ def test_solver_deterministic():
             assert np.array_equal(p1.value, p2.value)
 
 
+def global_profile(spec, actions, strategies):
+    """One local mixed profile on the feasible ``actions``, written into the
+    concatenated global layout of result strategies."""
+    parts = [np.zeros(len(a)) for a in spec.actions]
+    for part, acts, strategy in zip(parts, actions, strategies):
+        part[list(acts)] = strategy
+    return np.concatenate(parts)
+
+
 def two_signature_game():
     """Generated game in which player 0 keeps only action 0 at every other
     state, so both the divisible cells and the atoms come in two
@@ -222,18 +236,25 @@ def test_stage_layer_matches_per_state_reference_across_signatures():
     v2 = rng.uniform(-1, 1, (spec.players, spec.n_atoms))
     table = stage_payoff_tensor(c, v2, spec)
     states = np.arange(spec.n_states)
-    stage = _stage_equilibria(states, _signature_groups(spec, states), c, v2, spec, table)
-    assert len({tuple(len(a) for a in actions) for actions, _ in stage}) == 2
-    for state, (actions, points) in zip(states, stage):
-        game = build_stage_game(int(state), c, v2, spec, payoff_table=table)
-        assert [tuple(a) for a in actions] == list(game.actions)
-        assert_same_points(points, nash_two_reference(*game.payoffs))
+    groups = _signature_groups(spec, states)
+    stage = _stage_equilibria(states, groups, c, v2, spec, table)
+    assert len({tuple(len(a) for a in actions) for actions, _ in groups}) == 2
+    for actions, members in groups:
+        for state in states[members]:
+            game = build_stage_game(int(state), c, v2, spec, payoff_table=table)
+            assert [tuple(a) for a in actions] == list(game.actions)
+            reference = [
+                ((global_profile(spec, game.actions, strategies),), payoffs)
+                for strategies, payoffs in nash_two_reference(*game.payoffs)
+            ]
+            assert_same_points(points_of(stage, state), reference)
     # the atom operator contracts each atom exactly as its own stage game does
     f2 = uniform_atom_profile(spec)
     stacked = atom_value_operator(f2, c, v2, spec)
     for a_idx, state in enumerate(spec.space.atom_indices):
         game = build_stage_game(int(state), c, v2, spec, payoff_table=table)
-        local = [np.asarray(f2[a_idx][i])[list(game.actions[i])] for i in range(spec.players)]
+        per_player = np.split(f2[a_idx], np.cumsum([len(a) for a in spec.actions])[:-1])
+        local = [per_player[i][list(game.actions[i])] for i in range(spec.players)]
         for i in range(spec.players):
             assert stacked[i, a_idx] == payoff_against(game, i, local).max()
     assert solve(spec).epsilon <= 1e-6
@@ -260,12 +281,21 @@ def test_stage_equilibria_do_not_depend_on_stack_composition():
         def stage_of(states):
             return _stage_equilibria(states, _signature_groups(spec, states), c, v2, spec, table)
 
+        def actions_of(states):
+            return {
+                int(states[p]): [tuple(a) for a in actions]
+                for actions, members in _signature_groups(spec, states)
+                for p in members
+            }
+
         together = stage_of(np.arange(spec.n_states))
         for states in splits:
             assert len(_signature_groups(spec, states)) == n_signatures
-            for k, (actions, points) in zip(states, stage_of(states)):
-                assert [tuple(a) for a in actions] == [tuple(a) for a in together[k][0]]
-                assert_same_points(points, [(p.strategies, p.payoffs) for p in together[k][1]])
+            apart = stage_of(states)
+            for p, k in enumerate(states):
+                assert actions_of(states)[k] == actions_of(np.arange(spec.n_states))[k]
+                expected = [(q.strategies, q.payoffs) for q in points_of(together, k)]
+                assert_same_points(points_of(apart, p), expected)
 
 
 # SHA-256 of the canonical result bytes of default-option solves of the
@@ -334,15 +364,16 @@ def test_fallback_result_bytes_match_golden_digest(name, monkeypatch):
 
 
 def random_atom_profile(spec, rng):
-    """Random mixed atom profile with zero mass on infeasible actions."""
+    """Random mixed atom profile with zero mass on infeasible actions, in
+    the layout of :func:`uniform_atom_profile`."""
     out = []
     for state in spec.space.atom_indices:
         profile = []
         for i in range(spec.players):
             vec = rng.uniform(0.1, 1.0, len(spec.actions[i])) * spec.feasible[i][state]
             profile.append(vec / vec.sum())
-        out.append(profile)
-    return out
+        out.append(np.concatenate(profile))
+    return np.array(out)
 
 
 ATOM_GAMES = ["atom-heavy-0", "atom-heavy-1", "atom-heavy-2", "two-signature"]
@@ -384,6 +415,8 @@ def test_atom_value_operator_rejects_mismatched_shapes():
     short = AggregateVector(c.c[:, :1])
     with pytest.raises(InvalidInput, match="aggregate dimensions"):
         atom_value_operator(f2, short, np.zeros((spec.players, spec.n_atoms)), spec)
+    with pytest.raises(InvalidInput, match="atom strategies must be"):
+        atom_value_operator(f2[:, :-1], c, np.zeros((spec.players, spec.n_atoms)), spec)
 
 
 def test_outer_iteration_builds_one_stage_table(monkeypatch):
@@ -425,3 +458,41 @@ def test_outer_iteration_builds_one_stage_table(monkeypatch):
     assert tables == [False]
     assert enumerations == [spec.n_states]
     assert len(fixed_point_calls) == 1 and state.iteration == 1
+
+
+def test_exact_solve_builds_no_nash_point(monkeypatch):
+    # the stage layer hands arrays from the enumeration to the hull, the
+    # atom profile and purification; only the public nash_enumerate (and
+    # regret matching, outside the exact envelope) builds points
+    built = []
+    real = nash.NashPoint
+
+    def spy(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nash, "NashPoint", spy)
+    spec = atom_game("atom-heavy-0")
+    result = solve(spec)
+    assert result.diagnostics["iterations"] > 1 and result.epsilon <= 1e-6
+    assert built == []
+    nash.nash_enumerate(nash.StageGame(payoffs=(np.eye(2), np.eye(2)), actions=((0, 1),) * 2))
+    assert built
+
+
+def test_games_without_atoms_or_without_cells_keep_well_formed_arrays():
+    # no atoms: f2 is an empty (0, sum of action counts) array through the
+    # loop; no divisible cells: _finalize's stage arrays have no slots; the
+    # equilibrium count in the diagnostics stays a Python int either way
+    cells_only = constant_kernel_game(uniform_payoffs(36, (2, 3, 4)), [0.5, 0.6], n_cells=3)
+    opts = SolveOptions(max_iter=2)
+    state = solver._initial_state(cells_only, opts, 0)
+    groups = _signature_groups(cells_only, np.arange(cells_only.n_states))
+    no_atoms = _signature_groups(cells_only, cells_only.space.atom_indices)
+    solver._outer_loop(cells_only, opts, state, groups, no_atoms)
+    assert state.f2.shape == (0, 4) and state.iteration == 2
+    atoms_only = single_atom_game(uniform_payoffs(37, (2, 4)), [0.5, 0.6])
+    for spec in (cells_only, atoms_only):
+        result = solve(spec)
+        assert type(result.diagnostics["multi_equilibrium_cells"]) is int
+        assert canonical_bytes(result.diagnostics)
