@@ -1,9 +1,9 @@
 """Stationary equilibrium computation by damped fixed-point iteration.
 
 The solver alternates three blocks until the coupled data stop moving:
-(a) on the atomic cells, iterate the per-atom optimal-value operator
-(a sup-norm contraction with modulus max discount) to its fixed point
-and refresh the atom strategy profile with the stage equilibrium that
+(a) on the atomic cells, solve each player's Bellman equation against the
+others' atom strategies (a finite discounted MDP) by policy iteration and
+refresh the atom strategy profile with the stage equilibrium that
 reproduces the atom values; (b) on each divisible cell, enumerate the
 stage equilibria under the current continuation data and pick the point
 of their convex hull closest to the previous per-cell value; (c) fold
@@ -13,15 +13,14 @@ one stack per feasible-action signature (regret matching builds games
 outside the exact envelope one by one), into padded arrays of counts,
 payoffs and global profiles; the hull projection (one per equilibrium
 count), the atom profile (one masked argmin) and purification read them;
-no NashPoint is built on the exact path. The atom operator is built once
-per fixed point. The purified pieces carry actual stage equilibria, and
-the result is certified by the independent verifier; the reported slack
-is the verifier's number, never less.
+no NashPoint is built on the exact path. The purified pieces carry
+actual stage equilibria, and the result is certified by the independent
+verifier; the reported slack is the verifier's number, never less.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -42,7 +41,7 @@ from .nash import (
     stage_payoff_tensor,
 )
 
-INNER_TOL = 1e-10
+SWITCH_TOL = 1e-12  # least gain, relative to max(1, |value|), that switches an atom's action
 
 
 @dataclass(frozen=True)
@@ -50,11 +49,12 @@ class SolveOptions:
     """Solver knobs: outer tolerance, iteration caps, damping floor,
     restart budget, RNG seed, and the target certified slack.
 
-    The atom fixed point runs to ``INNER_TOL``; stage games are enumerated
-    in the mode :func:`~smpe.nash.enumeration_mode` picks. The options
-    and the game are validated once, on entry to ``solve``, and the
-    result's strategies where they enter the certificate, never inside
-    the loop.
+    The atom fixed point is exact up to ``SWITCH_TOL``; stage games are
+    enumerated in the mode :func:`~smpe.nash.enumeration_mode` picks.
+    The numbers are real, ``tol`` finite, and ``max_iter``, ``restarts``
+    and ``seed`` integers, not bool. The options and the game are
+    validated once, on entry to ``solve``, and the result's strategies
+    where they enter the certificate, never inside the loop.
     """
 
     tol: float = 1e-9
@@ -108,7 +108,7 @@ def atom_value_operator(
     and current atom values. A sup-norm contraction with modulus equal
     to the largest discount factor. ``f2`` is (n_atoms, sum of action
     counts), laid out as result strategies. The shapes of ``f2``, ``c`` and
-    ``v2`` are checked here; the step ``atom_fixed_point`` iterates checks none.
+    ``v2`` are checked here, not in the solver's loop.
     """
     v2 = np.asarray(v2, dtype=float)
     if c.c.shape != (spec.players, spec.kernel.n_components, spec.space.n_coarse):
@@ -220,38 +220,63 @@ def _stage_equilibria(states, groups, c, v2, spec, table):
     return counts, payoffs, profiles
 
 
-def atom_fixed_point(f2, c, spec, v2_init, tol=INNER_TOL, groups=None):
-    """Iterate the atom operator to its fixed point; returns (v2, iterations).
-
-    The operator is built once per call: ``f2`` and ``c`` stay fixed, so
-    each step only recomputes the atom continuation channel. ``groups``
-    may pass the atoms' signature groups to skip regrouping them.
-
-    With contraction modulus beta the step size shrinks geometrically,
-    so the loop is capped at ceil(log tol / log beta) + 1 beyond the
-    payoff-bound scale.
+def atom_fixed_point(f2, c, spec, v2_init, tol=1e-10, groups=None):
+    """Solve the atoms' Bellman equation by Howard's policy iteration;
+    returns (v2, evaluations). With ``f2`` and ``c`` fixed, each player's
+    atom problem is a finite discounted MDP. From the greedy policy at
+    ``v2_init``, each evaluation is one linear solve batched over the
+    players; an atom's action switches only on a gain above ``SWITCH_TOL``
+    * max(1, |value|), so ties never switch, and the loop stops when none
+    does. ``tol`` and ``groups`` are unused; callers still pass them.
     """
-    beta = float(spec.discounts.max())
     if spec.n_atoms == 0:
         return np.zeros((spec.players, 0)), 0
-    if beta == 0.0:
-        cap = 1
-    else:
-        extra = max(0.0, math.log(max(spec.payoff_bound, 1.0)))
-        cap = math.ceil((math.log(tol) - extra) / math.log(beta)) + 1
-    if groups is None:
-        groups = _signature_groups(spec, spec.space.atom_indices)
-    operator = _atom_operator(f2, c, spec, groups)
-    v2 = np.asarray(v2_init, dtype=float).copy()
-    iterations = 0
-    for _ in range(cap):
-        new = operator(v2)
-        iterations += 1
-        delta = float(np.max(np.abs(new - v2))) if v2.size else 0.0
-        v2 = new
-        if delta <= tol:
-            break
-    return v2, iterations
+    reward, transition = _atom_mdp(f2, c, spec)
+    players = np.arange(spec.players)[:, None]
+    atoms = np.arange(spec.n_atoms)
+    v2 = np.asarray(v2_init, dtype=float)
+    policy = np.argmax(reward + np.einsum("iskt,it->isk", transition, v2), axis=2)
+    identity = np.eye(spec.n_atoms)
+    for evaluations in itertools.count(1):
+        chosen = (players, atoms, policy)
+        v2 = np.linalg.solve(identity - transition[chosen], reward[chosen][..., None])[..., 0]
+        values = reward + np.einsum("iskt,it->isk", transition, v2)
+        current = values[chosen]
+        switch = values.max(axis=2) - current > SWITCH_TOL * np.maximum(1.0, np.abs(current))
+        if not switch.any():
+            return v2, evaluations
+        policy = np.where(switch, np.argmax(values, axis=2), policy)
+
+
+def _atom_mdp(f2, c, spec):
+    """Each player's affine Bellman form on the atoms at fixed ``f2`` and
+    ``c``, by global action: rewards (m, n_atoms, k) and transitions (m,
+    n_atoms, k, n_atoms), so the atom operator is max_a reward[i, s, a] +
+    transition[i, s, a] @ v2[i]. Each atom's payoff row and kernel rows are
+    contracted over the whole profile grid against the others' strategies
+    masked to feasible actions; infeasible actions get reward -inf and no
+    transition mass."""
+    atoms = spec.space.atom_indices
+    m, n = spec.players, len(atoms)
+    beta = spec.discounts[:, None, None]
+    offsets = np.cumsum([0] + [len(a) for a in spec.actions])  # player blocks of a profile
+    feasible = np.concatenate([feas[atoms] for feas in spec.feasible], axis=1)
+    cont_q = np.einsum("jesx,ije->isx", spec.kernel.q[:, :, atoms], c.c)
+    table = (1.0 - beta) * spec.payoffs[:, atoms] + beta * cont_q
+    kernel = np.swapaxes(spec.atom_kernel[:, atoms], 0, 1)  # (atom, target, profile)
+    kernel = np.broadcast_to(kernel, (m,) + kernel.shape)
+    stack = np.concatenate([table[:, :, None], kernel], axis=2)
+    stack = stack.reshape((m, n * (n + 1)) + spec.profile_shape)
+    local = np.split(np.repeat(np.where(feasible, f2, 0.0), n + 1, axis=0), offsets[1:-1], axis=1)
+    reward = np.full((m, n, max(len(a) for a in spec.actions)), -np.inf)
+    transition = np.zeros(reward.shape + (n,))
+    for i in range(m):
+        own = feasible[:, offsets[i] : offsets[i + 1]]
+        out = payoff_against_stack(stack, i, local).reshape(n, n + 1, -1)
+        reward[i, :, : own.shape[1]] = np.where(own, out[:, 0], -np.inf)
+        moved = np.swapaxes(out[:, 1:], 1, 2)
+        transition[i, :, : own.shape[1]] = moved * (spec.discounts[i] * own[..., None])
+    return reward, transition
 
 
 def _atom_strategies(v2, spec, stage):
@@ -305,14 +330,19 @@ def solve(spec: StochasticGameSpec, opts: SolveOptions = SolveOptions()) -> Equi
     :class:`NoConvergence` carries the best result certified before it,
     or None. Out-of-range options raise :class:`InvalidInput`.
     """
-    seed_ok = isinstance(opts.seed, (int, np.integer)) and 0 <= opts.seed < 2**64
+    def integer(x):
+        return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+    def real(x):
+        return integer(x) or isinstance(x, (float, np.floating))
+
     for name, ok, rule in (
-        ("tol", opts.tol > 0, "> 0"),
-        ("max_iter", opts.max_iter >= 1, ">= 1"),
-        ("damping", 0 < opts.damping <= 1, "in (0, 1]"),
-        ("restarts", opts.restarts >= 0, ">= 0"),
-        ("seed", seed_ok, "an integer in [0, 2**64)"),
-        ("eps_target", opts.eps_target > 0, "> 0"),
+        ("tol", real(opts.tol) and 0 < opts.tol < np.inf, "finite and > 0"),
+        ("max_iter", integer(opts.max_iter) and opts.max_iter >= 1, "an integer >= 1"),
+        ("damping", real(opts.damping) and 0 < opts.damping <= 1, "in (0, 1]"),
+        ("restarts", integer(opts.restarts) and opts.restarts >= 0, "an integer >= 0"),
+        ("seed", integer(opts.seed) and 0 <= opts.seed < 2**64, "an integer in [0, 2**64)"),
+        ("eps_target", real(opts.eps_target) and opts.eps_target > 0, "> 0"),
     ):
         if not ok:
             raise InvalidInput(f"solver option {name} must be {rule}, got {getattr(opts, name)!r}")
@@ -379,11 +409,9 @@ def _outer_loop(spec, opts, state: SolverState, groups, atom_groups) -> bool:
     atoms = spec.space.atom_indices
     for t in range(opts.max_iter):
         c = aggregate_moments(state.cell_values, spec)
-        v2_change = 0.0
-        if spec.n_atoms:
-            v2_new, _ = atom_fixed_point(state.f2, c, spec, state.v2, groups=atom_groups)
-            v2_change = float(np.max(np.abs(v2_new - state.v2)))
-            state.v2 = v2_new
+        v2_new, _ = atom_fixed_point(state.f2, c, spec, state.v2, groups=atom_groups)
+        v2_change = float(np.max(np.abs(v2_new - state.v2), initial=0.0))
+        state.v2 = v2_new
         _, stage, targets = _stage_step(c, state.v2, spec, groups, state.cell_values)
         f2_new = _atom_strategies(state.v2, spec, stage)
         f2_change = float(np.max(np.abs(state.f2 - f2_new), initial=0.0))
