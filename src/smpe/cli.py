@@ -93,8 +93,8 @@ def cmd_verify(args) -> int:
     result = gamefile.load_result(args.result, spec)
     cert = deviation_residual(result, spec)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(gamefile.canonical_bytes(gamefile.certificate_to_doc(cert, spec)))
+        doc = gamefile.certificate_to_doc(cert, spec)
+        gamefile.write_bytes(args.out, gamefile.canonical_bytes(doc))
     print(f"epsilon {cert.epsilon!r}")
     print(f"recursion_residual {cert.recursion_residual!r}")
     piece, player = np.unravel_index(np.argmax(cert.gains), cert.gains.shape)
@@ -117,8 +117,7 @@ def cmd_simulate(args) -> int:
     )
     doc = gamefile.simulation_to_doc(report)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(gamefile.canonical_bytes(doc))
+        gamefile.write_bytes(args.out, gamefile.canonical_bytes(doc))
     _emit(doc)
     return 0
 

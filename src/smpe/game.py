@@ -83,6 +83,8 @@ class StochasticGameSpec:
         discounts = np.asarray(self.discounts, dtype=float)
         payoffs = np.asarray(self.payoffs, dtype=float)
         atom_kernel = np.asarray(self.atom_kernel, dtype=float)
+        if discounts.ndim != 1:
+            raise InvalidInput(f"discounts must be a 1-D array, got shape {discounts.shape}")
         m = len(discounts)
         if m == 0 or np.any(discounts < 0) or np.any(discounts >= 1):
             raise InvalidInput("discount factors must lie in [0, 1)")

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import InvalidInput, ParseError, ValidationError
 from .game import KernelDecomposition, StochasticGameSpec, validate_game
 from .kernels import KernelMatrix
 from .measure import GridSpace, Piece, SplitSelection
@@ -108,9 +108,7 @@ def spec_from_doc(doc) -> StochasticGameSpec:
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported version {version}")
     players = _require(doc, "players", int, "")
-    discounts = _number_array(_require(doc, "discounts", list, ""), "discounts")
-    if len(discounts) != players:
-        raise ParseError("discounts must list one factor per player")
+    discounts = _number_array(_require(doc, "discounts", list, ""), "discounts", (players,))
     grid = _require(doc, "grid", dict, "")
     cells = _require(grid, "cells", list, "grid.")
     masses, divisible = [], []
@@ -132,6 +130,9 @@ def spec_from_doc(doc) -> StochasticGameSpec:
     actions = _require(doc, "actions", list, "")
     if len(actions) != players:
         raise ParseError("actions must list one action list per player")
+    for i, acts in enumerate(actions):
+        if not isinstance(acts, list):
+            raise ParseError(f"actions[{i}] must be a list of action labels")
     actions = tuple(tuple(str(a) for a in acts) for acts in actions)
     n_states = space.n_cells
     n_profiles = int(np.prod([len(a) for a in actions]))
@@ -182,9 +183,18 @@ def spec_from_doc(doc) -> StochasticGameSpec:
         raise ParseError(str(exc)) from None
 
 
+def write_bytes(path, data: bytes) -> None:
+    """Write ``data`` to ``path``, the one write path of every output
+    file; a path that cannot be written is an :class:`InvalidInput`."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def write_game_spec(path, spec: StochasticGameSpec) -> None:
-    with open(path, "wb") as fh:
-        fh.write(canonical_bytes(spec_to_doc(spec)))
+    write_bytes(path, canonical_bytes(spec_to_doc(spec)))
 
 
 def _read_json(path):
@@ -239,8 +249,7 @@ def result_to_doc(result, spec: StochasticGameSpec) -> dict:
 
 
 def write_result(path, result, spec) -> None:
-    with open(path, "wb") as fh:
-        fh.write(canonical_bytes(result_to_doc(result, spec)))
+    write_bytes(path, canonical_bytes(result_to_doc(result, spec)))
 
 
 def load_result(path, spec: StochasticGameSpec):
@@ -328,8 +337,7 @@ def write_kernel_matrix(path, kmtx: KernelMatrix) -> None:
     ]
     for row in kmtx.matrix:
         lines.append(" ".join(format(float(v), ".17g") for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_kernel_matrix(path) -> KernelMatrix:

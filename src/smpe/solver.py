@@ -104,59 +104,26 @@ def atom_value_operator(
 
     For each player and atomic cell, the new value is the best payoff
     over the player's own feasible actions against the others' fixed
-    atom strategies, with continuation folded in through the aggregates
-    and current atom values. A sup-norm contraction with modulus equal
-    to the largest discount factor. ``f2`` is (n_atoms, sum of action
-    counts), laid out as result strategies. The shapes of ``f2``, ``c`` and
-    ``v2`` are checked here, not in the solver's loop.
+    atom strategies, read off the stage-payoff table one signature stack
+    at a time, so it is bit-equal to the atoms' own stage games. A
+    sup-norm contraction with modulus equal to the largest discount
+    factor, and the independent Bellman check of :func:`atom_fixed_point`.
+    ``f2`` is (n_atoms, sum of action counts), laid out as result
+    strategies; :func:`stage_payoff_tensor` checks ``c`` and ``v2``.
     """
-    v2 = np.asarray(v2, dtype=float)
-    if c.c.shape != (spec.players, spec.kernel.n_components, spec.space.n_coarse):
-        raise InvalidInput("aggregate dimensions do not match the game")
-    if v2.shape != (spec.players, spec.n_atoms):
-        raise InvalidInput(f"atom values must be {(spec.players, spec.n_atoms)}")
+    table = stage_payoff_tensor(c, v2, spec)
     f2 = np.asarray(f2, dtype=float)
     if f2.shape != (spec.n_atoms, sum(len(a) for a in spec.actions)):
         raise InvalidInput("atom strategies must be (atoms, sum of action counts)")
     atoms = spec.space.atom_indices
-    return _atom_operator(f2, c, spec, _signature_groups(spec, atoms))(v2)
-
-
-def _atom_operator(f2, c, spec, groups):
-    """:func:`atom_value_operator` at fixed ``f2`` and ``c``, as a
-    function of the atom values alone.
-
-    Everything but the atom channel is computed here, once: the atom
-    rows of the discounted stage payoffs and of the aggregate
-    continuation, each signature group's slicing grid and its members'
-    local strategies. A step then adds the atom continuation with the
-    arithmetic of :func:`stage_payoff_tensor`, so it returns the same
-    bits as slicing that full table would.
-    """
-    atoms = spec.space.atom_indices
-    beta = spec.discounts[:, None, None]
-    base = (1.0 - beta) * spec.payoffs[:, atoms]
-    cont_q = np.einsum("jesx,ije->isx", spec.kernel.q[:, :, atoms], c.c)
-    kernel = spec.atom_kernel[:, atoms]
-    shape = (spec.players, len(atoms)) + spec.profile_shape
     offsets = np.cumsum([0] + [len(a) for a in spec.actions])  # player blocks of a profile
-    blocks = []
-    for actions, members in groups:
-        grid = np.ix_(range(spec.players), members, *actions)
+    new = np.empty((spec.players, len(atoms)))
+    for actions, members in _signature_groups(spec, atoms):
+        stack = _stage_stack(table, spec, atoms[members], actions)
         local = [f2[members][:, offsets[i] + actions[i]] for i in range(spec.players)]
-        blocks.append((members, grid, local))
-
-    def step(v2):
-        cont = cont_q + np.einsum("asx,ia->isx", kernel, v2)
-        table = (base + beta * cont).reshape(shape)
-        new = np.empty((spec.players, len(atoms)))
-        for members, grid, local in blocks:
-            stack = table[grid]
-            for i in range(spec.players):
-                new[i, members] = payoff_against_stack(stack, i, local).max(axis=1)
-        return new
-
-    return step
+        for i in range(spec.players):
+            new[i, members] = payoff_against_stack(stack, i, local).max(axis=1)
+    return new
 
 
 def _signature_groups(spec, states):
@@ -220,14 +187,14 @@ def _stage_equilibria(states, groups, c, v2, spec, table):
     return counts, payoffs, profiles
 
 
-def atom_fixed_point(f2, c, spec, v2_init, tol=1e-10, groups=None):
+def atom_fixed_point(f2, c, spec, v2_init):
     """Solve the atoms' Bellman equation by Howard's policy iteration;
     returns (v2, evaluations). With ``f2`` and ``c`` fixed, each player's
     atom problem is a finite discounted MDP. From the greedy policy at
     ``v2_init``, each evaluation is one linear solve batched over the
     players; an atom's action switches only on a gain above ``SWITCH_TOL``
     * max(1, |value|), so ties never switch, and the loop stops when none
-    does. ``tol`` and ``groups`` are unused; callers still pass them.
+    does.
     """
     if spec.n_atoms == 0:
         return np.zeros((spec.players, 0)), 0
@@ -358,12 +325,11 @@ def solve(spec: StochasticGameSpec, opts: SolveOptions = SolveOptions()) -> Equi
 
     # feasible-action signatures depend on the game alone
     groups = _signature_groups(spec, np.arange(spec.n_states))
-    atom_groups = _signature_groups(spec, spec.space.atom_indices)
     best = None
     for restart in range(opts.restarts + 1):
         state = _initial_state(spec, opts, restart)
         try:
-            converged = _outer_loop(spec, opts, state, groups, atom_groups)
+            converged = _outer_loop(spec, opts, state, groups)
             result = _finalize(spec, opts, state, restart, converged, groups)
         except NoConvergence as exc:  # regret matching missed on a stage game
             raise NoConvergence(
@@ -405,11 +371,11 @@ def _initial_state(spec, opts, restart):
     return SolverState(v2=v2, f2=f2, cell_values=cell_values)
 
 
-def _outer_loop(spec, opts, state: SolverState, groups, atom_groups) -> bool:
+def _outer_loop(spec, opts, state: SolverState, groups) -> bool:
     atoms = spec.space.atom_indices
     for t in range(opts.max_iter):
         c = aggregate_moments(state.cell_values, spec)
-        v2_new, _ = atom_fixed_point(state.f2, c, spec, state.v2, groups=atom_groups)
+        v2_new, _ = atom_fixed_point(state.f2, c, spec, state.v2)
         v2_change = float(np.max(np.abs(v2_new - state.v2), initial=0.0))
         state.v2 = v2_new
         _, stage, targets = _stage_step(c, state.v2, spec, groups, state.cell_values)

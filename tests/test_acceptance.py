@@ -246,9 +246,7 @@ def test_criterion_4_atom_contraction():
             )
             den = np.max(np.abs(v2 - w2))
             assert num <= beta * den + 1e-12
-        _, iters = atom_fixed_point(
-            f2, c, spec, np.zeros((spec.players, spec.n_atoms)), tol=1e-10
-        )
+        _, iters = atom_fixed_point(f2, c, spec, np.zeros((spec.players, spec.n_atoms)))
         assert iters <= math.ceil(math.log(1e-10) / math.log(beta)) + 1
     report(4, "atom operator contraction", "5 instances x 100 pairs, iteration bound held")
 

@@ -182,6 +182,52 @@ def test_cell_without_pieces_exits_two(game_file, result_file, command):
     assert "pieces" in err and "Traceback" not in err
 
 
+MALFORMED_GAMES = {
+    "int-actions": lambda doc: {**doc, "actions": [2] * len(doc["actions"])},
+    "string-actions": lambda doc: {**doc, "actions": ["ab"] * len(doc["actions"])},
+    "2d-discounts": lambda doc: {**doc, "discounts": [[b] for b in doc["discounts"]]},
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "simulate"])
+@pytest.mark.parametrize("damage", sorted(MALFORMED_GAMES))
+def test_malformed_game_document_exits_two(game_file, result_file, tmp_path, command, damage):
+    # actions must be lists of labels and discounts one number per player,
+    # before any of it reaches the solver or the verifier
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(MALFORMED_GAMES[damage](json.loads(game_file.read_text()))))
+    args = [command, "--game", str(bad)]
+    if command != "solve":
+        args += ["--result", str(result_file)]
+    code, err = run_cli(args)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("discounts" if damage == "2d-discounts" else "actions[0]") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--game", "{game}", "--out", "{out}"],
+        ["verify", "--game", "{game}", "--result", "{result}", "--out", "{out}"],
+        ["simulate", "--game", "{game}", "--result", "{result}"]
+        + ["--horizon", "5", "--out", "{out}"],
+        ["demo", "nowak", "--seed", "2", "--cells", "6", "--out", "{out}"],
+        ["demo", "levy", "--sizes", "8", "--out-kernel", "{out}"],
+    ],
+    ids=["solve", "verify", "simulate", "demo-nowak", "demo-levy"],
+)
+def test_unwritable_output_path_exits_two(game_file, result_file, tmp_path, argv):
+    # an output inside a missing directory is an input error, not a crash
+    out = tmp_path / "missing" / "out"
+    names = {"game": game_file, "result": result_file, "out": out}
+    code, err = run_cli([a.format(**names) for a in argv])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [

@@ -81,6 +81,12 @@ def test_discount_out_of_range_rejected():
         single_atom_game(np.zeros((1, 2)), [1.0])
 
 
+def test_two_dimensional_discounts_rejected():
+    # one factor per player: a column of factors is no discount vector
+    with pytest.raises(InvalidInput, match="1-D"):
+        replace(two_cell_spec(), discounts=np.array([[0.5], [0.5]]))
+
+
 # --- sunspot extension ---------------------------------------------------------
 
 

@@ -21,7 +21,6 @@ from smpe.nash import (
 )
 from smpe.solver import (
     SolveOptions,
-    _atom_operator,
     _signature_groups,
     _stage_equilibria,
     atom_fixed_point,
@@ -68,7 +67,7 @@ def test_atom_fixed_point_geometric_series():
     spec = single_atom_game(np.array([[1.0, 1.0]]), [0.5])
     f2 = uniform_atom_profile(spec)
     c = AggregateVector(np.zeros((1, 1, 1)))
-    v2, iters = atom_fixed_point(f2, c, spec, np.zeros((1, 1)), tol=1e-10)
+    v2, iters = atom_fixed_point(f2, c, spec, np.zeros((1, 1)))
     assert v2[0, 0] == pytest.approx(1.0, abs=1e-9)
     assert iters <= math.ceil(math.log(1e-10) / math.log(0.5)) + 1
 
@@ -95,7 +94,7 @@ def test_inner_loop_iteration_bound():
     beta = float(spec.discounts.max())
     f2 = uniform_atom_profile(spec)
     c = AggregateVector(np.zeros((spec.players, spec.kernel.n_components, spec.space.n_coarse)))
-    _, iters = atom_fixed_point(f2, c, spec, np.zeros((spec.players, spec.n_atoms)), tol=1e-10)
+    _, iters = atom_fixed_point(f2, c, spec, np.zeros((spec.players, spec.n_atoms)))
     assert iters <= math.ceil(math.log(1e-10) / math.log(beta)) + 1
 
 
@@ -431,16 +430,13 @@ def test_atom_operator_matches_full_table_reference(name):
     spec = atom_game(name)
     rng = np.random.Generator(np.random.Philox(key=[7, 99]))
     c = aggregate_moments(rng.uniform(-1, 1, (spec.n_states, spec.players)), spec)
-    groups = _signature_groups(spec, spec.space.atom_indices)
     for f2 in (uniform_atom_profile(spec), random_atom_profile(spec, rng)):
-        step = _atom_operator(f2, c, spec, groups)
         v2 = np.zeros((spec.players, spec.n_atoms))
         for _ in range(6):
             expected = atom_operator_reference(f2, c, v2, spec)
-            assert np.array_equal(step(v2), expected)
             assert np.array_equal(atom_value_operator(f2, c, v2, spec), expected)
             v2 = expected
-        got = atom_fixed_point(f2, c, spec, np.zeros_like(v2), tol=1e-10, groups=groups)
+        got = atom_fixed_point(f2, c, spec, np.zeros_like(v2))
         ref = atom_fixed_point_reference(f2, c, spec, np.zeros_like(v2), tol=1e-10)
         assert np.max(np.abs(got[0] - ref[0])) <= fixed_point_bound(spec)
         assert got[1] < ref[1]
@@ -578,8 +574,7 @@ def test_outer_iteration_builds_one_stage_table(monkeypatch):
     opts = SolveOptions(max_iter=1)
     state = solver._initial_state(spec, opts, 0)
     groups = _signature_groups(spec, np.arange(spec.n_states))
-    atom_groups = _signature_groups(spec, spec.space.atom_indices)
-    solver._outer_loop(spec, opts, state, groups, atom_groups)
+    solver._outer_loop(spec, opts, state, groups)
     # one table, built outside the fixed point, and one enumeration of
     # every state's stage game, for the atom strategies and the divisible
     # cells together
@@ -616,8 +611,7 @@ def test_games_without_atoms_or_without_cells_keep_well_formed_arrays():
     opts = SolveOptions(max_iter=2)
     state = solver._initial_state(cells_only, opts, 0)
     groups = _signature_groups(cells_only, np.arange(cells_only.n_states))
-    no_atoms = _signature_groups(cells_only, cells_only.space.atom_indices)
-    solver._outer_loop(cells_only, opts, state, groups, no_atoms)
+    solver._outer_loop(cells_only, opts, state, groups)
     assert state.f2.shape == (0, 4) and state.iteration == 2
     atoms_only = single_atom_game(uniform_payoffs(37, (2, 4)), [0.5, 0.6])
     for spec in (cells_only, atoms_only):
