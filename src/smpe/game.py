@@ -150,14 +150,14 @@ class StochasticGameSpec:
     def profile_actions(self, flat_index: int) -> tuple:
         return tuple(int(v) for v in np.unravel_index(flat_index, self.profile_shape))
 
-    def feasible_profiles(self, state: int) -> np.ndarray:
-        """Boolean mask over flat profile indices that are feasible at ``state``."""
-        mask = np.ones(self.profile_shape, dtype=bool)
+    def feasible_mask(self) -> np.ndarray:
+        """(n_states, n_profiles) boolean mask of the profiles feasible at each state."""
+        mask = np.ones((self.n_states,) + self.profile_shape, dtype=bool)
         for i, feas in enumerate(self.feasible):
-            shape = [1] * self.players
-            shape[i] = -1
-            mask &= feas[state].reshape(shape)
-        return mask.reshape(-1)
+            shape = [self.n_states] + [1] * self.players
+            shape[1 + i] = -1
+            mask &= feas.reshape(shape)
+        return mask.reshape(self.n_states, -1)
 
     def moment_weights(self) -> np.ndarray:
         """(J, n_coarse) mass-weighted integrals of each density per coarse cell."""
@@ -211,38 +211,30 @@ def validate_game(spec: StochasticGameSpec, tol: float = NORMALIZATION_TOL) -> V
     violations = []
     if np.any(spec.kernel.rho < 0) or np.any(spec.kernel.q < 0) or np.any(spec.atom_kernel < 0):
         violations.append("negative kernel component")
-    feas_any = np.zeros((spec.players, spec.n_states), dtype=bool)
-    for i, feas in enumerate(spec.feasible):
-        feas_any[i] = feas.any(axis=1)
+    feas_any = np.stack([feas.any(axis=1) for feas in spec.feasible])
     if not feas_any.all():
         player, state = np.argwhere(~feas_any)[0]
         violations.append(f"empty feasible set for player {player} at state {state}")
+    mask = spec.feasible_mask()
     div_mass = np.einsum("je,jesx->sx", spec.moment_weights(), spec.kernel.q)
     total = div_mass + spec.atom_kernel.sum(axis=0)
-    bad = 0
-    for s in range(spec.n_states):
-        mask = spec.feasible_profiles(s)
-        off = np.abs(total[s] - 1.0)
-        off[~mask] = 0.0
-        x = int(np.argmax(off))
-        if off[x] > tol:
-            bad += 1
-            if bad <= 5:
-                violations.append(
-                    f"normalization {total[s, x]:g} != 1 at state {s}, profile {x}"
-                )
-    if bad > 5:
-        violations.append(f"normalization fails at {bad} states in total")
-    for i in range(spec.players):
-        for s in range(spec.n_states):
-            mask = spec.feasible_profiles(s)
-            worst = np.max(np.abs(spec.payoffs[i, s][mask])) if mask.any() else 0.0
-            if worst > spec.payoff_bound + 1e-12:
-                violations.append(
-                    f"payoff bound exceeded: |u| = {worst:g} > C = {spec.payoff_bound:g}"
-                    f" (player {i}, state {s})"
-                )
-                break
+    off = np.where(mask, np.abs(total - 1.0), 0.0)
+    worst = off.argmax(axis=1)  # first worst profile per state
+    bad = np.flatnonzero(off.max(axis=1) > tol)
+    for s in bad[:5]:
+        violations.append(
+            f"normalization {total[s, worst[s]]:g} != 1 at state {s}, profile {worst[s]}"
+        )
+    if len(bad) > 5:
+        violations.append(f"normalization fails at {len(bad)} states in total")
+    bound = np.where(mask, np.abs(spec.payoffs), 0.0).max(axis=2)  # (players, n_states)
+    over = bound > spec.payoff_bound + 1e-12
+    for i in np.flatnonzero(over.any(axis=1)):
+        s = over[i].argmax()  # the first offending state
+        violations.append(
+            f"payoff bound exceeded: |u| = {bound[i, s]:g} > C = {spec.payoff_bound:g}"
+            f" (player {i}, state {s})"
+        )
     atoms = spec.space.atom_indices
     no_g_atom = not (len(atoms) and np.any(spec.kernel.rho[:, atoms] > 0))
     return ValidationReport(passed=not violations, violations=tuple(violations), no_g_atom=no_g_atom)
@@ -262,19 +254,12 @@ def sunspot_extend(spec: StochasticGameSpec, sunspot_cells: int) -> StochasticGa
     if not spec.space.divisible.any():
         raise InvalidInput("nothing to extend: the game has no divisible cells")
     old = spec.space
-    masses, divisible, coarse, origin = [], [], [], []
-    for k in range(old.n_cells):
-        copies = sunspot_cells if old.divisible[k] else 1
-        for _ in range(copies):
-            masses.append(old.masses[k] / copies)
-            divisible.append(bool(old.divisible[k]))
-            coarse.append(k)
-            origin.append(k)
-    origin = np.asarray(origin)
+    copies = np.where(old.divisible, sunspot_cells, 1)
+    origin = np.repeat(np.arange(old.n_cells), copies)
     new_space = GridSpace(
-        np.asarray(masses, dtype=float),
-        np.asarray(divisible, dtype=bool),
-        np.asarray(coarse, dtype=int),
+        np.asarray((old.masses / copies)[origin], dtype=float),
+        old.divisible[origin],
+        origin,
     )
     feasible = tuple(f[origin] for f in spec.feasible)
     payoffs = spec.payoffs[:, origin, :]

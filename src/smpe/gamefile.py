@@ -68,6 +68,14 @@ def _number_array(value, path, shape=None):
     return arr
 
 
+def _mask_array(value, path, shape):
+    """A boolean mask written with 0, 1, true and false only."""
+    arr = _number_array(value, path, shape)
+    if np.asarray(value).dtype.kind not in "biuf" or not np.all((arr == 0) | (arr == 1)):
+        raise ParseError(f"{path} entries must be 0, 1, true or false")
+    return arr.astype(bool)
+
+
 def spec_to_doc(spec: StochasticGameSpec) -> dict:
     atoms = spec.space.atom_indices
     return {
@@ -119,6 +127,9 @@ def spec_from_doc(doc) -> StochasticGameSpec:
     coarse = _require(grid, "coarse", list, "grid.")
     if len(coarse) != len(cells):
         raise ParseError("grid.coarse must assign one coarse id per cell")
+    for k, e in enumerate(coarse):
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise ParseError(f"grid.coarse[{k}] must be an integer, got {e!r}")
     try:
         space = GridSpace(
             np.asarray(masses, dtype=float),
@@ -140,7 +151,7 @@ def spec_from_doc(doc) -> StochasticGameSpec:
     if len(feas_doc) != players:
         raise ParseError("feasible must list one mask per player")
     feasible = tuple(
-        _number_array(feas_doc[i], f"feasible[{i}]", (n_states, len(actions[i]))).astype(bool)
+        _mask_array(feas_doc[i], f"feasible[{i}]", (n_states, len(actions[i])))
         for i in range(players)
     )
     payoffs = _number_array(

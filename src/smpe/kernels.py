@@ -65,7 +65,7 @@ class KernelMatrix:
 
     def block_ids(self):
         """Coarse ids that own at least one matrix row, ascending."""
-        return sorted(set(int(self.space.coarse[r]) for r in self.rows))
+        return np.unique(self.space.coarse[self.rows]).tolist()
 
 
 def kernel_matrix(spec: StochasticGameSpec, profiles=None) -> KernelMatrix:
@@ -75,14 +75,13 @@ def kernel_matrix(spec: StochasticGameSpec, profiles=None) -> KernelMatrix:
     profile indices (all profiles by default).
     """
     if profiles is None:
-        profiles = list(range(spec.n_profiles))
-    profiles = [int(p) for p in profiles]
+        profiles = range(spec.n_profiles)
+    profiles = np.array([int(p) for p in profiles], dtype=int)
     dens = spec.cell_density()  # (n_cells, n_states, n_profiles)
     rows = spec.space.divisible_indices
-    sub = dens[np.ix_(rows, range(spec.n_states), profiles)]
-    matrix = sub.reshape(len(rows), -1)
-    columns = np.array(
-        [(s, p) for s in range(spec.n_states) for p in profiles], dtype=int
+    matrix = dens[rows][:, :, profiles].reshape(len(rows), spec.n_states * len(profiles))
+    columns = np.column_stack(
+        [np.repeat(np.arange(spec.n_states), len(profiles)), np.tile(profiles, spec.n_states)]
     )
     return KernelMatrix(matrix=matrix, space=spec.space, rows=rows, columns=columns)
 
@@ -100,16 +99,19 @@ def check_coarser(kmtx: KernelMatrix, tol: float = ROW_MATCH_TOL) -> bool:
     if not np.all(space.divisible[kmtx.rows]):
         return False
     coarse_of_rows = space.coarse[kmtx.rows]
+    sizes = np.bincount(coarse_of_rows, minlength=space.n_coarse)  # matrix rows per coarse cell
     masses = np.asarray(space.masses, dtype=float)
-    for e in set(int(c) for c in coarse_of_rows):
-        members = space.coarse_members(e)
-        if np.any(~space.divisible[members] & (masses[members] > 0)):
-            return False  # a covered coarse cell hides an indivisible chunk
-        block = kmtx.matrix[coarse_of_rows == e]
-        if block.shape[0] > 1:
-            spread = block.max(axis=0) - block.min(axis=0)
-            if spread.max() > tol:
-                return False
+    if np.any((sizes[space.coarse] > 0) & ~space.divisible & (masses > 0)):
+        return False  # a covered coarse cell hides an indivisible chunk
+    # rows ordered by block size, then by coarse cell: the blocks of one
+    # size are one (blocks, size, columns) stack
+    matrix = kmtx.matrix[np.lexsort((coarse_of_rows, sizes[coarse_of_rows]))]
+    start = 0
+    for size, count in zip(*np.unique(sizes[sizes > 0], return_counts=True)):
+        stack = matrix[start : start + size * count].reshape(count, size, matrix.shape[1])
+        if np.any(stack.max(axis=1) - stack.min(axis=1) > tol):
+            return False
+        start += size * count
     return True
 
 

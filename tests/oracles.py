@@ -16,14 +16,22 @@ projection one point set and one ``lstsq`` per support, pins the
 stacked projection's supports, and its points and weights to rounding.
 ``points_of`` reads the stage layer's padded arrays back as one game's
 list of points, so they can be held against the one-game references.
+``validate_game_reference``, ``check_coarser_reference`` and
+``sunspot_extend_reference`` are the game-boundary checks state by state
+and coarse cell by coarse cell; the array programs must give the same
+reports, verdicts and extensions.
 """
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
+from smpe.game import NORMALIZATION_TOL, KernelDecomposition, ValidationReport
+from smpe.kernels import ROW_MATCH_TOL
+from smpe.measure import GridSpace
 from smpe.nash import NashPoint, payoff_against_stack, stage_payoff_tensor
 from smpe.solver import _signature_groups, _stage_stack
 
@@ -402,3 +410,110 @@ def project_to_hull_reference(target, points):
                 if dist <= 1e-15:
                     return best[1], best[2]
     return best[1], best[2]
+
+
+def feasible_profiles_reference(spec, state):
+    """Boolean mask over flat profile indices that are feasible at ``state``."""
+    mask = np.ones(spec.profile_shape, dtype=bool)
+    for i, feas in enumerate(spec.feasible):
+        shape = [1] * spec.players
+        shape[i] = -1
+        mask &= feas[state].reshape(shape)
+    return mask.reshape(-1)
+
+
+def validate_game_reference(spec, tol=NORMALIZATION_TOL):
+    """``validate_game`` one state and one player at a time."""
+    violations = []
+    if np.any(spec.kernel.rho < 0) or np.any(spec.kernel.q < 0) or np.any(spec.atom_kernel < 0):
+        violations.append("negative kernel component")
+    feas_any = np.zeros((spec.players, spec.n_states), dtype=bool)
+    for i, feas in enumerate(spec.feasible):
+        feas_any[i] = feas.any(axis=1)
+    if not feas_any.all():
+        player, state = np.argwhere(~feas_any)[0]
+        violations.append(f"empty feasible set for player {player} at state {state}")
+    div_mass = np.einsum("je,jesx->sx", spec.moment_weights(), spec.kernel.q)
+    total = div_mass + spec.atom_kernel.sum(axis=0)
+    bad = 0
+    for s in range(spec.n_states):
+        mask = feasible_profiles_reference(spec, s)
+        off = np.abs(total[s] - 1.0)
+        off[~mask] = 0.0
+        x = int(np.argmax(off))
+        if off[x] > tol:
+            bad += 1
+            if bad <= 5:
+                violations.append(
+                    f"normalization {total[s, x]:g} != 1 at state {s}, profile {x}"
+                )
+    if bad > 5:
+        violations.append(f"normalization fails at {bad} states in total")
+    for i in range(spec.players):
+        for s in range(spec.n_states):
+            mask = feasible_profiles_reference(spec, s)
+            worst = np.max(np.abs(spec.payoffs[i, s][mask])) if mask.any() else 0.0
+            if worst > spec.payoff_bound + 1e-12:
+                violations.append(
+                    f"payoff bound exceeded: |u| = {worst:g} > C = {spec.payoff_bound:g}"
+                    f" (player {i}, state {s})"
+                )
+                break
+    atoms = spec.space.atom_indices
+    no_g_atom = not (len(atoms) and np.any(spec.kernel.rho[:, atoms] > 0))
+    return ValidationReport(passed=not violations, violations=tuple(violations), no_g_atom=no_g_atom)
+
+
+def check_coarser_reference(kmtx, tol=ROW_MATCH_TOL):
+    """``check_coarser`` one covered coarse cell at a time."""
+    space = kmtx.space
+    if not np.all(space.divisible[kmtx.rows]):
+        return False
+    coarse_of_rows = space.coarse[kmtx.rows]
+    masses = np.asarray(space.masses, dtype=float)
+    for e in set(int(c) for c in coarse_of_rows):
+        members = space.coarse_members(e)
+        if np.any(~space.divisible[members] & (masses[members] > 0)):
+            return False  # a covered coarse cell hides an indivisible chunk
+        block = kmtx.matrix[coarse_of_rows == e]
+        if block.shape[0] > 1:
+            spread = block.max(axis=0) - block.min(axis=0)
+            if spread.max() > tol:
+                return False
+    return True
+
+
+def sunspot_extend_reference(spec, sunspot_cells):
+    """``sunspot_extend`` with the new grid built one cell and one copy at a
+    time (its input checks left to the library)."""
+    old = spec.space
+    masses, divisible, coarse, origin = [], [], [], []
+    for k in range(old.n_cells):
+        copies = sunspot_cells if old.divisible[k] else 1
+        for _ in range(copies):
+            masses.append(old.masses[k] / copies)
+            divisible.append(bool(old.divisible[k]))
+            coarse.append(k)
+            origin.append(k)
+    origin = np.asarray(origin)
+    new_space = GridSpace(
+        np.asarray(masses, dtype=float),
+        np.asarray(divisible, dtype=bool),
+        np.asarray(coarse, dtype=int),
+    )
+    feasible = tuple(f[origin] for f in spec.feasible)
+    payoffs = spec.payoffs[:, origin, :]
+    rho = spec.kernel.rho[:, origin]
+    # new coarse cell k0 is the old fine cell k0: look up the old coarse table
+    # at old coarse id of k0, for the old source state behind each new state
+    q_old_coarse = spec.kernel.q[:, old.coarse, :, :]  # (J, old_cells, old_s, x)
+    q = q_old_coarse[:, :, origin, :]
+    atom_kernel = spec.atom_kernel[:, origin, :]
+    return replace(
+        spec,
+        feasible=feasible,
+        payoffs=payoffs,
+        space=new_space,
+        kernel=KernelDecomposition(rho=rho, q=q),
+        atom_kernel=atom_kernel,
+    )

@@ -206,6 +206,42 @@ def test_malformed_game_document_exits_two(game_file, result_file, tmp_path, com
     assert "Traceback" not in err
 
 
+def _set_entry(doc, path, value):
+    """``doc`` with the entry at the key/index ``path`` replaced by ``value``."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# entries numpy would coerce: coarse 0.9 and "0" read as 0, feasible 0.5 as true
+COERCED_GAMES = {
+    "float-coarse": (("grid", "coarse", 3), 0.9, "grid.coarse[3]"),
+    "string-coarse": (("grid", "coarse", 0), "0", "grid.coarse[0]"),
+    "fractional-feasible": (("feasible", 0, 0, 0), 0.5, "feasible[0]"),
+    "string-feasible": (("feasible", 1, 2, 1), "1", "feasible[1]"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "simulate"])
+@pytest.mark.parametrize("damage", sorted(COERCED_GAMES))
+def test_coerced_game_entry_exits_two(game_file, result_file, tmp_path, command, damage):
+    path, value, entry = COERCED_GAMES[damage]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_set_entry(json.loads(game_file.read_text()), path, value)))
+    args = [command, "--game", str(bad)]
+    if command != "solve":
+        args += ["--result", str(result_file)]
+    if command == "simulate":
+        args += ["--horizon", "5"]  # so that only the game entry can fail
+    code, err = run_cli(args)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert entry in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,6 +1,7 @@
 """Game/result file round trips and the kernel-matrix text format."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,37 @@ def test_schema_violation_reports_key_path(tmp_path):
     with pytest.raises(ParseError) as err:
         gamefile.parse_game_spec(path)
     assert "kernel.rho" in str(err.value)
+
+
+def test_boolean_feasible_masks_load_like_zero_one_masks():
+    _, spec = random_nowak_game(seed=2, n_cells=3, j_components=1, k_atoms=1)
+    doc = gamefile.spec_to_doc(spec)
+    doc["feasible"][0][1] = [0, 1]
+    as_bools = json.loads(json.dumps(doc))
+    as_bools["feasible"] = [[[bool(v) for v in row] for row in f] for f in doc["feasible"]]
+    loaded = gamefile.spec_from_doc(as_bools)
+    assert gamefile.spec_hash(loaded) == gamefile.spec_hash(gamefile.spec_from_doc(doc))
+    assert loaded.feasible[0][1].tolist() == [False, True]
+
+
+@pytest.mark.parametrize(
+    "path, value, entry",
+    [
+        (("grid", "coarse", 1), 0.0, "grid.coarse[1]"),
+        (("grid", "coarse", 0), True, "grid.coarse[0]"),
+        (("feasible", 1, 0, 0), 2, "feasible[1]"),
+        (("feasible", 0, 2, 1), -1, "feasible[0]"),
+    ],
+)
+def test_coerced_grid_or_mask_entry_is_parse_error(path, value, entry):
+    _, spec = random_nowak_game(seed=2, n_cells=3, j_components=1, k_atoms=1)
+    doc = gamefile.spec_to_doc(spec)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ParseError, match=re.escape(entry)):
+        gamefile.spec_from_doc(doc)
 
 
 def test_result_round_trip_and_hash_guard(tmp_path):
