@@ -93,7 +93,7 @@ class StochasticGameSpec:
             raise InvalidInput("each player needs a nonempty global action list")
         n_states = self.space.n_cells
         n_profiles = int(np.prod([len(a) for a in actions]))
-        feasible = tuple(np.asarray(f, dtype=bool) for f in self.feasible)
+        feasible = tuple(np.array(f, dtype=bool) for f in self.feasible)  # copied: no alias
         if len(feasible) != m or any(
             f.shape != (n_states, len(actions[i])) for i, f in enumerate(feasible)
         ):
@@ -115,7 +115,7 @@ class StochasticGameSpec:
             raise InvalidInput("kernel rho must cover every cell")
         if self.kernel.q.shape[1:] != (self.space.n_coarse, n_states, n_profiles):
             raise InvalidInput("kernel q must be (J, n_coarse, n_states, n_profiles)")
-        for arr in (discounts, payoffs, atom_kernel):
+        for arr in (discounts, payoffs, atom_kernel, *feasible):
             arr.setflags(write=False)
         object.__setattr__(self, "discounts", discounts)
         object.__setattr__(self, "actions", actions)

@@ -55,10 +55,14 @@ def _decimal(doc, key, path):
 
 
 def _number_array(value, path, shape=None):
+    """``value`` as floats; JSON numbers and booleans only, never strings."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "biuf":
+            raise ValueError
+    except ValueError:  # a ragged nesting, a string, null or an object
         raise ParseError(f"{path} must be a numeric array") from None
+    arr = arr.astype(float)
     if shape is not None and arr.shape != shape:
         if arr.size == 0 and 0 in shape:
             return np.zeros(shape)  # empty blocks lose their shape in JSON
@@ -71,7 +75,7 @@ def _number_array(value, path, shape=None):
 def _mask_array(value, path, shape):
     """A boolean mask written with 0, 1, true and false only."""
     arr = _number_array(value, path, shape)
-    if np.asarray(value).dtype.kind not in "biuf" or not np.all((arr == 0) | (arr == 1)):
+    if not np.all((arr == 0) | (arr == 1)):
         raise ParseError(f"{path} entries must be 0, 1, true or false")
     return arr.astype(bool)
 

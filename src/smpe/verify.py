@@ -2,26 +2,28 @@
 
 This module re-derives everything it needs from the game data and the
 reported piecewise values/strategies alone, and it is where results
-enter: the certificate and the simulation both first reject a profile
-whose piece fractions or strategies are not probability vectors (the
-strategies on the feasible actions).
-It deliberately shares no stage-game or enumeration code with the
-solver, so agreement between the two is a genuine cross-check. It
-computes one-shot deviation gains state by state (at the sub-interval
-granularity of the reported selections), the exact evaluation of the
-reported strategy profile via a linear solve, and reproducible Monte
-Carlo estimates of discounted play. The simulation draws pieces,
-actions and next states by exact guide-table inverse-CDF lookups, O(1)
-per draw, that return the indices of the comparison rule
-``#{j : cum[r, j] < u}`` bit for bit.
+enter: both readers flatten the reported selections into one table of
+pieces (cell, position in the cell, fraction, value, strategy) and
+reject a profile whose fractions or strategies are not probability
+vectors (the strategies on the feasible actions). It deliberately
+shares no stage-game or enumeration code with the solver, so agreement
+between the two is a genuine cross-check. As array steps over that
+table it computes the one-shot deviation gains of every piece, the
+exact evaluation of the reported strategy profile via a linear solve,
+and the sampling tables of reproducible Monte Carlo estimates of
+discounted play. The simulation draws pieces, actions and next states
+by exact guide-table inverse-CDF lookups, O(1) per draw, that return
+the indices of the comparison rule ``#{j : cum[r, j] < u}`` bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,52 +61,62 @@ class Certificate:
     simulation: SimulationReport | None = None
 
 
-def _strategy_slices(spec):
-    sizes = [len(a) for a in spec.actions]
-    offsets = np.cumsum([0] + sizes)
-    return [slice(offsets[i], offsets[i + 1]) for i in range(spec.players)]
+class _PieceTable(NamedTuple):
+    """Every piece of a reported profile in cell order: its cell, its
+    position within the cell, its mass fraction, its value vector and its
+    strategy (the players' strategies concatenated)."""
+
+    cell: np.ndarray  # (P,)
+    index: np.ndarray  # (P,)
+    fraction: np.ndarray  # (P,)
+    value: np.ndarray  # (P, m)
+    strategy: np.ndarray  # (P, sum of action counts)
 
 
-def _reduce_against(tensor, player, strategies):
-    """Contract a payoff tensor over every axis except ``player``'s."""
-    axes = list(range(tensor.ndim))
-    out = tensor
-    for j in sorted((a for a in axes if a != player), reverse=True):
-        out = np.tensordot(out, strategies[j], axes=([j], [0]))
-    return out
+def _piece_table(result, spec):
+    """The pieces of ``result``'s value and strategy selections as one
+    table, once the fractions and strategies pass their checks."""
+    result.values.validate(spec.space)
+    counts = np.fromiter(map(len, result.values.pieces), dtype=int)
+    strategy_counts = np.fromiter(map(len, result.strategies.pieces), dtype=int, count=len(counts))
+    disagree = np.flatnonzero(counts != strategy_counts)
+    if disagree.size:
+        raise InvalidInput(f"cell {disagree[0]}: value and strategy pieces disagree")
+    fraction, value = zip(*itertools.chain.from_iterable(result.values.pieces))
+    _, strategy = zip(*itertools.chain.from_iterable(result.strategies.pieces))
+    cell = np.repeat(np.arange(len(counts)), counts)
+    table = _PieceTable(
+        cell=cell,
+        index=np.arange(len(cell)) - (np.cumsum(counts) - counts)[cell],
+        fraction=np.array(fraction, dtype=float),
+        value=np.array(value, dtype=float),
+        strategy=np.array(strategy, dtype=float),
+    )
+    _check_strategies(table, spec)
+    return table
 
 
-def _pieces_of(result, spec):
-    """Flat list of (cell, piece index, value, per-player strategy vectors)."""
-    slices = _strategy_slices(spec)
-    pieces = []
-    for k in range(spec.n_states):
-        v_parts = result.values.pieces[k]
-        s_parts = result.strategies.pieces[k]
-        if len(v_parts) != len(s_parts):
-            raise InvalidInput(f"cell {k}: value and strategy pieces disagree")
-        for p, (vp, sp) in enumerate(zip(v_parts, s_parts)):
-            strat = [np.asarray(sp.value, dtype=float)[sl] for sl in slices]
-            pieces.append((k, p, float(vp.fraction), np.asarray(vp.value, dtype=float), strat))
-    return pieces
+def _player_strategies(table, spec):
+    """Each player's (P, n_actions_i) block of the table's strategies, as views."""
+    return np.split(table.strategy, np.cumsum(spec.profile_shape)[:-1], axis=1)
 
 
-def _check_strategies(pieces, spec):
+def _check_strategies(table, spec):
     """Reject a reported profile that is not stationary Markov.
 
     Every player's strategy in every piece must be a probability vector
     (finite, nonnegative, positive mass, summing to 1 within
     ``STRATEGY_TOL``) on the player's feasible actions at the piece's
-    cell; otherwise ``InvalidInput`` names an offending piece.
+    cell; otherwise ``InvalidInput`` names an offending piece by its cell
+    and its position in the cell.
     """
 
     def reject(bad, message):
         if bad.any():
-            raise InvalidInput(f"piece {int(np.argmax(bad))}: {message}")
+            p = int(np.argmax(bad))
+            raise InvalidInput(f"cell {table.cell[p]} piece {table.index[p]}: {message}")
 
-    cells = np.array([k for k, *_ in pieces], dtype=int)
-    for i, feasible in enumerate(spec.feasible):
-        probs = np.array([strat[i] for *_, strat in pieces])
+    for i, (probs, feasible) in enumerate(zip(_player_strategies(table, spec), spec.feasible)):
         reject(
             ~np.isfinite(probs).all(axis=1) | (probs < 0).any(axis=1),
             "strategy has negative or non-finite entries",
@@ -113,7 +125,7 @@ def _check_strategies(pieces, spec):
         reject(totals <= 0, "strategy carries no probability")
         reject(np.abs(totals - 1.0) > STRATEGY_TOL, f"player {i}'s strategy does not sum to 1")
         reject(
-            np.where(feasible[cells], 0.0, probs).any(axis=1),
+            np.where(feasible[table.cell], 0.0, probs).any(axis=1),
             f"player {i}'s strategy puts mass on an infeasible action",
         )
 
@@ -126,9 +138,10 @@ def deviation_residual(result, spec: StochasticGameSpec) -> Certificate:
     gain is the best payoff over the player's feasible pure actions
     against the others' reported strategies, minus the reported value;
     the continuation integral uses the reported piecewise values. The
-    recursion gap is the sup-norm distance between the reported values
-    and the exact discounted evaluation of the reported strategies,
-    obtained from a linear solve over pieces.
+    gains of all pieces come from one contraction per player over the
+    flat piece table. The recursion gap is the sup-norm distance between
+    the reported values and the exact discounted evaluation of the
+    reported strategies, obtained from a linear solve over pieces.
 
     The bound holds only for a stationary Markov profile, so piece
     fractions that are negative or do not sum to 1 per cell, and a piece
@@ -136,72 +149,59 @@ def deviation_residual(result, spec: StochasticGameSpec) -> Certificate:
     actions, raise ``InvalidInput`` first; this is where results from
     outside the solver enter.
     """
-    result.values.validate(spec.space)
-    pieces = _pieces_of(result, spec)
-    _check_strategies(pieces, spec)
+    table = _piece_table(result, spec)
     averages = np.asarray(result.values.averages(), dtype=float)
     density = spec.cell_density()
     masses = np.asarray(spec.space.masses, dtype=float)
     atoms = spec.space.atom_indices
-    atom_values = averages[atoms] if len(atoms) else np.zeros((0, spec.players))
     # continuation of each player's reported value from every (state, profile)
     cont = np.einsum("k,ksx,ki->isx", masses, density, averages)
     if len(atoms):
-        cont += np.einsum("asx,ai->isx", spec.atom_kernel, atom_values)
+        cont += np.einsum("asx,ai->isx", spec.atom_kernel, averages[atoms])
     beta = spec.discounts[:, None, None]
     one_shot = (1.0 - beta) * spec.payoffs + beta * cont
 
     shape = spec.profile_shape
-    gains = np.zeros((len(pieces), spec.players))
-    labels = []
-    for idx, (k, p, _frac, value, strat) in enumerate(pieces):
-        labels.append((k, p))
-        for i in range(spec.players):
-            tensor = one_shot[i, k].reshape(shape)
-            vec = _reduce_against(tensor, i, strat)
-            feas = spec.feasible[i][k]
-            best = float(vec[feas].max())
-            gains[idx, i] = best - value[i]
-    epsilon = max(0.0, float(gains.max())) if gains.size else 0.0
-    recursion = _recursion_gap(pieces, spec)
+    n_pieces = len(table.cell)
+    strategies = _player_strategies(table, spec)
+    gains = np.empty((n_pieces, spec.players))
+    for i in range(spec.players):
+        payoff = one_shot[i][table.cell].reshape((n_pieces,) + shape)
+        # the others' axes from the last, each moved last and contracted by a
+        # stacked matmul: the products and sums of one tensordot per piece
+        for j in reversed(range(spec.players)):
+            if j != i:
+                moved = np.moveaxis(payoff, 1 + j, -1)
+                contracted = moved.reshape(n_pieces, -1, shape[j]) @ strategies[j][:, :, None]
+                payoff = contracted.reshape(moved.shape[:-1])
+        best = np.where(spec.feasible[i][table.cell], payoff, -np.inf).max(axis=1)
+        gains[:, i] = best - table.value[:, i]
     return Certificate(
-        epsilon=epsilon,
+        epsilon=max(0.0, float(gains.max())),
         gains=gains,
-        piece_labels=tuple(labels),
-        recursion_residual=recursion,
+        piece_labels=tuple(zip(table.cell.tolist(), table.index.tolist())),
+        recursion_residual=_recursion_gap(table, strategies, spec),
     )
 
 
-def _recursion_gap(pieces, spec):
+def _recursion_gap(table, strategies, spec):
     """Exact discounted evaluation of the reported strategies over pieces."""
-    n_pieces = len(pieces)
-    trans_masses = spec.transition_masses()  # (target cell, state, profile)
-    cell_piece_ids = [[] for _ in range(spec.n_states)]
-    for idx, (k, _p, frac, _v, _s) in enumerate(pieces):
-        cell_piece_ids[k].append((idx, frac))
-    stage = np.zeros((spec.players, n_pieces))
-    transition = np.zeros((n_pieces, n_pieces))
-    for idx, (k, _p, _frac, _value, strat) in enumerate(pieces):
-        prob = strat[0]
-        for s in strat[1:]:
-            prob = np.multiply.outer(prob, s)
-        prob = prob.reshape(-1)
-        prob = prob / prob.sum()
-        for i in range(spec.players):
-            stage[i, idx] = float(np.dot(spec.payoffs[i, k], prob))
-        to_cell = trans_masses[:, k, :] @ prob  # (n_cells,)
-        for k2 in range(spec.n_states):
-            if to_cell[k2] == 0.0:
-                continue
-            for jdx, frac2 in cell_piece_ids[k2]:
-                transition[idx, jdx] += to_cell[k2] * frac2
-    reported = np.array([value for (_k, _p, _f, value, _s) in pieces])  # (n_pieces, m)
+    n_pieces = len(table.cell)
+    prob = strategies[0]
+    for s in strategies[1:]:
+        prob = (prob[:, :, None] * s[:, None, :]).reshape(n_pieces, -1)
+    prob = prob / prob.sum(axis=1, keepdims=True)  # (piece, profile)
+    stage = (spec.payoffs[:, table.cell, None, :] @ prob[:, :, None])[..., 0, 0]  # (m, piece)
+    trans_masses = spec.transition_masses()[:, table.cell]  # (target cell, piece, profile)
+    to_cell = (trans_masses.transpose(1, 0, 2) @ prob[:, :, None])[..., 0]  # (piece, target cell)
+    # each target cell's mass spread over that cell's pieces by their fractions
+    transition = to_cell[:, table.cell] * table.fraction
     worst = 0.0
     eye = np.eye(n_pieces)
     for i in range(spec.players):
         beta = float(spec.discounts[i])
         exact = np.linalg.solve(eye - beta * transition, (1.0 - beta) * stage[i])
-        worst = max(worst, float(np.max(np.abs(reported[:, i] - exact))))
+        worst = max(worst, float(np.max(np.abs(table.value[:, i] - exact))))
     return worst
 
 
@@ -258,8 +258,9 @@ def simulate_payoffs(
     Trajectories start at cell ``s0`` (the sub-interval is drawn from the
     piece fractions), actions are drawn from the piece's strategies, and
     transitions from the game's per-cell masses. Every draw is a
-    guide-table inverse-CDF lookup (``_inverse_cdf``) on the cumulative
-    tables, built once per call; it returns the index of the comparison
+    guide-table inverse-CDF lookup (``_inverse_cdf``) on cumulative tables
+    built once per call, the piece and action tables by cumulative sums
+    over the flat piece table; it returns the index of the comparison
     rule ``(u[:, None] > cum[rows]).sum(1)`` exactly. The horizon is
     either given (at least 1) or derived so the discarded tail is below
     ``truncation`` times the payoff bound scale. Paths are simulated in
@@ -269,9 +270,7 @@ def simulate_payoffs(
     thread count (``SMPE_THREADS``). The fractions and strategies are
     checked as :func:`deviation_residual` checks them.
     """
-    result.values.validate(spec.space)
-    pieces = _pieces_of(result, spec)
-    _check_strategies(pieces, spec)
+    table = _piece_table(result, spec)
     if paths < 1:
         raise InvalidInput("need at least one path")
     if horizon is not None and horizon < 1:
@@ -295,24 +294,17 @@ def simulate_payoffs(
         )
     truncation_bound = beta_max**horizon * bound
 
-    max_pieces = max(len(result.values.pieces[k]) for k in range(spec.n_states))
-    piece_cum = np.ones((spec.n_states, max_pieces))
-    piece_base = np.zeros(spec.n_states, dtype=int)
-    for idx, (k, p, frac, _v, _s) in enumerate(pieces):
-        if p == 0:
-            piece_base[k] = idx
-    for k in range(spec.n_states):
-        fracs = [float(pc.fraction) for pc in result.values.pieces[k]]
-        cum = np.cumsum(fracs)
-        cum[-1] = 1.0
-        piece_cum[k, : len(fracs)] = cum
+    piece_base = np.flatnonzero(table.index == 0)  # each cell's first piece
+    counts = np.bincount(table.cell, minlength=spec.n_states)
+    fractions = np.zeros((spec.n_states, counts.max()))
+    fractions[table.cell, table.index] = table.fraction
+    piece_cum = np.cumsum(fractions, axis=1)
+    piece_cum[np.arange(counts.max()) >= counts[:, None] - 1] = 1.0
     draw_piece = _inverse_cdf(piece_cum)
 
     draw_action = []
-    for i in range(spec.players):
-        probs = np.array([strat[i] for (_k, _p, _f, _v, strat) in pieces])
-        totals = probs.sum(axis=1)
-        rows = np.cumsum(probs / totals[:, None], axis=1)
+    for probs in _player_strategies(table, spec):
+        rows = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
         rows[:, -1] = 1.0
         draw_action.append(_inverse_cdf(rows))
 

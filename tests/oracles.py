@@ -19,7 +19,9 @@ list of points, so they can be held against the one-game references.
 ``validate_game_reference``, ``check_coarser_reference`` and
 ``sunspot_extend_reference`` are the game-boundary checks state by state
 and coarse cell by coarse cell; the array programs must give the same
-reports, verdicts and extensions.
+reports, verdicts and extensions. ``deviation_residual_reference`` is
+the certificate piece by piece, which the piece-table program must
+match bit for bit.
 """
 
 import itertools
@@ -517,3 +519,57 @@ def sunspot_extend_reference(spec, sunspot_cells):
         kernel=KernelDecomposition(rho=rho, q=q),
         atom_kernel=atom_kernel,
     )
+
+
+def deviation_residual_reference(result, spec):
+    """``deviation_residual``'s epsilon, gains and recursion gap one piece
+    at a time: a ``tensordot`` per piece and player for the gains, and a
+    loop per piece and target cell for the piece transition of the exact
+    evaluation. Checks nothing; returns (epsilon, gains, recursion)."""
+    offsets = np.cumsum([0] + [len(a) for a in spec.actions])
+    pieces = []
+    for k in range(spec.n_states):
+        for p, (vp, sp) in enumerate(zip(result.values.pieces[k], result.strategies.pieces[k])):
+            strategy = np.asarray(sp.value, dtype=float)
+            strat = [strategy[offsets[i] : offsets[i + 1]] for i in range(spec.players)]
+            pieces.append((k, float(vp.fraction), np.asarray(vp.value, dtype=float), strat))
+    averages = np.asarray(result.values.averages(), dtype=float)
+    masses = np.asarray(spec.space.masses, dtype=float)
+    atoms = spec.space.atom_indices
+    cont = np.einsum("k,ksx,ki->isx", masses, spec.cell_density(), averages)
+    if len(atoms):
+        cont += np.einsum("asx,ai->isx", spec.atom_kernel, averages[atoms])
+    beta = spec.discounts[:, None, None]
+    one_shot = (1.0 - beta) * spec.payoffs + beta * cont
+
+    gains = np.zeros((len(pieces), spec.players))
+    for idx, (k, _frac, value, strat) in enumerate(pieces):
+        for i in range(spec.players):
+            vec = one_shot[i, k].reshape(spec.profile_shape)
+            for j in sorted((a for a in range(spec.players) if a != i), reverse=True):
+                vec = np.tensordot(vec, strat[j], axes=([j], [0]))
+            gains[idx, i] = float(vec[spec.feasible[i][k]].max()) - value[i]
+    epsilon = max(0.0, float(gains.max()))
+
+    trans_masses = spec.transition_masses()
+    stage = np.zeros((spec.players, len(pieces)))
+    transition = np.zeros((len(pieces), len(pieces)))
+    for idx, (k, _frac, _value, strat) in enumerate(pieces):
+        prob = strat[0]
+        for s in strat[1:]:
+            prob = np.multiply.outer(prob, s)
+        prob = prob.reshape(-1)
+        prob = prob / prob.sum()
+        for i in range(spec.players):
+            stage[i, idx] = float(np.dot(spec.payoffs[i, k], prob))
+        to_cell = trans_masses[:, k, :] @ prob
+        for jdx, (k2, frac2, _v, _s) in enumerate(pieces):
+            if to_cell[k2] != 0.0:
+                transition[idx, jdx] += to_cell[k2] * frac2
+    reported = np.array([value for (_k, _f, value, _s) in pieces])
+    recursion = 0.0
+    for i in range(spec.players):
+        b = float(spec.discounts[i])
+        exact = np.linalg.solve(np.eye(len(pieces)) - b * transition, (1.0 - b) * stage[i])
+        recursion = max(recursion, float(np.max(np.abs(reported[:, i] - exact))))
+    return epsilon, gains, recursion

@@ -215,12 +215,14 @@ def _set_entry(doc, path, value):
     return doc
 
 
-# entries numpy would coerce: coarse 0.9 and "0" read as 0, feasible 0.5 as true
+# entries numpy would coerce: coarse 0.9 and "0" read as 0, feasible 0.5 as
+# true, payoff "0.5" as 0.5
 COERCED_GAMES = {
     "float-coarse": (("grid", "coarse", 3), 0.9, "grid.coarse[3]"),
     "string-coarse": (("grid", "coarse", 0), "0", "grid.coarse[0]"),
     "fractional-feasible": (("feasible", 0, 0, 0), 0.5, "feasible[0]"),
     "string-feasible": (("feasible", 1, 2, 1), "1", "feasible[1]"),
+    "string-payoff": (("payoffs", 0, 1, 2), "0.5", "payoffs"),
 }
 
 

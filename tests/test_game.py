@@ -68,6 +68,15 @@ def test_empty_feasible_set_flagged():
     assert any("empty feasible set" in v for v in report.violations)
 
 
+def test_spec_keeps_its_own_read_only_feasible_masks():
+    spec = two_cell_spec()
+    masks = [f.copy() for f in spec.feasible]
+    owned = replace(spec, feasible=tuple(masks))
+    masks[0][:] = False  # the caller's array, written after construction
+    assert validate_game(owned).passed
+    assert not owned.feasible[0].flags.writeable
+
+
 def test_payoff_bound_violation_flagged():
     spec = two_cell_spec()
     payoffs = spec.payoffs.copy()

@@ -99,6 +99,44 @@ def test_coerced_grid_or_mask_entry_is_parse_error(path, value, entry):
         gamefile.spec_from_doc(doc)
 
 
+# one entry of every numeric array field of a game document, by field name
+NUMERIC_ENTRIES = {
+    "discounts": ("discounts", 0),
+    "payoffs": ("payoffs", 1, 2, 3),
+    "kernel.rho": ("kernel", "rho", 0, 1),
+    "kernel.q": ("kernel", "q", 1, 0, 2, 3),
+    "atoms.masses": ("atoms", "masses", 0),
+    "atoms.kernel": ("atoms", "kernel", 0, 1, 2),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NUMERIC_ENTRIES))
+def test_numeric_string_in_game_is_parse_error(field):
+    # "0.5" is text, not a number, though numpy would read it as 0.5
+    _, spec = random_nowak_game(seed=2, n_cells=3, j_components=2, k_atoms=1)
+    doc = gamefile.spec_to_doc(spec)
+    *keys, last = NUMERIC_ENTRIES[field]
+    node = doc
+    for key in keys:
+        node = node[key]
+    node[last] = str(node[last])
+    with pytest.raises(ParseError, match=re.escape(f"{field} must be a numeric array")):
+        gamefile.spec_from_doc(doc)
+
+
+@pytest.mark.parametrize("field", ["value", "strategy"])
+def test_numeric_string_in_result_is_parse_error(tmp_path, field):
+    _, spec = random_nowak_game(seed=3, n_cells=4, j_components=1, k_atoms=1)
+    doc = gamefile.result_to_doc(solve(spec), spec)
+    entries = doc["cells"][1]["pieces"][0][field]
+    entries[0] = str(entries[0])
+    path = tmp_path / "result.json"
+    path.write_bytes(gamefile.canonical_bytes(doc))
+    entry = f"cells[1].pieces[0].{field} must be a numeric array"
+    with pytest.raises(ParseError, match=re.escape(entry)):
+        gamefile.load_result(path, spec)
+
+
 def test_result_round_trip_and_hash_guard(tmp_path):
     _, spec = random_nowak_game(seed=3, n_cells=4, j_components=1, k_atoms=1)
     result = solve(spec)

@@ -51,6 +51,25 @@ def test_condexp_zero_mass_coarse_cell():
     assert g.values[2, 0] == 0.0
 
 
+def test_condexp_exact_branch_matches_float_branch():
+    # a Fraction grid takes the exact branch; its zero-mass coarse cell is 0
+    masses = [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2), Fraction(0)]
+    coarse, divisible = np.array([0, 0, 0, 1]), np.ones(4, bool)
+    values = [[1, 5], [3, Fraction(1, 3)], [2, -1], [9, 7]]
+    exact = conditional_expectation(
+        StepFunction.of(np.array([[Fraction(v) for v in row] for row in values], dtype=object)),
+        GridSpace(np.array(masses, dtype=object), divisible, coarse),
+    )
+    floating = conditional_expectation(
+        StepFunction.of(np.array(values, dtype=float)),
+        GridSpace(np.array(masses, dtype=float), divisible, coarse),
+    )
+    assert exact.values[:, 0].tolist() == [2, 2, 2, 0]
+    assert exact.values[0, 1] == Fraction(5, 6)
+    assert all(isinstance(v, Fraction) for v in exact.values.ravel())
+    assert np.allclose(exact.values.astype(float), floating.values, rtol=0, atol=1e-15)
+
+
 def test_condexp_dimension_mismatch():
     sp = uniform_space(4)
     with pytest.raises(InvalidInput):

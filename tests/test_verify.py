@@ -16,7 +16,8 @@ from smpe.solver import EquilibriumResult, solve
 from smpe.verify import _inverse_cdf, deviation_residual, simulate_payoffs
 
 from helpers import FAMILIES, single_atom_game
-from oracles import comparison_draw_reference
+from oracles import comparison_draw_reference, deviation_residual_reference
+from test_solver import FALLBACK_GAMES
 
 
 def stationary_result(spec, strategy_rows, value_rows):
@@ -31,6 +32,54 @@ def stationary_result(spec, strategy_rows, value_rows):
         epsilon=float("nan"),
         diagnostics={},
     )
+
+
+def random_profile(spec, key, max_pieces=3):
+    """A result of one to ``max_pieces`` pieces per divisible cell with
+    random fractions, values and strategies, each strategy on its cell's
+    feasible actions."""
+    rng = np.random.Generator(np.random.Philox(key=key))
+    values, strategies = [], []
+    for k in range(spec.n_states):
+        n = int(rng.integers(1, max_pieces + 1)) if spec.space.divisible[k] else 1
+        fractions = rng.dirichlet(np.ones(n))
+        v_parts, s_parts = [], []
+        for frac in fractions:
+            profile = []
+            for feasible in spec.feasible:
+                weights = rng.uniform(0.1, 1.0, feasible.shape[1]) * feasible[k]
+                profile.append(weights / weights.sum())
+            v_parts.append(Piece(frac, rng.uniform(-1, 1, spec.players)))
+            s_parts.append(Piece(frac, np.concatenate(profile)))
+        values.append(tuple(v_parts))
+        strategies.append(tuple(s_parts))
+    return EquilibriumResult(
+        values=SplitSelection(tuple(values)),
+        strategies=SplitSelection(tuple(strategies)),
+        epsilon=float("nan"),
+        diagnostics={},
+    )
+
+
+def with_infeasible_actions(spec, key):
+    """``spec`` with about a third of its actions infeasible and at least
+    one feasible action per player and state."""
+    rng = np.random.Generator(np.random.Philox(key=key))
+    masks = []
+    for feasible in spec.feasible:
+        mask = rng.random(feasible.shape) < 0.65
+        mask[np.arange(len(mask)), rng.integers(0, mask.shape[1], len(mask))] = True
+        masks.append(mask)
+    return replace(spec, feasible=tuple(masks))
+
+
+def shift_values(result, delta):
+    """``result`` with every reported piece value moved by ``delta``."""
+    pieces = tuple(
+        tuple(Piece(p.fraction, np.asarray(p.value) + delta) for p in parts)
+        for parts in result.values.pieces
+    )
+    return replace(result, values=SplitSelection(pieces))
 
 
 def test_static_nash_certifies_at_zero():
@@ -168,6 +217,22 @@ def test_simulation_rejects_malformed_strategy(strategy, feasible, message):
         deviation_residual(result, spec)
 
 
+def test_malformed_strategy_is_named_by_cell_and_piece():
+    # a piece's flat position in the profile is no label a user can map to a cell
+    _, spec = random_nowak_game(seed=[4242, 2], n_cells=6, j_components=2, k_atoms=1)
+    result = random_profile(spec, key=[5, 0])
+    pieces = result.strategies.pieces
+    k = next(k for k in range(1, spec.n_states) if len(pieces[k]) > 1)
+    bad = Piece(pieces[k][1].fraction, np.array([0.25, 0.25, 0.5, 0.5]))
+    cell = pieces[k][:1] + (bad,) + pieces[k][2:]
+    forged = replace(result, strategies=SplitSelection(pieces[:k] + (cell,) + pieces[k + 1 :]))
+    message = f"^cell {k} piece 1: player 0's strategy does not sum to 1$"
+    with pytest.raises(InvalidInput, match=message):
+        deviation_residual(forged, spec)
+    with pytest.raises(InvalidInput, match=message):
+        simulate_payoffs(spec, forged, s0=0, paths=10, seed=0, horizon=3)
+
+
 def test_threaded_simulation_identical(monkeypatch):
     _, spec = random_nowak_game(seed=9, n_cells=6, j_components=1, k_atoms=1)
     result = solve(spec)
@@ -227,6 +292,53 @@ def test_simulation_bytes_match_golden_digest(key, threads, monkeypatch):
     report = simulate_payoffs(spec, result, s0=s0, paths=paths, seed=9000 + s0, truncation=1e-4)
     data = canonical_bytes(simulation_to_doc(report))
     assert hashlib.sha256(data).hexdigest() == GOLDEN_SIMULATIONS[key]
+
+
+def masked_random_game(n_actions, index):
+    """A generated game of 3 cells and 2 atoms with some actions infeasible,
+    under a random multi-piece profile."""
+    _, spec = random_nowak_game(
+        seed=[4242, index], n_cells=3, j_components=2, k_atoms=2, n_actions=n_actions
+    )
+    spec = with_infeasible_actions(spec, key=[6, index])
+    return spec, random_profile(spec, key=[7, index])
+
+
+def solved_fallback_game(name):
+    spec = FALLBACK_GAMES[name][0]()
+    return spec, solve(spec)
+
+
+def forged_family_game(family, index, delta):
+    spec, result = solved_family_game(family, index)
+    return spec, shift_values(result, delta)
+
+
+CERTIFICATE_CASES = {
+    "mixture-32-0": lambda: solved_family_game("mixture-32", 0),
+    "mixture-32-8": lambda: solved_family_game("mixture-32", 8),
+    "atom-heavy-0": lambda: solved_family_game("atom-heavy", 0),
+    "atom-heavy-7": lambda: solved_family_game("atom-heavy", 7),
+    "mixture-32-0-values+0.3": lambda: forged_family_game("mixture-32", 0, 0.3),
+    "mixture-32-0-values-0.3": lambda: forged_family_game("mixture-32", 0, -0.3),
+    "three-player-2x2x2": lambda: solved_fallback_game("three-player-2x2x2"),
+    "one-player-3x3": lambda: solved_fallback_game("one-player-3x3"),
+    "infeasible-3x4": lambda: masked_random_game((3, 4), 0),
+    "infeasible-5x5": lambda: masked_random_game((5, 5), 1),
+    "infeasible-2x3x2": lambda: masked_random_game((2, 3, 2), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+def test_certificate_matches_per_piece_reference(case):
+    # the contraction over the piece table does the arithmetic of one
+    # tensordot per piece and player, and the piece transition is exact
+    spec, result = CERTIFICATE_CASES[case]()
+    cert = deviation_residual(result, spec)
+    epsilon, gains, recursion = deviation_residual_reference(result, spec)
+    assert cert.epsilon == epsilon
+    assert np.array_equal(cert.gains, gains)
+    assert cert.recursion_residual == recursion
 
 
 # --- guide-table sampler ------------------------------------------------------------
