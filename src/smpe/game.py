@@ -38,8 +38,8 @@ class KernelDecomposition:
     q: np.ndarray
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        q = np.asarray(self.q, dtype=float)
+        rho = np.array(self.rho, dtype=float)  # copied: no alias
+        q = np.array(self.q, dtype=float)
         if rho.ndim != 2 or q.ndim != 4 or rho.shape[0] != q.shape[0]:
             raise InvalidInput("rho must be (J, n_cells) and q (J, n_coarse, n_states, n_profiles)")
         if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(q))):
@@ -80,9 +80,9 @@ class StochasticGameSpec:
     atom_kernel: np.ndarray
 
     def __post_init__(self):
-        discounts = np.asarray(self.discounts, dtype=float)
-        payoffs = np.asarray(self.payoffs, dtype=float)
-        atom_kernel = np.asarray(self.atom_kernel, dtype=float)
+        discounts = np.array(self.discounts, dtype=float)  # copied: no alias
+        payoffs = np.array(self.payoffs, dtype=float)
+        atom_kernel = np.array(self.atom_kernel, dtype=float)
         if discounts.ndim != 1:
             raise InvalidInput(f"discounts must be a 1-D array, got shape {discounts.shape}")
         m = len(discounts)
@@ -169,9 +169,15 @@ class StochasticGameSpec:
         return weights
 
     def cell_density(self) -> np.ndarray:
-        """(n_cells, n_states, n_profiles) decomposed density at each target cell."""
-        q_at_cell = self.kernel.q[:, self.space.coarse, :, :]  # (J, n_cells, s, x)
-        return np.einsum("jk,jksx->ksx", self.kernel.rho, q_at_cell)
+        """(n_cells, n_states, n_profiles) decomposed density at each target
+        cell, computed once per spec and read-only."""
+        density = self.__dict__.get("_cell_density")
+        if density is None:
+            q_at_cell = self.kernel.q[:, self.space.coarse, :, :]  # (J, n_cells, s, x)
+            density = np.einsum("jk,jksx->ksx", self.kernel.rho, q_at_cell)
+            density.setflags(write=False)
+            object.__setattr__(self, "_cell_density", density)
+        return density
 
     def transition_masses(self) -> np.ndarray:
         """(n_cells, n_states, n_profiles) probability mass into each cell.

@@ -4,16 +4,19 @@ This module re-derives everything it needs from the game data and the
 reported piecewise values/strategies alone, and it is where results
 enter: both readers flatten the reported selections into one table of
 pieces (cell, position in the cell, fraction, value, strategy) and
-reject a profile whose fractions or strategies are not probability
-vectors (the strategies on the feasible actions). It deliberately
-shares no stage-game or enumeration code with the solver, so agreement
-between the two is a genuine cross-check. As array steps over that
-table it computes the one-shot deviation gains of every piece, the
-exact evaluation of the reported strategy profile via a linear solve,
-and the sampling tables of reproducible Monte Carlo estimates of
-discounted play. The simulation draws pieces, actions and next states
-by exact guide-table inverse-CDF lookups, O(1) per draw, that return
-the indices of the comparison rule ``#{j : cum[r, j] < u}`` bit for bit.
+reject a profile whose fractions or values are not finite, or whose
+fractions or strategies are not probability vectors (the strategies on
+the feasible actions). It deliberately shares no stage-game or
+enumeration code with the solver, so agreement between the two is a
+genuine cross-check. As array steps over that table it computes the
+one-shot deviation gains of every piece, the exact evaluation of the
+reported strategy profile via a linear solve, and the sampling table of
+reproducible Monte Carlo estimates of discounted play. Payoffs and
+transitions read only (state, profile), so the simulation marginalizes
+the pieces: each path and step draws (profile, next state) from its
+state's joint law with one uniform and one exact guide-table inverse-CDF
+lookup, O(1) per draw, that returns the index of the comparison rule
+``#{j : cum[r, j] < u}`` bit for bit.
 """
 
 from __future__ import annotations
@@ -101,14 +104,24 @@ def _player_strategies(table, spec):
     return np.split(table.strategy, np.cumsum(spec.profile_shape)[:-1], axis=1)
 
 
+def _profile_probabilities(strategies):
+    """(P, n_profiles) law of the action profile in each piece: the product
+    of the players' strategies, normalized."""
+    prob = strategies[0]
+    for s in strategies[1:]:
+        prob = (prob[:, :, None] * s[:, None, :]).reshape(len(prob), -1)
+    return prob / prob.sum(axis=1, keepdims=True)
+
+
 def _check_strategies(table, spec):
     """Reject a reported profile that is not stationary Markov.
 
-    Every player's strategy in every piece must be a probability vector
-    (finite, nonnegative, positive mass, summing to 1 within
-    ``STRATEGY_TOL``) on the player's feasible actions at the piece's
-    cell; otherwise ``InvalidInput`` names an offending piece by its cell
-    and its position in the cell.
+    Every piece's fraction and value must be finite, and every player's
+    strategy in every piece must be a probability vector (finite,
+    nonnegative, positive mass, summing to 1 within ``STRATEGY_TOL``) on
+    the player's feasible actions at the piece's cell; otherwise
+    ``InvalidInput`` names an offending piece by its cell and its position
+    in the cell.
     """
 
     def reject(bad, message):
@@ -116,6 +129,8 @@ def _check_strategies(table, spec):
             p = int(np.argmax(bad))
             raise InvalidInput(f"cell {table.cell[p]} piece {table.index[p]}: {message}")
 
+    reject(~np.isfinite(table.fraction), "fraction is not finite")
+    reject(~np.isfinite(table.value).all(axis=1), "value is not finite")
     for i, (probs, feasible) in enumerate(zip(_player_strategies(table, spec), spec.feasible)):
         reject(
             ~np.isfinite(probs).all(axis=1) | (probs < 0).any(axis=1),
@@ -144,10 +159,11 @@ def deviation_residual(result, spec: StochasticGameSpec) -> Certificate:
     reported strategies, obtained from a linear solve over pieces.
 
     The bound holds only for a stationary Markov profile, so piece
-    fractions that are negative or do not sum to 1 per cell, and a piece
-    whose strategy is not a probability vector on its cell's feasible
-    actions, raise ``InvalidInput`` first; this is where results from
-    outside the solver enter.
+    fractions that are negative or do not sum to 1 per cell, a fraction
+    or value that is not finite, and a piece whose strategy is not a
+    probability vector on its cell's feasible actions, raise
+    ``InvalidInput`` first; this is where results from outside the solver
+    enter.
     """
     table = _piece_table(result, spec)
     averages = np.asarray(result.values.averages(), dtype=float)
@@ -187,10 +203,7 @@ def deviation_residual(result, spec: StochasticGameSpec) -> Certificate:
 def _recursion_gap(table, strategies, spec):
     """Exact discounted evaluation of the reported strategies over pieces."""
     n_pieces = len(table.cell)
-    prob = strategies[0]
-    for s in strategies[1:]:
-        prob = (prob[:, :, None] * s[:, None, :]).reshape(n_pieces, -1)
-    prob = prob / prob.sum(axis=1, keepdims=True)  # (piece, profile)
+    prob = _profile_probabilities(strategies)  # (piece, profile)
     stage = (spec.payoffs[:, table.cell, None, :] @ prob[:, :, None])[..., 0, 0]  # (m, piece)
     trans_masses = spec.transition_masses()[:, table.cell]  # (target cell, piece, profile)
     to_cell = (trans_masses.transpose(1, 0, 2) @ prob[:, :, None])[..., 0]  # (piece, target cell)
@@ -203,6 +216,20 @@ def _recursion_gap(table, strategies, spec):
         exact = np.linalg.solve(eye - beta * transition, (1.0 - beta) * stage[i])
         worst = max(worst, float(np.max(np.abs(table.value[:, i] - exact))))
     return worst
+
+
+def _joint_law(table, spec):
+    """(n_states, n_profiles * n_states) law of (profile, next state) at each
+    state, column ``x * n_states + t``: the fraction-weighted profile law of
+    the state's pieces times the transition masses of each profile,
+    normalized; a profile that carries no transition mass gets no weight."""
+    first = np.flatnonzero(table.index == 0)  # each cell's first piece
+    prob = _profile_probabilities(_player_strategies(table, spec))  # (piece, profile)
+    law = np.add.reduceat(table.fraction[:, None] * prob, first)  # (state, profile)
+    trans = spec.transition_masses().transpose(1, 2, 0)  # (state, profile, next state)
+    total = trans.sum(axis=2)
+    weight = np.divide(law, total, out=np.zeros_like(law), where=total > 0)
+    return (weight[:, :, None] * trans).reshape(spec.n_states, -1)
 
 
 def _inverse_cdf(cum):
@@ -255,20 +282,19 @@ def simulate_payoffs(
 ) -> SimulationReport:
     """Monte Carlo discounted payoffs of the reported stationary profile.
 
-    Trajectories start at cell ``s0`` (the sub-interval is drawn from the
-    piece fractions), actions are drawn from the piece's strategies, and
-    transitions from the game's per-cell masses. Every draw is a
-    guide-table inverse-CDF lookup (``_inverse_cdf``) on cumulative tables
-    built once per call, the piece and action tables by cumulative sums
-    over the flat piece table; it returns the index of the comparison
-    rule ``(u[:, None] > cum[rows]).sum(1)`` exactly. The horizon is
-    either given (at least 1) or derived so the discarded tail is below
-    ``truncation`` times the payoff bound scale. Paths are simulated in
-    fixed-size blocks, each driven by a counter-based generator keyed on
-    (seed, block) that yields ``players + 2`` uniforms per path and step,
-    so identical seeds reproduce the report bit for bit regardless of the
-    thread count (``SMPE_THREADS``). The fractions and strategies are
-    checked as :func:`deviation_residual` checks them.
+    Trajectories start at cell ``s0``. A piece reaches play only through
+    the action profile it draws, and payoffs and transitions read only
+    (state, profile), so each path and step draws (profile, next state)
+    from its state's joint law (``_joint_law``, the pieces marginalized)
+    with one uniform and one guide-table lookup (``_inverse_cdf``) that
+    returns the index of the comparison rule ``(u[:, None] >
+    cum[rows]).sum(1)`` exactly. The horizon is either given (at least 1)
+    or derived so the discarded tail is below ``truncation`` times the
+    payoff bound scale. Paths are simulated in fixed-size blocks, each
+    driven by a counter-based generator keyed on (seed, block), so
+    identical seeds reproduce the report bit for bit regardless of the
+    thread count (``SMPE_THREADS``). The pieces are checked as
+    :func:`deviation_residual` checks them.
     """
     table = _piece_table(result, spec)
     if paths < 1:
@@ -294,28 +320,11 @@ def simulate_payoffs(
         )
     truncation_bound = beta_max**horizon * bound
 
-    piece_base = np.flatnonzero(table.index == 0)  # each cell's first piece
-    counts = np.bincount(table.cell, minlength=spec.n_states)
-    fractions = np.zeros((spec.n_states, counts.max()))
-    fractions[table.cell, table.index] = table.fraction
-    piece_cum = np.cumsum(fractions, axis=1)
-    piece_cum[np.arange(counts.max()) >= counts[:, None] - 1] = 1.0
-    draw_piece = _inverse_cdf(piece_cum)
-
-    draw_action = []
-    for probs in _player_strategies(table, spec):
-        rows = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
-        rows[:, -1] = 1.0
-        draw_action.append(_inverse_cdf(rows))
-
-    trans = spec.transition_masses()  # (target, state, profile)
-    trans_rows = trans.transpose(1, 2, 0).reshape(-1, spec.n_states)  # (s*x, target)
-    trans_cum = np.cumsum(trans_rows, axis=1)
-    trans_cum /= trans_cum[:, -1:]
-    draw_next = _inverse_cdf(trans_cum)
-    strides = np.array(
-        [int(np.prod(spec.profile_shape[i + 1 :])) for i in range(spec.players)], dtype=int
-    )
+    cum = np.cumsum(_joint_law(table, spec), axis=1)  # (state, profile * next state)
+    cum /= cum[:, -1:]
+    cum[:, -1] = 1.0
+    draw = _inverse_cdf(cum)
+    profile_of, target_of = np.divmod(np.arange(cum.shape[1]), spec.n_states)
     weights = np.array(
         [(1.0 - b) * b ** np.arange(horizon) for b in spec.discounts]
     )  # (m, horizon)
@@ -332,17 +341,13 @@ def simulate_payoffs(
         acc = np.zeros((spec.players, n))
         visits = np.zeros(spec.n_states)
         for t in range(horizon):
-            # rows: piece, one per player's action, next state
-            u = rng.random((spec.players + 2, n))
-            pid = piece_base[states] + draw_piece(states, u[0])
-            row = states * spec.n_profiles  # (state, profile) row of the tables
-            for i in range(spec.players):
-                row += draw_action[i](pid, u[i + 1]) * strides[i]
+            col = draw(states, rng.random(n))
+            row = states * spec.n_profiles + profile_of[col]  # (state, profile) row
             acc += weights[:, t, None] * np.take(payoff_flat, row, axis=1)
-            states = draw_next(row, u[-1])
+            states = target_of[col]
             if t + 1 < horizon:
                 visits += np.bincount(states, minlength=spec.n_states)
-        return acc.sum(axis=1), (acc**2).sum(axis=1), visits, n
+        return acc.sum(axis=1), (acc**2).sum(axis=1), visits
 
     raw_threads = os.environ.get("SMPE_THREADS", "1") or "1"
     try:
@@ -355,13 +360,7 @@ def simulate_payoffs(
     else:
         results = [run_chunk(c) for c in range(n_chunks)]
 
-    total = np.zeros(spec.players)
-    total_sq = np.zeros(spec.players)
-    visits = np.zeros(spec.n_states)
-    for part_sum, part_sq, part_visits, _n in results:
-        total += part_sum
-        total_sq += part_sq
-        visits += part_visits
+    total, total_sq, visits = (sum(parts) for parts in zip(*results))  # in chunk order
     means = total / paths
     if paths > 1:
         var = np.clip(total_sq / paths - means**2, 0.0, None) * paths / (paths - 1)

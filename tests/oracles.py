@@ -21,7 +21,12 @@ list of points, so they can be held against the one-game references.
 and coarse cell by coarse cell; the array programs must give the same
 reports, verdicts and extensions. ``deviation_residual_reference`` is
 the certificate piece by piece, which the piece-table program must
-match bit for bit.
+match bit for bit. ``joint_law_reference`` is the simulation's law of
+(profile, next state) one piece and one profile at a time, and
+``finite_horizon_expectation_reference`` propagates it to the exact
+expectation a simulation estimates; ``simulate_payoffs_reference`` is
+the chain sampler the joint draw replaced (piece, each player's action,
+next state), which samples the same path law from another stream.
 """
 
 import itertools
@@ -36,6 +41,7 @@ from smpe.kernels import ROW_MATCH_TOL
 from smpe.measure import GridSpace
 from smpe.nash import NashPoint, payoff_against_stack, stage_payoff_tensor
 from smpe.solver import _signature_groups, _stage_stack
+from smpe.verify import CHUNK_PATHS
 
 
 def rational_solve(rows, rhs):
@@ -573,3 +579,114 @@ def deviation_residual_reference(result, spec):
         exact = np.linalg.solve(np.eye(len(pieces)) - b * transition, (1.0 - b) * stage[i])
         recursion = max(recursion, float(np.max(np.abs(reported[:, i] - exact))))
     return epsilon, gains, recursion
+
+
+def _piece_strategies(spec, result, k):
+    """Cell ``k``'s pieces as (fraction, per-player strategy vectors)."""
+    offsets = np.cumsum([0] + [len(a) for a in spec.actions])
+    pieces = []
+    for vp, sp in zip(result.values.pieces[k], result.strategies.pieces[k]):
+        strategy = np.asarray(sp.value, dtype=float)
+        strat = [strategy[offsets[i] : offsets[i + 1]] for i in range(spec.players)]
+        pieces.append((float(vp.fraction), strat))
+    return pieces
+
+
+def joint_law_reference(result, spec):
+    """(n_states, n_profiles, n_states) law of (profile, next state) at each
+    state, one piece and one profile at a time: the piece's fraction times
+    the product of the players' normalized strategies times the profile's
+    normalized transition masses. A profile without transition mass adds
+    nothing. Checks nothing."""
+    trans = spec.transition_masses()  # (target, state, profile)
+    law = np.zeros((spec.n_states, spec.n_profiles, spec.n_states))
+    for k in range(spec.n_states):
+        for fraction, strat in _piece_strategies(spec, result, k):
+            for x in range(spec.n_profiles):
+                actions = spec.profile_actions(x)
+                prob = fraction
+                for i, a in enumerate(actions):
+                    prob *= strat[i][a] / strat[i].sum()
+                total = trans[:, k, x].sum()
+                if prob > 0 and total > 0:
+                    law[k, x] += prob * trans[:, k, x] / total
+    return law
+
+
+def finite_horizon_expectation_reference(result, spec, s0, horizon):
+    """Exact expected discounted payoff over ``horizon`` steps from ``s0``:
+    the state law is propagated step by step through
+    ``joint_law_reference``."""
+    law = joint_law_reference(result, spec)
+    profile_law = law.sum(axis=2)  # (state, profile)
+    step = law.sum(axis=1)  # (state, next state)
+    stage = np.einsum("sx,isx->is", profile_law, spec.payoffs)
+    state_law = np.zeros(spec.n_states)
+    state_law[s0] = 1.0
+    expected = np.zeros(spec.players)
+    for t in range(horizon):
+        expected += (1.0 - spec.discounts) * spec.discounts**t * (stage @ state_law)
+        state_law = state_law @ step
+    return expected
+
+
+def simulate_payoffs_reference(spec, result, s0, paths, seed, horizon):
+    """The chain sampler: each path and step draws a piece of its cell by
+    the fractions, each player's action from that piece's strategy and the
+    next state from the profile's transition masses, ``players + 2``
+    uniforms per path and step, in blocks of ``CHUNK_PATHS`` paths keyed
+    on (seed, block), each draw a full comparison over a cumulative table.
+    It has the path law of ``simulate_payoffs``, not its random stream.
+    Checks nothing; returns (means, std_errors, occupancy)."""
+    S = spec.n_states
+    pieces = [_piece_strategies(spec, result, k) for k in range(S)]
+    counts = np.array([len(p) for p in pieces])
+    piece_base = np.cumsum(counts) - counts
+    fractions = np.zeros((S, counts.max()))
+    for k in range(S):
+        fractions[k, : counts[k]] = [fraction for fraction, _ in pieces[k]]
+    piece_cum = np.cumsum(fractions, axis=1)
+    piece_cum[np.arange(counts.max()) >= counts[:, None] - 1] = 1.0
+    action_cum = []
+    for i in range(spec.players):
+        probs = np.array([strat[i] for cell in pieces for _, strat in cell])
+        rows = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+        rows[:, -1] = 1.0
+        action_cum.append(rows)
+    trans_rows = spec.transition_masses().transpose(1, 2, 0).reshape(-1, S)  # (s*x, target)
+    trans_cum = np.cumsum(trans_rows, axis=1)
+    total = trans_cum[:, -1:]
+    trans_cum = np.divide(trans_cum, total, out=np.ones_like(trans_cum), where=total > 0)
+    strides = [int(np.prod(spec.profile_shape[i + 1 :])) for i in range(spec.players)]
+    weights = np.array([(1.0 - b) * b ** np.arange(horizon) for b in spec.discounts])
+    payoff_flat = spec.payoffs.reshape(spec.players, -1)
+
+    total_sum = np.zeros(spec.players)
+    total_sq = np.zeros(spec.players)
+    visits = np.zeros(S)
+    for chunk in range((paths + CHUNK_PATHS - 1) // CHUNK_PATHS):
+        n = min(CHUNK_PATHS, paths - chunk * CHUNK_PATHS)
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([seed % 2**64, chunk], dtype=np.uint64))
+        )
+        states = np.full(n, s0, dtype=int)
+        acc = np.zeros((spec.players, n))
+        for t in range(horizon):
+            u = rng.random((spec.players + 2, n))
+            pid = piece_base[states] + comparison_draw_reference(piece_cum, states, u[0])
+            row = states * spec.n_profiles
+            for i in range(spec.players):
+                row += comparison_draw_reference(action_cum[i], pid, u[i + 1]) * strides[i]
+            acc += weights[:, t, None] * np.take(payoff_flat, row, axis=1)
+            states = comparison_draw_reference(trans_cum, row, u[-1])
+            if t + 1 < horizon:
+                visits += np.bincount(states, minlength=S)
+        total_sum += acc.sum(axis=1)
+        total_sq += (acc**2).sum(axis=1)
+    means = total_sum / paths
+    if paths > 1:
+        var = np.clip(total_sq / paths - means**2, 0.0, None) * paths / (paths - 1)
+    else:
+        var = np.zeros(spec.players)
+    occupancy = visits / visits.sum() if visits.sum() > 0 else visits
+    return means, np.sqrt(var / paths), occupancy

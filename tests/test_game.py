@@ -77,6 +77,40 @@ def test_spec_keeps_its_own_read_only_feasible_masks():
     assert not owned.feasible[0].flags.writeable
 
 
+def test_spec_keeps_its_own_read_only_arrays():
+    _, spec = random_nowak_game(seed=20, n_cells=4, j_components=1, k_atoms=1)
+    discounts, payoffs, atom_kernel = (
+        spec.discounts.copy(), spec.payoffs.copy(), spec.atom_kernel.copy()
+    )
+    rho, q = spec.kernel.rho.copy(), spec.kernel.q.copy()
+    owned = replace(
+        spec,
+        discounts=discounts,
+        payoffs=payoffs,
+        atom_kernel=atom_kernel,
+        kernel=KernelDecomposition(rho=rho, q=q),
+    )
+    callers = (discounts, payoffs, atom_kernel, rho, q)
+    kept = (owned.discounts, owned.payoffs, owned.atom_kernel, owned.kernel.rho, owned.kernel.q)
+    assert all(arr.flags.writeable for arr in callers)
+    assert not any(arr.flags.writeable for arr in kept)
+    before = [arr.copy() for arr in kept]
+    for arr in callers:  # the caller's arrays, written after construction
+        arr[...] = 99.0
+    assert all(np.array_equal(arr, old) for arr, old in zip(kept, before))
+    assert validate_game(owned).passed
+
+
+def test_cell_density_is_computed_once_per_spec():
+    spec = two_cell_spec()
+    density = spec.cell_density()
+    assert spec.cell_density() is density
+    assert not density.flags.writeable
+    other = replace(spec, kernel=KernelDecomposition(rho=spec.kernel.rho, q=spec.kernel.q * 2))
+    assert other.cell_density() is not density
+    assert np.array_equal(other.cell_density(), 2 * density)
+
+
 def test_payoff_bound_violation_flagged():
     spec = two_cell_spec()
     payoffs = spec.payoffs.copy()

@@ -8,15 +8,27 @@ import numpy as np
 import pytest
 
 from smpe.errors import InvalidInput
-from smpe.game import sunspot_extend
+from smpe.game import KernelDecomposition, sunspot_extend
 from smpe.gamefile import canonical_bytes, simulation_to_doc
 from smpe.kernels import LevyParams, levy_profile_index, make_levy_kernel, random_nowak_game
 from smpe.measure import Piece, SplitSelection
 from smpe.solver import EquilibriumResult, solve
-from smpe.verify import _inverse_cdf, deviation_residual, simulate_payoffs
+from smpe.verify import (
+    _inverse_cdf,
+    _joint_law,
+    _piece_table,
+    deviation_residual,
+    simulate_payoffs,
+)
 
 from helpers import FAMILIES, single_atom_game
-from oracles import comparison_draw_reference, deviation_residual_reference
+from oracles import (
+    comparison_draw_reference,
+    deviation_residual_reference,
+    finite_horizon_expectation_reference,
+    joint_law_reference,
+    simulate_payoffs_reference,
+)
 from test_solver import FALLBACK_GAMES
 
 
@@ -233,6 +245,31 @@ def test_malformed_strategy_is_named_by_cell_and_piece():
         simulate_payoffs(spec, forged, s0=0, paths=10, seed=0, horizon=3)
 
 
+@pytest.mark.parametrize("field", ["fraction", "value"])
+def test_non_finite_piece_is_rejected(field):
+    # NaN drops out of every comparison and maximum, so a NaN piece would
+    # certify at epsilon 0 and poison its state's simulation row
+    _, spec = random_nowak_game(seed=20, n_cells=4, j_components=1, k_atoms=1)
+    result = solve(spec)
+
+    def forge(selection, is_value):
+        (piece, *rest) = selection.pieces[2]
+        if field == "fraction":
+            piece = Piece(np.nan, piece.value)
+        elif is_value:
+            piece = Piece(piece.fraction, np.concatenate([[np.nan], piece.value[1:]]))
+        return SplitSelection(selection.pieces[:2] + ((piece, *rest),) + selection.pieces[3:])
+
+    forged = replace(
+        result, values=forge(result.values, True), strategies=forge(result.strategies, False)
+    )
+    message = f"^cell 2 piece 0: {field} is not finite$"
+    with pytest.raises(InvalidInput, match=message):
+        deviation_residual(forged, spec)
+    with pytest.raises(InvalidInput, match=message):
+        simulate_payoffs(spec, forged, s0=0, paths=10, seed=0, horizon=3)
+
+
 def test_threaded_simulation_identical(monkeypatch):
     _, spec = random_nowak_game(seed=9, n_cells=6, j_components=1, k_atoms=1)
     result = solve(spec)
@@ -258,26 +295,30 @@ def solved_family_game(family, index, sunspot_cells=0):
 # games at criterion 8's truncation, recorded with Python 3.11.7 and numpy
 # 2.4.6 on x86-64. Keys: family, game index, sunspot cells (0 for none),
 # initial state (-1 for the last), paths. 777 paths leave a partial chunk.
-# Any change to the draws of the sampler or to the order of the random
-# stream shows here.
+# The three-player fallback game (its index 0) pins the product of three
+# players' strategies. Any change to the draws of the sampler or to the
+# order of the random stream shows here.
 GOLDEN_SIMULATIONS = {
     ("mixture-32", 0, 0, 0, 100_000): (
-        "0938a8694476045cf8398431c2dc08144d4301c8579b1a469588fbc515bc32af"
+        "9d407fca88d5bb4c3552bf51562b87be0fe8c39eefa37c4a095894000fcfa048"
     ),
     ("mixture-32", 0, 0, -1, 100_000): (
-        "54945c86e559a7e5820aba1b7c1d33d30465d532e9aa6b45479803649ca08f37"
+        "d4db3e039aa01a8dbbaaa1afcf0d7e2e6a917a1486c2f195a15ba3a778f03de8"
     ),
     ("mixture-32", 0, 0, 5, 777): (
-        "2bba9d3157f5fb80304d1565767e0ce0da68d87c658084e892d1bb6c7d529630"
+        "d1c0bee03bc9b92946e6f7e5a75e6e923e7aa4d51c1b794832a2dbcb8f02824d"
     ),
     ("atom-heavy", 0, 0, 0, 100_000): (
-        "c359fcebaf5a8329df6000446495bacbfdcd01797fc65ca4dd1007fbd68e902d"
+        "f9831074bd57d21954c1d5b1a0edc97f5eb8351e31cf826deb525c0fbfa8bb04"
     ),
     ("atom-heavy", 0, 0, -1, 100_000): (
-        "e4ea05745edb90de1bb2423d2201e67ca2885add414b0e20d4e6648d0ee4464f"
+        "ce24cd1fd50711b5373e4e2fee2e3d9ecaf84119fb96d17b771b9f4354f5a694"
     ),
     ("mixture-32", 0, 2, 7, 20_000): (
-        "98c679dac7a2f11fe909fad8cc791bb14c6cc3125f0e579d5a72582d8cca57bb"
+        "a8403ecd09d9c0e1c2619d85e9132ad7e7b869b20473a327db039c598ec38e71"
+    ),
+    ("three-player-2x2x2", 0, 0, 0, 100_000): (
+        "1b373cc708422670d54991be6b14c67790f46b2014c84e752491b85a369d205a"
     ),
 }
 
@@ -286,7 +327,10 @@ GOLDEN_SIMULATIONS = {
 @pytest.mark.parametrize("key", list(GOLDEN_SIMULATIONS), ids=lambda k: "-".join(map(str, k)))
 def test_simulation_bytes_match_golden_digest(key, threads, monkeypatch):
     family, index, sunspot_cells, s0, paths = key
-    spec, result = solved_family_game(family, index, sunspot_cells)
+    if family in FALLBACK_GAMES:
+        spec, result = solved_fallback_game(family)
+    else:
+        spec, result = solved_family_game(family, index, sunspot_cells)
     s0 = s0 % spec.n_states
     monkeypatch.setenv("SMPE_THREADS", threads)
     report = simulate_payoffs(spec, result, s0=s0, paths=paths, seed=9000 + s0, truncation=1e-4)
@@ -307,6 +351,25 @@ def masked_random_game(n_actions, index):
 def solved_fallback_game(name):
     spec = FALLBACK_GAMES[name][0]()
     return spec, solve(spec)
+
+
+def without_infeasible_mass(spec):
+    """``spec`` with no transition mass at the profiles infeasible at a state,
+    which a valid game may leave at zero."""
+    mask = spec.feasible_mask()
+    kernel = KernelDecomposition(rho=spec.kernel.rho, q=np.where(mask, spec.kernel.q, 0.0))
+    return replace(spec, kernel=kernel, atom_kernel=np.where(mask, spec.atom_kernel, 0.0))
+
+
+def zero_mass_game(n_actions, index):
+    spec, result = masked_random_game(n_actions, index)
+    spec = without_infeasible_mass(spec)
+    assert (spec.transition_masses().sum(axis=0) == 0).any()
+    return spec, result
+
+
+def random_profile_game(spec, key):
+    return spec, random_profile(spec, key=key)
 
 
 def forged_family_game(family, index, delta):
@@ -339,6 +402,39 @@ def test_certificate_matches_per_piece_reference(case):
     assert cert.epsilon == epsilon
     assert np.array_equal(cert.gains, gains)
     assert cert.recursion_residual == recursion
+
+
+SIMULATION_CASES = {
+    "one-player-3x3-pieces": lambda: random_profile_game(
+        FALLBACK_GAMES["one-player-3x3"][0](), [8, 0]
+    ),
+    "mixture-32-0-pieces": lambda: random_profile_game(
+        solved_family_game("mixture-32", 0)[0], [8, 1]
+    ),
+    "three-player-2x2x2": lambda: solved_fallback_game("three-player-2x2x2"),
+    "zero-mass-3x4": lambda: zero_mass_game((3, 4), 0),
+    "zero-mass-2x3x2": lambda: zero_mass_game((2, 3, 2), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATION_CASES))
+def test_joint_law_matches_per_piece_reference(case):
+    spec, result = SIMULATION_CASES[case]()
+    law = _joint_law(_piece_table(result, spec), spec)
+    reference = joint_law_reference(result, spec).reshape(spec.n_states, -1)
+    assert np.max(np.abs(law - reference)) <= 1e-15
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATION_CASES))
+def test_simulation_matches_finite_horizon_expectation(case):
+    # the joint draw and the chain of piece, actions and next state sample
+    # the same path law, whose expectation the state law gives exactly
+    spec, result = SIMULATION_CASES[case]()
+    report = simulate_payoffs(spec, result, s0=0, paths=20_000, seed=13, truncation=1e-3)
+    exact = finite_horizon_expectation_reference(result, spec, 0, report.horizon)
+    assert np.all(np.abs(report.means - exact) <= 4 * report.std_errors + report.truncation_bound)
+    means, std_errors, _ = simulate_payoffs_reference(spec, result, 0, 20_000, 13, report.horizon)
+    assert np.all(np.abs(means - exact) <= 4 * std_errors + report.truncation_bound)
 
 
 # --- guide-table sampler ------------------------------------------------------------
