@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -33,6 +34,8 @@ def _require(doc, key, kind, path):
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ParseError(f"{path}{key} must be a number")
+        if not abs(value) <= sys.float_info.max:  # 10**400 is a valid JSON integer
+            raise ParseError(f"{path}{key} must be a finite number")
         return float(value)
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
@@ -54,13 +57,17 @@ def _decimal(doc, key, path):
     return value
 
 
-def _number_array(value, path, shape=None):
-    """``value`` as floats; JSON numbers and booleans only, never strings."""
+def _number_array(value, path, shape=None, bools=False):
+    """``value`` as floats; JSON numbers only, and booleans only where
+    ``bools``, never strings."""
     try:
         arr = np.asarray(value)
         if arr.dtype.kind not in "biuf":
             raise ValueError
-    except ValueError:  # a ragged nesting, a string, null or an object
+        # numpy reads [true, 0.5] as floats, so look at the leaves themselves
+        if not bools and bool in set(map(type, np.asarray(value, dtype=object).flat)):
+            raise ValueError
+    except ValueError:  # a ragged nesting, a string, a boolean, null or an object
         raise ParseError(f"{path} must be a numeric array") from None
     arr = arr.astype(float)
     if shape is not None and arr.shape != shape:
@@ -74,7 +81,7 @@ def _number_array(value, path, shape=None):
 
 def _mask_array(value, path, shape):
     """A boolean mask written with 0, 1, true and false only."""
-    arr = _number_array(value, path, shape)
+    arr = _number_array(value, path, shape, bools=True)
     if not np.all((arr == 0) | (arr == 1)):
         raise ParseError(f"{path} entries must be 0, 1, true or false")
     return arr.astype(bool)

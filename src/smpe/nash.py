@@ -1,21 +1,23 @@
 """One-shot stage games and their mixed Nash equilibria.
 
 Stage games fold continuation moments and atom values into the stage
-payoffs; equilibria are found by support enumeration, every candidate
-verified by an independent best-response check. Every game inside the
-exact envelope (one to three players, at most four actions each) goes
-through one stacked entry point, :func:`nash_enumerate_stack`, which
-returns padded arrays (counts, strategies, payoffs); only the public
-:func:`nash_enumerate`, a stack of one, builds :class:`NashPoint`s. Two
-players' pure support pairs need no solve, the others one batched solve
-per pair; three players run damped Newton game by game. One stacked
-verifier checks, dedupes and sorts the candidates of every player count
-with the arithmetic of a single-profile check. Games beyond the envelope
-run regret matching, which gives up once its best slack stalls.
+payoffs. Every stage game is solved in a stack (m, n, k_1, ..., k_m) of
+games sharing action counts, into padded arrays (counts, strategies,
+payoffs); only the public :func:`nash_enumerate`, a stack of one, builds
+:class:`NashPoint`s. Inside the exact envelope (one to three players, at
+most four actions each), :func:`nash_enumerate_stack` enumerates
+supports: two players' pure support pairs need no solve, the others one
+batched solve per pair; three players run damped Newton game by game.
+One stacked check verifies, dedupes and sorts the candidates with the
+arithmetic of a single-profile check. Beyond it, for any player count,
+:func:`regret_matching` runs each game of the stack on its own until its
+best slack meets the target or stalls. Payoffs are contracted against
+mixed strategies by one einsum program per player count and player.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -34,16 +36,8 @@ EXACT_MAX_ACTIONS = 4
 # random 5x5 and 6x6 games the longest wait for a new best was 151 checks
 STALL_CHECKS = 300
 
-# einsum programs to contract a payoff tensor against the other players'
-# mixed strategies, leaving the focal player's axis free
-_CONTRACT = {
-    (1, 0): "a->a",
-    (2, 0): "ab,b->a",
-    (2, 1): "ab,a->b",
-    (3, 0): "abc,b,c->a",
-    (3, 1): "abc,a,c->b",
-    (3, 2): "abc,a,b->c",
-}
+# einsum axis letters of a payoff tensor's players; "n" is the stack axis
+_AXES = "abcdefghijklmopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 @dataclass(frozen=True)
@@ -177,41 +171,31 @@ def build_stage_game(
     return StageGame(payoffs=payoffs, actions=actions)
 
 
-def expected_payoffs(game: StageGame, strategies) -> np.ndarray:
-    """Expected payoff per player under a mixed profile."""
-    out = np.empty(game.m)
-    for i in range(game.m):
-        vec = payoff_against(game, i, strategies)
-        out[i] = float(np.dot(strategies[i], vec))
-    return out
+def _contract_program(m: int, player: int) -> str:
+    """The einsum program contracting one m-player payoff tensor against
+    the others' mixed strategies, leaving ``player``'s axis free: "ab,b->a"
+    for two players and player 0, "abc,a,c->b" for three and player 1."""
+    axes = _AXES[:m]
+    return ",".join([axes] + [a for j, a in enumerate(axes) if j != player]) + "->" + axes[player]
 
 
-def payoff_against(game: StageGame, player: int, strategies) -> np.ndarray:
-    """Payoff of each of ``player``'s actions against the others' mixtures."""
-    others = [np.asarray(strategies[j], dtype=float) for j in range(game.m) if j != player]
-    return np.einsum(_CONTRACT[(game.m, player)], game.payoffs[player], *others)
+@functools.cache
+def _stack_program(m: int, player: int) -> str:
+    """:func:`_contract_program` over the stack axis "n" and any profile axes."""
+    return "n" + _contract_program(m, player).replace(",", ",n...").replace("->", "->n...")
 
 
 def payoff_against_stack(payoffs: np.ndarray, player: int, strategies) -> np.ndarray:
-    """:func:`payoff_against` for a stack of games sharing action counts.
+    """Payoff of each of ``player``'s actions against the others' mixtures,
+    for a stack of games sharing action counts.
 
     ``payoffs`` is (m, n, *shape) and ``strategies[j]`` is (n, ..., k_j),
     with any number of profiles per game on the middle axes; the result is
-    (n, ..., k_player). Each profile is contracted exactly as
-    :func:`payoff_against` contracts it alone.
+    (n, ..., k_player). Each profile is contracted by the program of
+    :func:`_contract_program`, as that game and profile alone would be.
     """
-    program = "n" + _CONTRACT[(len(payoffs), player)].replace(",", ",n...").replace("->", "->n...")
-    others = [np.asarray(s, dtype=float) for j, s in enumerate(strategies) if j != player]
-    return np.einsum(program, payoffs[player], *others)
-
-
-def best_response_gap(game: StageGame, strategies) -> np.ndarray:
-    """Per-player gain of the best pure deviation over the played profile."""
-    gaps = np.empty(game.m)
-    for i in range(game.m):
-        vec = payoff_against(game, i, strategies)
-        gaps[i] = float(vec.max() - np.dot(strategies[i], vec))
-    return gaps
+    others = (*strategies[:player], *strategies[player + 1 :])
+    return np.einsum(_stack_program(len(payoffs), player), payoffs[player], *others)
 
 
 def degenerate_games(payoffs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -358,16 +342,10 @@ def _verify_stack(payoffs, strategies, found):
     pure deviation gains more than ``BR_TOL`` and no kept candidate before
     it lies within ``DEDUPE_TOL``; game g's ``counts[g]`` kept points fill
     its first slots, sorted by (payoffs, flat strategies), and zeros the
-    rest. Played payoffs are a batched ``matmul``, which rounds as
-    ``np.dot`` does, so no game's slots depend on the rest of the stack.
+    rest; no game's slots depend on the rest of the stack (:func:`_slack`).
     """
     m = len(payoffs)
-    played = np.empty(found.shape + (m,))
-    gap = np.full(found.shape, -np.inf)
-    for i in range(m):
-        vec = payoffs[0][:, None] if m == 1 else payoff_against_stack(payoffs, i, strategies)
-        played[..., i] = (strategies[i][..., None, :] @ vec[..., :, None])[..., 0, 0]
-        gap = np.maximum(gap, vec.max(axis=-1) - played[..., i])
+    played, gap = _slack(payoffs, strategies)
     kept = found & (gap <= BR_TOL)
     # each game's kept candidates, moved to the front in enumeration order;
     # greedily, any within DEDUPE_TOL of a kept one before it is dropped
@@ -387,6 +365,20 @@ def _verify_stack(payoffs, strategies, found):
     rows[np.arange(rows.shape[1]) >= counts[:, None]] = 0.0
     ends = np.cumsum([m] + [s.shape[-1] for s in strategies])
     return counts, tuple(rows[..., a:b] for a, b in zip(ends, ends[1:])), rows[..., :m]
+
+
+def _slack(payoffs, strategies):
+    """Played payoffs (n, s, m) and best-response slack (n, s) of profiles
+    ``strategies[i]`` (n, s, k_i) of a stack (m, n, *shape); a batched
+    ``matmul`` rounds as ``np.dot`` does, so no game depends on the rest."""
+    m = len(payoffs)
+    played = np.empty(strategies[0].shape[:-1] + (m,))
+    gap = np.full(played.shape[:-1], -np.inf)
+    for i in range(m):
+        vec = payoffs[0][:, None] if m == 1 else payoff_against_stack(payoffs, i, strategies)
+        played[..., i] = (strategies[i][..., None, :] @ vec[..., :, None])[..., 0, 0]
+        gap = np.maximum(gap, vec.max(axis=-1) - played[..., i])
+    return played, gap
 
 
 def _newton_starts(sizes, count=8):
@@ -503,57 +495,78 @@ def enumeration_mode(shape) -> str:
 def nash_enumerate(game: StageGame):
     """All verified mixed equilibria of a small finite game.
 
-    Inside the exact envelope (:func:`enumeration_mode`), a stack of one
-    for :func:`nash_enumerate_stack`: supports are enumerated on a
-    perturbed copy of the game and every solved candidate is re-verified
-    against the unperturbed payoffs (best-response slack at most
-    ``BR_TOL``), then deduplicated and sorted by payoff vector. Larger
-    games run regret matching and return a single approximate point
-    carrying its certified slack.
+    A stack of one in both modes of :func:`enumeration_mode`. Inside the
+    exact envelope, :func:`nash_enumerate_stack`: supports are enumerated
+    on a perturbed copy of the game and every solved candidate is
+    re-verified against the unperturbed payoffs (best-response slack at
+    most ``BR_TOL``), then deduplicated and sorted by payoff vector.
+    Larger games run :func:`regret_matching` and return a single
+    approximate point carrying its certified slack, or raise
+    :class:`NoConvergence` carrying it when the slack misses the target.
     """
-    if enumeration_mode(game.shape) == "approx":
-        return [regret_matching(game)]
-    _, strategies, payoffs = nash_enumerate_stack(np.stack(game.payoffs)[:, None])
-    profiles = zip(*(s[0] for s in strategies))  # a stack of one has no padded slots
-    return [NashPoint(strategies=p, payoffs=v) for p, v in zip(profiles, payoffs[0])]
+    stack = np.stack(game.payoffs)[:, None]
+    if enumeration_mode(game.shape) == "exact":
+        arrays, eps, misses = nash_enumerate_stack(stack), [0.0], []
+    else:
+        arrays, eps, _, misses = regret_matching(stack)
+    profiles = zip(*(s[0] for s in arrays[1]))  # a stack of one has no padded slots
+    points = [NashPoint(p, v, float(eps[0])) for p, v in zip(profiles, arrays[2][0])]
+    if misses:
+        raise NoConvergence(misses[0], result=points[0], epsilon=points[0].eps)
+    return points
 
 
-def regret_matching(game: StageGame, eps_target: float = 1e-3, max_iter: int = 200_000):
-    """Average regret-matching play until the best-response slack of the
-    averaged profile falls below ``eps_target``. After ``max_iter`` steps,
-    or ``STALL_CHECKS`` checks in a row without a better slack, raises
-    :class:`NoConvergence` carrying the best averaged profile seen."""
-    sizes = game.shape
-    regrets = [np.zeros(s) for s in sizes]
-    sums = [np.zeros(s) for s in sizes]
-    current = [np.full(s, 1.0 / s) for s in sizes]
-    best = None
-    stalled = 0
-    check_every = 250
-    for t in range(1, max_iter + 1):
-        for i in range(game.m):
-            vec = payoff_against(game, i, current)
-            played = float(np.dot(current[i], vec))
-            regrets[i] += vec - played
-        for i in range(game.m):
+def regret_matching(payoffs, eps_target: float = 1e-3, max_iter: int = 200_000):
+    """Average regret-matching play on each game of a stack (m, n, k_1,
+    ..., k_m) on its own, so each game gets exactly what it gets alone.
+
+    Every 250 steps, and at ``max_iter``, a game checks the best-response
+    slack of its averaged profile; it stops at the first check where the
+    slack is at most ``eps_target``, or after ``STALL_CHECKS`` checks in a
+    row without a better slack, and the stack runs on without it. Returns
+    the padded arrays ``(counts, strategies, payoffs)`` of
+    :func:`nash_enumerate_stack` holding each game's best averaged profile,
+    that profile's slack ``eps`` (n,), the stop step ``steps`` (n,), and
+    the :class:`NoConvergence` message of each game that missed the
+    target, in stack order.
+    """
+    payoffs = np.asarray(payoffs, dtype=float)
+    m, n, *sizes = payoffs.shape
+    regrets, sums = ([np.zeros((n, k)) for k in sizes] for _ in range(2))
+    current = [np.full((n, k), 1.0 / k) for k in sizes]
+    best = [np.zeros((n, 1, k)) for k in sizes] + [np.zeros((n, 1, m))]  # strategies, payoffs
+    eps, steps, stalled = np.full(n, np.inf), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    live, t = np.arange(n), 0  # the running games, as indices into the stack
+    while len(live):
+        t += 1
+        for i in range(m):
+            vec = payoff_against_stack(payoffs, i, current)
+            regrets[i] += vec - (current[i][:, None] @ vec[:, :, None])[:, 0]
+        for i, k in enumerate(sizes):
             sums[i] += current[i]
-            pos = np.clip(regrets[i], 0.0, None)
-            total = pos.sum()
-            current[i] = pos / total if total > 0 else np.full(sizes[i], 1.0 / sizes[i])
-        if t % check_every == 0 or t == max_iter:
-            avg = tuple(s / s.sum() for s in sums)
-            eps = float(max(best_response_gap(game, avg)))
-            if best is None or eps < best[0]:
-                best, stalled = (eps, avg), 0
-            else:
-                stalled += 1
-            if eps <= eps_target:
-                return NashPoint(strategies=avg, payoffs=expected_payoffs(game, avg), eps=eps)
-            if stalled >= STALL_CHECKS:
-                break
-    eps, avg = best
-    raise NoConvergence(
-        f"regret matching reached eps {eps:g} > target {eps_target:g} after {t} steps",
-        result=NashPoint(strategies=avg, payoffs=expected_payoffs(game, avg), eps=eps),
-        epsilon=eps,
-    )
+            pos = np.maximum(regrets[i], 0.0)
+            total = pos.sum(axis=1, keepdims=True)
+            if np.count_nonzero(total) == len(total):  # cheaper than total.all()
+                current[i] = pos / total
+            else:  # a game with no positive regret plays uniformly
+                current[i] = np.divide(pos, total, out=np.full_like(pos, 1.0 / k), where=total > 0)
+        if t % 250 and t < max_iter:
+            continue
+        avg = [(s / s.sum(axis=1, keepdims=True))[:, None] for s in sums]
+        played, gap = _slack(payoffs, avg)
+        gap = gap[:, 0]
+        better = gap < eps[live]
+        eps[live[better]] = gap[better]
+        for part, new in zip(best, avg + [played]):
+            part[live[better]] = new[better]
+        stalled = np.where(better, 0, stalled + 1)
+        stop = (gap <= eps_target) | (stalled >= STALL_CHECKS) | (t >= max_iter)
+        steps[live[stop]] = t
+        live, stalled, payoffs = live[~stop], stalled[~stop], payoffs[:, ~stop]
+        regrets, sums, current = ([a[~stop] for a in part] for part in (regrets, sums, current))
+    misses = [
+        f"regret matching reached eps {e:g} > target {eps_target:g} after {stop} steps"
+        for e, stop in zip(eps, steps)
+        if e > eps_target
+    ]
+    return (np.ones(n, dtype=int), tuple(best[:m]), best[m]), eps, steps, misses

@@ -2,21 +2,22 @@
 
 This module re-derives everything it needs from the game data and the
 reported piecewise values/strategies alone, and it is where results
-enter: both readers flatten the reported selections into one table of
-pieces (cell, position in the cell, fraction, value, strategy) and
-reject a profile whose fractions or values are not finite, or whose
-fractions or strategies are not probability vectors (the strategies on
-the feasible actions). It deliberately shares no stage-game or
-enumeration code with the solver, so agreement between the two is a
-genuine cross-check. As array steps over that table it computes the
-one-shot deviation gains of every piece, the exact evaluation of the
-reported strategy profile via a linear solve, and the sampling table of
-reproducible Monte Carlo estimates of discounted play. Payoffs and
-transitions read only (state, profile), so the simulation marginalizes
-the pieces: each path and step draws (profile, next state) from its
-state's joint law with one uniform and one exact guide-table inverse-CDF
-lookup, O(1) per draw, that returns the index of the comparison rule
-``#{j : cum[r, j] < u}`` bit for bit.
+enter: both readers reject a game that fails validation, flatten the
+reported selections into one table of pieces (cell, position in the
+cell, fraction, value, strategy) and reject a profile whose fractions
+or values are not finite, or whose fractions or strategies are not
+probability vectors (the strategies on the feasible actions). It
+deliberately shares no stage-game or enumeration code with the solver,
+so agreement between the two is a genuine cross-check. As array steps
+over that table it computes the one-shot deviation gains of every
+piece, the exact evaluation of the reported strategy profile via a
+linear solve, and the sampling table of reproducible Monte Carlo
+estimates of discounted play. Payoffs and transitions read only (state,
+profile), so the simulation marginalizes the pieces: each path and step
+draws (profile, next state) from its state's joint law with one uniform
+and one exact guide-table inverse-CDF lookup, O(1) per draw, that
+returns the index of the comparison rule ``#{j : cum[r, j] < u}`` bit
+for bit.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput
-from .game import StochasticGameSpec
+from .errors import InvalidInput, ValidationError
+from .game import StochasticGameSpec, validate_game
 
 CHUNK_PATHS = 8192
 STRATEGY_TOL = 1e-12
@@ -78,7 +79,12 @@ class _PieceTable(NamedTuple):
 
 def _piece_table(result, spec):
     """The pieces of ``result``'s value and strategy selections as one
-    table, once the fractions and strategies pass their checks."""
+    table, once the game, the fractions and the strategies pass their
+    checks; a game that fails :func:`~smpe.game.validate_game` raises
+    :class:`ValidationError` with its violations joined by "; "."""
+    report = validate_game(spec)
+    if not report.passed:
+        raise ValidationError("; ".join(report.violations), report=report)
     result.values.validate(spec.space)
     counts = np.fromiter(map(len, result.values.pieces), dtype=int)
     strategy_counts = np.fromiter(map(len, result.strategies.pieces), dtype=int, count=len(counts))
@@ -158,12 +164,12 @@ def deviation_residual(result, spec: StochasticGameSpec) -> Certificate:
     the reported values and the exact discounted evaluation of the
     reported strategies, obtained from a linear solve over pieces.
 
-    The bound holds only for a stationary Markov profile, so piece
-    fractions that are negative or do not sum to 1 per cell, a fraction
-    or value that is not finite, and a piece whose strategy is not a
-    probability vector on its cell's feasible actions, raise
-    ``InvalidInput`` first; this is where results from outside the solver
-    enter.
+    The bound holds only for a valid game and a stationary Markov
+    profile, so a game that fails validation raises ``ValidationError``
+    first; piece fractions that are negative or do not sum to 1 per cell,
+    a fraction or value that is not finite, and a piece whose strategy is
+    not a probability vector on its cell's feasible actions raise
+    ``InvalidInput``; this is where results from outside the solver enter.
     """
     table = _piece_table(result, spec)
     averages = np.asarray(result.values.averages(), dtype=float)
@@ -293,7 +299,7 @@ def simulate_payoffs(
     payoff bound scale. Paths are simulated in fixed-size blocks, each
     driven by a counter-based generator keyed on (seed, block), so
     identical seeds reproduce the report bit for bit regardless of the
-    thread count (``SMPE_THREADS``). The pieces are checked as
+    thread count (``SMPE_THREADS``). The game and the pieces are checked as
     :func:`deviation_residual` checks them.
     """
     table = _piece_table(result, spec)

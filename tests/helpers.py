@@ -41,6 +41,15 @@ def single_atom_game(payoffs, discounts, payoff_bound=None, n_actions=None):
     )
 
 
+def four_player_game():
+    """2x2x2x2 one-atom game in which each player's action 0 dominates:
+    payoffs 0.5 * [a_i = 0] plus uniform noise on (-0.2, 0.2), Philox key 41."""
+    rng = np.random.Generator(np.random.Philox(key=41))
+    actions = np.indices((2,) * 4).reshape(4, -1)
+    payoffs = 0.5 * (actions == 0) + rng.uniform(-0.2, 0.2, (4, 16))
+    return single_atom_game(payoffs, [0.5, 0.6, 0.7, 0.4])
+
+
 def constant_kernel_game(payoffs, discounts, n_cells=2, payoff_bound=None):
     """All divisible cells, one coarse cell, state-independent uniform kernel.
 

@@ -8,11 +8,13 @@ support system at a time in floating point with the arithmetic of the
 library's stacked enumerator, ``verify_candidates_reference``, the
 library's candidate check, duplicate test and sort one game and one
 candidate at a time, ``atom_operator_reference``, the atom
-operator computed from the full stage-payoff table at every step, and
+operator computed from the full stage-payoff table at every step,
 ``comparison_draw_reference``, the simulation's inverse-CDF draw by a
-full comparison over each row; they pin an optimized library path to a
-plain one bit for bit. ``project_to_hull_reference``, the hull
-projection one point set and one ``lstsq`` per support, pins the
+full comparison over each row, and ``regret_matching_reference``,
+regret matching one game at a time over ``payoff_against``,
+``expected_payoffs`` and ``best_response_gap``; they pin an optimized
+library path to a plain one bit for bit. ``project_to_hull_reference``,
+the hull projection one point set and one ``lstsq`` per support, pins the
 stacked projection's supports, and its points and weights to rounding.
 ``points_of`` reads the stage layer's padded arrays back as one game's
 list of points, so they can be held against the one-game references.
@@ -210,6 +212,67 @@ def pure_equilibria_bruteforce(payoffs):
         if ok:
             out.append(profile)
     return out
+
+
+def _contract(m, player):
+    """The einsum program for one game: "abc,a,c->b" for three players and
+    player 1, the others' axes contracted in player order."""
+    axes = "abcdefghijklmopqrstuvwxyz"[:m]
+    return ",".join([axes] + [a for j, a in enumerate(axes) if j != player]) + "->" + axes[player]
+
+
+def payoff_against(game, player, strategies):
+    """Payoff of each of ``player``'s actions against the others' mixtures,
+    one ``StageGame`` at a time."""
+    others = [np.asarray(strategies[j], dtype=float) for j in range(game.m) if j != player]
+    return np.einsum(_contract(game.m, player), game.payoffs[player], *others)
+
+
+def expected_payoffs(game, strategies):
+    """Expected payoff per player under a mixed profile."""
+    return np.array(
+        [float(np.dot(strategies[i], payoff_against(game, i, strategies))) for i in range(game.m)]
+    )
+
+
+def best_response_gap(game, strategies):
+    """Per-player gain of the best pure deviation over the played profile."""
+    gaps = np.empty(game.m)
+    for i in range(game.m):
+        vec = payoff_against(game, i, strategies)
+        gaps[i] = float(vec.max() - np.dot(strategies[i], vec))
+    return gaps
+
+
+def regret_matching_reference(game, eps_target=1e-3, max_iter=200_000, stall_checks=300):
+    """Average regret-matching play on one game, one player vector at a
+    time: the best averaged profile seen, its payoffs, its slack and the
+    stop step."""
+    sizes = game.shape
+    regrets = [np.zeros(s) for s in sizes]
+    sums = [np.zeros(s) for s in sizes]
+    current = [np.full(s, 1.0 / s) for s in sizes]
+    best, stalled = None, 0
+    for t in range(1, max_iter + 1):
+        for i in range(game.m):
+            vec = payoff_against(game, i, current)
+            regrets[i] += vec - float(np.dot(current[i], vec))
+        for i in range(game.m):
+            sums[i] += current[i]
+            pos = np.clip(regrets[i], 0.0, None)
+            total = pos.sum()
+            current[i] = pos / total if total > 0 else np.full(sizes[i], 1.0 / sizes[i])
+        if t % 250 == 0 or t == max_iter:
+            avg = tuple(s / s.sum() for s in sums)
+            eps = float(max(best_response_gap(game, avg)))
+            if best is None or eps < best[0]:
+                best, stalled = (eps, avg), 0
+            else:
+                stalled += 1
+            if eps <= eps_target or stalled >= stall_checks:
+                break
+    eps, avg = best
+    return avg, expected_payoffs(game, avg), eps, t
 
 
 def nash_two_reference(a, b, br_tol=1e-10, dedupe_tol=1e-8, perturb_scale=1e-12):

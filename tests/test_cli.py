@@ -15,7 +15,7 @@ from smpe.cli import run_command
 from smpe.kernels import random_nowak_game
 from smpe.verify import deviation_residual
 
-from helpers import single_atom_game
+from helpers import four_player_game, single_atom_game
 
 
 @pytest.fixture()
@@ -216,13 +216,17 @@ def _set_entry(doc, path, value):
 
 
 # entries numpy would coerce: coarse 0.9 and "0" read as 0, feasible 0.5 as
-# true, payoff "0.5" as 0.5
+# true, payoff "0.5" as 0.5 and true as 1.0; and valid JSON integers beyond
+# the float range, which float() cannot convert
 COERCED_GAMES = {
     "float-coarse": (("grid", "coarse", 3), 0.9, "grid.coarse[3]"),
     "string-coarse": (("grid", "coarse", 0), "0", "grid.coarse[0]"),
     "fractional-feasible": (("feasible", 0, 0, 0), 0.5, "feasible[0]"),
     "string-feasible": (("feasible", 1, 2, 1), "1", "feasible[1]"),
     "string-payoff": (("payoffs", 0, 1, 2), "0.5", "payoffs"),
+    "bool-payoff": (("payoffs", 0, 0, 0), True, "payoffs"),
+    "huge-mass": (("grid", "cells", 0, "mass"), 10**400, "grid.cells[0].mass"),
+    "huge-payoff-bound": (("payoff_bound",), 10**400, "payoff_bound"),
 }
 
 
@@ -299,6 +303,15 @@ def test_stage_game_without_certified_result_exits_one(tmp_path):
     assert err.startswith("no convergence: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_four_player_game_solves(tmp_path):
+    # beyond three players every stage game runs regret matching
+    game, out = tmp_path / "game.json", tmp_path / "result.json"
+    gamefile.write_game_spec(game, four_player_game())
+    code, err = run_cli(["solve", "--game", str(game), "--out", str(out)])
+    assert code == 0 and err == ""
+    assert out.exists()
 
 
 @pytest.mark.parametrize(

@@ -110,30 +110,50 @@ NUMERIC_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("field", sorted(NUMERIC_ENTRIES))
-def test_numeric_string_in_game_is_parse_error(field):
-    # "0.5" is text, not a number, though numpy would read it as 0.5
+def replacements(fields):
+    """(field, replace) pairs: the entry as a numeric string, which numpy
+    would read as its number, or as a boolean, which numpy reads as 0 or 1;
+    the string cases keep the bare field name as their id."""
+    cases = [(field, str, field) for field in fields]
+    cases += [(field, lambda x: x > 0, f"{field}-bool") for field in fields]
+    return [pytest.param(field, replace, id=name) for field, replace, name in cases]
+
+
+@pytest.mark.parametrize("field, replace", replacements(sorted(NUMERIC_ENTRIES)))
+def test_numeric_string_in_game_is_parse_error(field, replace):
+    # "0.5" is text and true a boolean, not numbers, though numpy reads them
     _, spec = random_nowak_game(seed=2, n_cells=3, j_components=2, k_atoms=1)
     doc = gamefile.spec_to_doc(spec)
     *keys, last = NUMERIC_ENTRIES[field]
     node = doc
     for key in keys:
         node = node[key]
-    node[last] = str(node[last])
+    node[last] = replace(node[last])
     with pytest.raises(ParseError, match=re.escape(f"{field} must be a numeric array")):
         gamefile.spec_from_doc(doc)
 
 
-@pytest.mark.parametrize("field", ["value", "strategy"])
-def test_numeric_string_in_result_is_parse_error(tmp_path, field):
+@pytest.mark.parametrize("field, replace", replacements(["strategy", "value"]))
+def test_numeric_string_in_result_is_parse_error(tmp_path, field, replace):
     _, spec = random_nowak_game(seed=3, n_cells=4, j_components=1, k_atoms=1)
     doc = gamefile.result_to_doc(solve(spec), spec)
     entries = doc["cells"][1]["pieces"][0][field]
-    entries[0] = str(entries[0])
+    entries[0] = replace(entries[0])
     path = tmp_path / "result.json"
     path.write_bytes(gamefile.canonical_bytes(doc))
     entry = f"cells[1].pieces[0].{field} must be a numeric array"
     with pytest.raises(ParseError, match=re.escape(entry)):
+        gamefile.load_result(path, spec)
+
+
+def test_result_epsilon_beyond_the_float_range_is_parse_error(tmp_path):
+    # 10**400 is a valid JSON integer, but no finite float
+    _, spec = random_nowak_game(seed=3, n_cells=4, j_components=1, k_atoms=1)
+    doc = gamefile.result_to_doc(solve(spec), spec)
+    doc["epsilon"] = 10**400
+    path = tmp_path / "result.json"
+    path.write_bytes(gamefile.canonical_bytes(doc))
+    with pytest.raises(ParseError, match="epsilon must be a finite number"):
         gamefile.load_result(path, spec)
 
 

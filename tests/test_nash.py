@@ -9,30 +9,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smpe.nash
 from smpe.errors import InvalidInput, NoConvergence
 from smpe.nash import (
     AggregateVector,
     StageGame,
     _candidates_three,
+    _contract_program,
     _perturbed,
     _pure_supports,
     _support_mixtures,
     _verify_stack,
     aggregate_moments,
-    best_response_gap,
     build_stage_game,
-    expected_payoffs,
     nash_enumerate,
     nash_enumerate_stack,
+    payoff_against_stack,
     regret_matching,
     stage_payoff_tensor,
 )
 
 from helpers import assert_same_points, constant_kernel_game, single_atom_game
 from oracles import (
+    best_response_gap,
+    expected_payoffs,
     nash_two_reference,
+    payoff_against,
     points_of,
     pure_equilibria_bruteforce,
+    regret_matching_reference,
     verify_candidates_reference,
 )
 
@@ -416,38 +421,128 @@ def test_approximate_mode_regret_matching():
     assert max(best_response_gap(game, points[0].strategies)) <= points[0].eps + 1e-12
 
 
-def test_regret_matching_gives_up_when_the_best_eps_stalls():
+def uniform_game(key, shape):
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return rng.uniform(-1, 1, (len(shape),) + shape)
+
+
+def stall_game():
     # on this 5x5 game the averaged profile's eps stops improving near
     # 0.0065, far above the target, long before the iteration cap
     rng = np.random.default_rng(0)
     rng.uniform(-1, 1, (2, 5, 5))
-    game = StageGame(payoffs=tuple(rng.uniform(-1, 1, (2, 5, 5))), actions=(range(5), range(5)))
-    with pytest.raises(NoConvergence) as info:
-        regret_matching(game)
-    steps = int(str(info.value).split(" after ")[1].split()[0])
-    assert steps < 200_000  # the iteration cap
-    point = info.value.result
-    assert info.value.epsilon == point.eps > 1e-3
-    assert max(best_response_gap(game, point.strategies)) == point.eps
+    return rng.uniform(-1, 1, (2, 5, 5))
 
 
-def test_regret_matching_converges_after_a_long_plateau():
+def plateau_game():
     # this game's averaged eps goes 151 checks (37 750 steps) without a new
     # best before it meets the target at step 101 500: the stall stop must
     # outlast that wait
-    rng = np.random.Generator(np.random.Philox(key=1050))
-    game = StageGame(payoffs=tuple(rng.uniform(-1, 1, (2, 5, 5))), actions=(range(5), range(5)))
-    point = regret_matching(game)
+    return np.random.Generator(np.random.Philox(key=1050)).uniform(-1, 1, (2, 5, 5))
+
+
+@pytest.fixture(scope="module")
+def solo():
+    """The stall, plateau and key-17 5x5 games, each run once alone through
+    nash_enumerate: per game, the regret_matching return it saw, and its
+    points or its NoConvergence."""
+    games = {"stall": stall_game(), "plateau": plateau_game(), "key 17": uniform_game(17, (5, 5))}
+    out = {}
+    for name, payoffs in games.items():
+        seen = []
+
+        def recorded(stack):
+            seen.append(regret_matching(stack))
+            return seen[-1]
+
+        game = StageGame(payoffs=tuple(payoffs), actions=(range(5), range(5)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(smpe.nash, "regret_matching", recorded)
+            try:
+                outcome = nash_enumerate(game)
+            except NoConvergence as exc:
+                outcome = exc
+        out[name] = payoffs, seen[0], outcome
+    return out
+
+
+def test_regret_matching_gives_up_when_the_best_eps_stalls(solo):
+    payoffs, _, error = solo["stall"]
+    game = StageGame(payoffs=tuple(payoffs), actions=(range(5), range(5)))
+    assert isinstance(error, NoConvergence)
+    steps = int(str(error).split(" after ")[1].split()[0])
+    assert steps < 200_000  # the iteration cap
+    point = error.result
+    assert error.epsilon == point.eps > 1e-3
+    assert max(best_response_gap(game, point.strategies)) == point.eps
+
+
+def test_regret_matching_converges_after_a_long_plateau(solo):
+    payoffs, _, points = solo["plateau"]
+    game = StageGame(payoffs=tuple(payoffs), actions=(range(5), range(5)))
+    (point,) = points
     assert point.eps <= 1e-3
     assert max(best_response_gap(game, point.strategies)) == point.eps
 
 
 def test_regret_matching_on_pennies():
     game = bimatrix([[1, -1], [-1, 1]], [[-1, 1], [1, -1]])
-    point = regret_matching(game, eps_target=1e-4)
-    assert point.eps <= 1e-4
-    for strat in point.strategies:
-        assert strat == pytest.approx([0.5, 0.5], abs=0.05)
+    (counts, strategies, _), eps, _, misses = regret_matching(np.stack(game.payoffs)[:, None], 1e-4)
+    assert counts.tolist() == [1] and eps[0] <= 1e-4 and misses == []
+    for strat in strategies:
+        assert strat[0, 0] == pytest.approx([0.5, 0.5], abs=0.05)
+
+
+def test_regret_matching_stack_games_stop_as_they_would_alone(solo):
+    # the stall, plateau and key-17 games stop at 96 750, 101 500 and 1 250
+    # steps; in one stack, each must still get its own bits and stop step
+    stack = np.stack([payoffs for payoffs, _, _ in solo.values()], axis=1)
+    (counts, strategies, payoffs), eps, steps, misses = regret_matching(stack)
+    assert counts.tolist() == [1, 1, 1] and steps.tolist() == [96_750, 101_500, 1_250]
+    for g, (_, alone_run, _) in enumerate(solo.values()):
+        (_, alone, alone_payoffs), alone_eps, alone_steps, _ = alone_run
+        for part, own in zip(strategies, alone):
+            assert np.array_equal(part[g], own[0])
+        assert np.array_equal(payoffs[g], alone_payoffs[0])
+        assert eps[g] == alone_eps[0] and steps[g] == alone_steps[0]
+    assert misses == solo["stall"][1][3]  # only the stall game misses the target
+
+
+@pytest.mark.parametrize(
+    "key, shape", [(57, (5,)), (17, (5, 5)), (53, (5, 3, 2)), (51, (2, 2, 2, 2))]
+)
+def test_regret_matching_matches_the_per_game_reference(key, shape):
+    payoffs = uniform_game(key, shape)
+    game = StageGame(payoffs=tuple(payoffs), actions=tuple(range(k) for k in shape))
+    (_, strategies, values), eps, steps, misses = regret_matching(payoffs[:, None])
+    avg, expected, ref_eps, ref_steps = regret_matching_reference(game)
+    for part, own in zip(strategies, avg):
+        assert np.array_equal(part[0, 0], own)
+    assert np.array_equal(values[0, 0], expected)
+    assert eps[0] == ref_eps <= 1e-3 and steps[0] == ref_steps and misses == []
+
+
+def test_contract_programs_up_to_three_players_are_fixed():
+    programs = [_contract_program(m, i) for m in (1, 2, 3) for i in range(m)]
+    assert programs == ["a->a", "ab,b->a", "ab,a->b", "abc,b,c->a", "abc,a,c->b", "abc,a,b->c"]
+
+
+def test_four_player_payoff_against_stack_matches_the_loop():
+    rng = np.random.Generator(np.random.Philox(key=55))
+    shape, n = (2, 3, 2, 2), 6
+    payoffs = rng.uniform(-1, 1, (4, n) + shape)
+    strategies = [rng.dirichlet(np.ones(k), size=(n, 3)) for k in shape]  # 3 profiles a game
+    for i in range(4):
+        stacked = payoff_against_stack(payoffs, i, strategies)
+        for g, r in itertools.product(range(n), range(3)):
+            game = StageGame(payoffs=tuple(payoffs[:, g]), actions=tuple(map(range, shape)))
+            profile = [s[g, r] for s in strategies]
+            assert np.array_equal(stacked[g, r], payoff_against(game, i, profile))
+            loop = np.zeros(shape[i])
+            for actions in itertools.product(*map(range, shape)):
+                weight = np.prod([profile[j][a] for j, a in enumerate(actions) if j != i])
+                loop[actions[i]] += payoffs[i, g][actions] * weight
+            assert stacked[g, r] == pytest.approx(loop, abs=1e-14)
 
 
 # --- stage-game construction -----------------------------------------------------

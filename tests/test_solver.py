@@ -12,13 +12,7 @@ from smpe.errors import InvalidInput, NoConvergence, PreconditionFailed
 from smpe.game import KernelDecomposition
 from smpe.gamefile import canonical_bytes, result_to_doc
 from smpe.kernels import random_nowak_game
-from smpe.nash import (
-    AggregateVector,
-    aggregate_moments,
-    build_stage_game,
-    payoff_against,
-    stage_payoff_tensor,
-)
+from smpe.nash import AggregateVector, aggregate_moments, build_stage_game, stage_payoff_tensor
 from smpe.solver import (
     SolveOptions,
     _signature_groups,
@@ -27,13 +21,20 @@ from smpe.solver import (
     atom_value_operator,
     solve,
 )
-from smpe.verify import deviation_residual
+from smpe.verify import deviation_residual, simulate_payoffs
 
-from helpers import FAMILIES, assert_same_points, constant_kernel_game, single_atom_game
+from helpers import (
+    FAMILIES,
+    assert_same_points,
+    constant_kernel_game,
+    four_player_game,
+    single_atom_game,
+)
 from oracles import (
     atom_fixed_point_reference,
     atom_operator_reference,
     nash_two_reference,
+    payoff_against,
     points_of,
 )
 
@@ -268,7 +269,7 @@ def test_stage_layer_matches_per_state_reference_across_signatures():
     table = stage_payoff_tensor(c, v2, spec)
     states = np.arange(spec.n_states)
     groups = _signature_groups(spec, states)
-    stage = _stage_equilibria(states, groups, c, v2, spec, table)
+    stage = _stage_equilibria(states, groups, spec, table)
     assert len({tuple(len(a) for a in actions) for actions, _ in groups}) == 2
     for actions, members in groups:
         for state in states[members]:
@@ -310,7 +311,7 @@ def test_stage_equilibria_do_not_depend_on_stack_composition():
         table = stage_payoff_tensor(c, v2, spec)
 
         def stage_of(states):
-            return _stage_equilibria(states, _signature_groups(spec, states), c, v2, spec, table)
+            return _stage_equilibria(states, _signature_groups(spec, states), spec, table)
 
         def actions_of(states):
             return {
@@ -386,8 +387,8 @@ def test_fallback_result_bytes_match_golden_digest(name, monkeypatch):
 
     monkeypatch.setattr(solver, "build_stage_game", build_spy)
     result = solve(spec)
-    # only a game outside the exact envelope is built state by state
-    assert bool(built) == (name == "two-player-5x5")
+    # every game, inside the exact envelope or not, is solved in a stack
+    assert built == []
     assert result.epsilon <= 1e-9
     assert hashlib.sha256(canonical_bytes(result_to_doc(result, spec))).hexdigest() == digest
 
@@ -584,23 +585,77 @@ def test_outer_iteration_builds_one_stage_table(monkeypatch):
 
 
 def test_exact_solve_builds_no_nash_point(monkeypatch):
-    # the stage layer hands arrays from the enumeration to the hull, the
-    # atom profile and purification; only the public nash_enumerate (and
-    # regret matching, outside the exact envelope) builds points
-    built = []
-    real = nash.NashPoint
+    # the stage layer hands arrays from the enumeration and from regret
+    # matching to the hull, the atom profile and purification; only the
+    # public nash_enumerate builds points
+    built, stacks = [], []
+    real_regret_matching = solver.regret_matching
 
-    def spy(*args, **kwargs):
-        built.append(1)
-        return real(*args, **kwargs)
+    def spy(real):
+        def build(*args, **kwargs):
+            built.append(real.__name__)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(nash, "NashPoint", spy)
+        return build
+
+    def regret_spy(payoffs):
+        stacks.append(payoffs.shape[1])
+        return real_regret_matching(payoffs)
+
+    monkeypatch.setattr(nash, "NashPoint", spy(nash.NashPoint))
+    monkeypatch.setattr(nash, "StageGame", spy(nash.StageGame))
+    monkeypatch.setattr(solver, "regret_matching", regret_spy)
     spec = atom_game("atom-heavy-0")
     result = solve(spec)
     assert result.diagnostics["iterations"] > 1 and result.epsilon <= 1e-6
+    assert solve(FALLBACK_GAMES["two-player-5x5"][0]()).epsilon <= 1e-9
+    assert stacks and set(stacks) == {1}  # the 5x5 game's one atomic state
+    stacks.clear()
+    with pytest.raises(NoConvergence):
+        solve(two_state_regret_game(), SolveOptions(max_iter=3, restarts=0))
+    assert stacks and set(stacks) == {2}  # both 5x5 states in one stack
     assert built == []
     nash.nash_enumerate(nash.StageGame(payoffs=(np.eye(2), np.eye(2)), actions=((0, 1),) * 2))
-    assert built
+    assert "NashPoint" in built
+
+
+def two_state_regret_game():
+    _, spec = random_nowak_game(
+        seed=[77, 1], n_cells=2, j_components=1, k_atoms=0, n_actions=(5, 5)
+    )
+    return spec
+
+
+# SHA-256 of the canonical bytes of the best certified result that a
+# three-iteration solve of two_state_regret_game() carries in its
+# NoConvergence; both states' 5x5 stage games run regret matching in one
+# stack. Recorded as above, while regret matching still ran game by game.
+TWO_STATE_REGRET_DIGEST = "b10635e659605129aee2cc6f161c033568c4cb739714d3a409a7a1c3e0377ba5"
+
+
+def test_two_state_regret_matching_result_matches_golden_digest():
+    spec = two_state_regret_game()
+    with pytest.raises(NoConvergence) as info:
+        solve(spec, SolveOptions(max_iter=3, restarts=0))
+    result = info.value.result
+    assert result.epsilon == info.value.epsilon == pytest.approx(0.0443, abs=1e-4)
+    digest = hashlib.sha256(canonical_bytes(result_to_doc(result, spec))).hexdigest()
+    assert digest == TWO_STATE_REGRET_DIGEST
+
+
+def test_four_player_game_solves_verifies_and_simulates():
+    # four players are beyond the exact envelope, so regret matching; the
+    # recursion residual (about 1.6e-3) gets no bound here: the atom values
+    # are best-response values of an approximate profile, so it is the
+    # certificate's open soundness question, not a solver defect
+    spec = four_player_game()
+    result = solve(spec)
+    assert result.epsilon <= 1e-6
+    assert deviation_residual(result, spec).epsilon == result.epsilon
+    (piece,) = result.strategies.pieces[0]
+    assert np.all(np.asarray(piece.value)[::2] > 0.99)  # each player's dominant action 0
+    report = simulate_payoffs(spec, result, 0, 200, seed=0, horizon=10)
+    assert report.means.shape == (4,) and np.all(np.isfinite(report.means))
 
 
 def test_games_without_atoms_or_without_cells_keep_well_formed_arrays():

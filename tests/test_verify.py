@@ -2,13 +2,14 @@
 
 import functools
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from smpe.errors import InvalidInput
-from smpe.game import KernelDecomposition, sunspot_extend
+from smpe.errors import InvalidInput, ValidationError
+from smpe.game import KernelDecomposition, sunspot_extend, validate_game
 from smpe.gamefile import canonical_bytes, simulation_to_doc
 from smpe.kernels import LevyParams, levy_profile_index, make_levy_kernel, random_nowak_game
 from smpe.measure import Piece, SplitSelection
@@ -268,6 +269,25 @@ def test_non_finite_piece_is_rejected(field):
         deviation_residual(forged, spec)
     with pytest.raises(InvalidInput, match=message):
         simulate_payoffs(spec, forged, s0=0, paths=10, seed=0, horizon=3)
+
+
+@pytest.mark.parametrize("reader", ["certificate", "simulation"])
+def test_invalid_game_is_rejected(reader):
+    # a result certified on a valid game, read against the game with all
+    # transition mass out of state 0 removed: no bound or estimate holds
+    _, spec = random_nowak_game(seed=20, n_cells=4, j_components=1, k_atoms=1)
+    result = solve(spec)
+    q, atom_kernel = spec.kernel.q.copy(), spec.atom_kernel.copy()
+    q[:, :, 0] = 0.0
+    atom_kernel[:, 0] = 0.0
+    bad = replace(spec, kernel=KernelDecomposition(rho=spec.kernel.rho, q=q), atom_kernel=atom_kernel)
+    report = validate_game(bad)
+    assert not report.passed
+    with pytest.raises(ValidationError, match="^" + re.escape("; ".join(report.violations)) + "$"):
+        if reader == "certificate":
+            deviation_residual(result, bad)
+        else:
+            simulate_payoffs(bad, result, 0, 100, seed=0, horizon=5)
 
 
 def test_threaded_simulation_identical(monkeypatch):
