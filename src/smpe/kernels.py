@@ -150,8 +150,8 @@ def block_rank_profile(kmtx: KernelMatrix, threshold: float = RANK_THRESHOLD, me
     count as zero. A density admitting a J-term decomposition has every
     block rank at most J.
     """
-    if threshold <= 0:
-        raise InvalidInput("rank threshold must be positive")
+    if not 0 < threshold < np.inf:  # NaN included; inf would zero every rank
+        raise InvalidInput("rank threshold must be positive and finite")
     if method not in ("svd", "elimination"):
         raise InvalidInput(f"unknown rank method {method!r}")
     ranker = _svd_rank if method == "svd" else _elimination_rank

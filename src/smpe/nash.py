@@ -53,7 +53,7 @@ class StageGame:
     actions: tuple
 
     def __post_init__(self):
-        payoffs = tuple(np.asarray(p, dtype=float) for p in self.payoffs)
+        payoffs = tuple(np.array(p, dtype=float) for p in self.payoffs)  # copied: no alias
         actions = tuple(tuple(int(a) for a in acts) for acts in self.actions)
         m = len(payoffs)
         shape = tuple(len(a) for a in actions)
@@ -486,9 +486,11 @@ def _solve_indifference_three(sub, start, max_iter=60, tol=1e-12):
 
 def enumeration_mode(shape) -> str:
     """"exact" for a game whose players have ``shape`` actions when it lies
-    inside the envelope of at most three players with at most four actions
-    each, "approx" otherwise."""
-    exact_ok = len(shape) <= EXACT_MAX_PLAYERS and max(shape) <= EXACT_MAX_ACTIONS
+    inside the envelope: one player with any number of actions (its
+    equilibria are its best pure actions), or at most three players with
+    at most four actions each; "approx" otherwise."""
+    m = len(shape)
+    exact_ok = m == 1 or (m <= EXACT_MAX_PLAYERS and max(shape) <= EXACT_MAX_ACTIONS)
     return "exact" if exact_ok else "approx"
 
 

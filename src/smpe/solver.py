@@ -13,10 +13,10 @@ stage-payoff table as one stack per feasible-action signature (exact
 enumeration inside the envelope, regret matching beyond it, for any
 player count) into padded arrays of counts, payoffs and global
 profiles; the hull projection (one per equilibrium count), the atom
-profile (one masked argmin) and purification read them, and no
-StageGame or NashPoint is built. The purified pieces carry
-actual stage equilibria, and the result is certified by the independent
-verifier; the reported slack is the verifier's number, never less.
+profile (one masked argmin) and the result read them, and no StageGame
+or NashPoint is built. The result's pieces are the last projection's
+weights on actual stage equilibria, and the result is certified by the
+independent verifier; the reported slack is its number, never less.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InvalidInput, NoConvergence, PreconditionFailed, ValidationError
 from .game import StochasticGameSpec, validate_game
 from .hull import project_to_hull
-from .measure import CandidateField, Piece, SplitSelection, StepFunction, purify_selection
+from .measure import Piece, SplitSelection
 from .nash import (
     AggregateVector,
     aggregate_moments,
@@ -40,7 +40,8 @@ from .nash import (
     regret_matching,
     stage_payoff_tensor,
 )
-from .nash import build_stage_game, nash_enumerate  # noqa: F401  perfbench's TARGETS name them here
+from .measure import purify_selection  # noqa: F401  perfbench's TARGETS name these three here
+from .nash import build_stage_game, nash_enumerate  # noqa: F401
 
 SWITCH_TOL = 1e-12  # least gain, relative to max(1, |value|), that switches an atom's action
 
@@ -159,9 +160,10 @@ def _stage_equilibria(states, groups, spec, table):
     """Stage equilibria at the positions of ``states`` under ``table``, as
     padded arrays: counts (N,), payoffs (N, S, m) and profiles (N, S, sum
     of action counts) laid out as result strategies, zeros past each
-    count. ``groups`` is ``_signature_groups(spec, states)``; each is one
-    stack, enumerated exactly inside the envelope and by regret matching
-    beyond it, where the first missing state raises :class:`NoConvergence`."""
+    count, and S >= 1 even with no ``groups``. ``groups`` is
+    ``_signature_groups(spec, states)``; each is one stack, enumerated
+    exactly inside the envelope and by regret matching beyond it, where
+    the first missing state raises :class:`NoConvergence`."""
     parts = []
     for actions, members in groups:
         stack = _stage_stack(table, spec, states[members], actions)
@@ -172,7 +174,7 @@ def _stage_equilibria(states, groups, spec, table):
         if misses:
             raise NoConvergence(misses[0])
         parts.append(arrays)
-    width = max((values.shape[1] for _, _, values in parts), default=0)
+    width = max((values.shape[1] for _, _, values in parts), default=1)
     offsets = np.cumsum([0] + [len(a) for a in spec.actions])  # player blocks of a profile
     counts = np.zeros(len(states), int)
     payoffs = np.zeros((len(states), width, spec.players))
@@ -266,22 +268,25 @@ def _atom_strategies(v2, spec, stage):
 def _stage_step(c, v2, spec, groups, cell_values):
     """The stage-payoff table, the arrays ``(counts, payoffs, profiles)``
     of :func:`_stage_equilibria` for the signature ``groups`` from one
-    enumeration, and the target values: each divisible cell k projected
-    onto the hull of ``payoffs[k, :counts[k]]``, one projection per
-    equilibrium count (a single point is a gather), the atoms at ``v2``."""
+    enumeration, the target values and their (N, S) hull weights: each
+    divisible cell k projected onto the hull of ``payoffs[k, :counts[k]]``,
+    one projection per equilibrium count, the atoms at ``v2``; a lone
+    equilibrium and every atom weigh 1 on slot 0."""
     table = stage_payoff_tensor(c, v2, spec)
     stage = _stage_equilibria(np.arange(spec.n_states), groups, spec, table)
     counts, payoffs, _ = stage
     targets = cell_values.copy()
+    weights = np.zeros(payoffs.shape[:2])
+    weights[:, 0] = 1.0
     cells = spec.space.divisible_indices
     for count in np.unique(counts[cells]):
         ks = cells[counts[cells] == count]
         if count == 1:
             targets[ks] = payoffs[ks, 0]
         else:
-            targets[ks], _ = project_to_hull(cell_values[ks], payoffs[ks, :count])
+            targets[ks], weights[ks, :count] = project_to_hull(cell_values[ks], payoffs[ks, :count])
     targets[spec.space.atom_indices] = v2.T
-    return table, stage, targets
+    return table, stage, targets, weights
 
 
 def solve(spec: StochasticGameSpec, opts: SolveOptions = SolveOptions()) -> EquilibriumResult:
@@ -377,7 +382,7 @@ def _outer_loop(spec, opts, state: SolverState, groups) -> bool:
         v2_new, _ = atom_fixed_point(state.f2, c, spec, state.v2)
         v2_change = float(np.max(np.abs(v2_new - state.v2), initial=0.0))
         state.v2 = v2_new
-        _, stage, targets = _stage_step(c, state.v2, spec, groups, state.cell_values)
+        _, stage, targets, _ = _stage_step(c, state.v2, spec, groups, state.cell_values)
         f2_new = _atom_strategies(state.v2, spec, stage)
         f2_change = float(np.max(np.abs(state.f2 - f2_new), initial=0.0))
         state.f2 = f2_new
@@ -395,37 +400,30 @@ def _outer_loop(spec, opts, state: SolverState, groups) -> bool:
 
 
 def _finalize(spec, opts, state: SolverState, restart, converged, groups) -> EquilibriumResult:
-    """Purify the converged convexified values and attach strategies."""
+    """Purify the converged convexified values and attach strategies: one
+    piece per nonzero hull weight of the last stage step, in (cell, slot)
+    order, carrying that slot's stage equilibrium payoff and profile; each
+    atom carries one piece, ``v2`` and ``f2``."""
     c = aggregate_moments(state.cell_values, spec)
     # the atoms keep state.f2, so only the divisible cells are enumerated
     divisible = spec.space.divisible
     cell_groups = [(a, m[divisible[m]]) for a, m in groups if divisible[m].any()]
-    table, stage, state.cell_values = _stage_step(c, state.v2, spec, cell_groups, state.cell_values)
+    table, stage, state.cell_values, weights = _stage_step(
+        c, state.v2, spec, cell_groups, state.cell_values
+    )
     degenerate = sum(
         int(degenerate_games(_stage_stack(table, spec, members, actions)).sum())
         for actions, members in cell_groups
     )
-    # per cell, the candidate payoff vectors and their global profiles
     counts, payoffs, profiles = stage
-    candidate_sets = [payoffs[k, :count] for k, count in enumerate(counts)]
-    profile_sets = [profiles[k, :count] for k, count in enumerate(counts)]
-    for a_idx, k in enumerate(spec.space.atom_indices):
-        candidate_sets[k] = state.cell_values[k].reshape(1, -1)
-        profile_sets[k] = state.f2[a_idx : a_idx + 1]
-    split = purify_selection(
-        StepFunction.of(state.cell_values),
-        CandidateField(tuple(candidate_sets)),
-        spec.kernel.rho,
-        spec.space,
-    )
-    strategies = SplitSelection(
-        tuple(
-            tuple(
-                Piece(p.fraction, profile_sets[k][_candidate_index(candidate_sets[k], p.value)])
-                for p in parts
-            )
-            for k, parts in enumerate(split.pieces)
+    atoms = spec.space.atom_indices
+    payoffs[atoms, 0], profiles[atoms, 0] = state.v2.T, state.f2
+    slots = [np.flatnonzero(row > 0) for row in weights]
+    values, strategies = (
+        SplitSelection(
+            tuple(tuple(Piece(weights[k, j], of[k, j]) for j in js) for k, js in enumerate(slots))
         )
+        for of in (payoffs, profiles)
     )
     diagnostics = {
         "iterations": state.iteration,
@@ -437,10 +435,5 @@ def _finalize(spec, opts, state: SolverState, restart, converged, groups) -> Equ
         "options": asdict(opts),
     }
     return EquilibriumResult(
-        values=split, strategies=strategies, epsilon=float("nan"), diagnostics=diagnostics
+        values=values, strategies=strategies, epsilon=float("nan"), diagnostics=diagnostics
     )
-
-
-def _candidate_index(candidates, value):
-    dists = np.max(np.abs(candidates - np.asarray(value)[None, :]), axis=1)
-    return int(np.argmin(dists))

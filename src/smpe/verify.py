@@ -311,11 +311,11 @@ def simulate_payoffs(
         raise InvalidInput(f"initial state {s0} out of range")
     beta_max = float(spec.discounts.max())
     bound = spec.payoff_bound
+    if truncation is not None and not truncation > 0:  # NaN included
+        raise InvalidInput("truncation must be positive")
     if horizon is None:
         if truncation is None:
             raise InvalidInput("provide a horizon or a truncation error")
-        if truncation <= 0:
-            raise InvalidInput("truncation must be positive")
         if beta_max == 0.0 or truncation >= bound:
             horizon = 1
         else:

@@ -337,13 +337,24 @@ def test_non_integer_thread_count_exits_two(game_file, result_file):
     assert "SMPE_THREADS" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("horizon", ["0", "-3"])
-def test_simulate_horizon_below_one_exits_two(game_file, result_file, horizon):
+@pytest.mark.parametrize(
+    "length, word",
+    [
+        (["--horizon", "0"], "horizon"),
+        (["--horizon", "-3"], "horizon"),
+        (["--truncation", "nan"], "truncation"),
+        (["--truncation", "0"], "truncation"),
+        (["--horizon", "5", "--truncation", "nan"], "truncation"),
+    ],
+    ids=["0", "-3", "truncation-nan", "truncation-0", "horizon-truncation-nan"],
+)
+def test_simulate_horizon_below_one_exits_two(game_file, result_file, length, word):
     args = ["simulate", "--game", str(game_file), "--result", str(result_file)]
-    args += ["--paths", "100", "--seed", "1", "--horizon", horizon]
+    args += ["--paths", "100", "--seed", "1", *length]
     code, err = run_cli(args)
     assert code == 2
-    assert "horizon" in err and "Traceback" not in err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert word in err and "Traceback" not in err
 
 
 def test_unknown_flag_exits_two(capsys):
@@ -366,6 +377,19 @@ def test_analyze_coarser_kernel(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "coarser"
     assert all(rank <= 1 for rank in doc["ranks"].values())
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_analyze_non_finite_threshold_exits_two(tmp_path, capsys, threshold):
+    from smpe.kernels import kernel_matrix, random_noisy_game
+
+    _, spec = random_noisy_game(seed=2, n_h=3, n_r=3)
+    path = tmp_path / "kernel.kmtx"
+    gamefile.write_kernel_matrix(path, kernel_matrix(spec))
+    assert run_command(["analyze", "--kernel", str(path), "--threshold", threshold]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "threshold" in err
 
 
 @pytest.mark.parametrize(
@@ -409,6 +433,8 @@ def test_analyze_label_outside_the_grid_exits_two(tmp_path, capsys, header, old,
         ["nowak", "--seed", "-1"],
         ["noisy", "--seed", "-1"],
         ["sunspot", "--seed", "-1"],
+        ["levy", "--threshold", "nan"],
+        ["levy", "--threshold", "inf"],
     ],
 )
 def test_demo_bad_size_argument_exits_two(capsys, argv):

@@ -88,6 +88,29 @@ def test_single_player_argmax():
     assert points[0].payoffs == pytest.approx([3.0])
 
 
+def test_single_player_beyond_four_actions_is_exact(monkeypatch):
+    # one player's equilibria are its best pure actions whatever its action
+    # count, so no one-player game is left to regret matching
+    def no_regret_matching(*args, **kwargs):
+        raise AssertionError("one-player game reached regret matching")
+
+    monkeypatch.setattr(smpe.nash, "regret_matching", no_regret_matching)
+    game = StageGame(payoffs=(np.array([0.1, 0.5, 0.3, -0.2, 0.4]),), actions=(range(5),))
+    (point,) = nash_enumerate(game)
+    assert np.array_equal(point.strategies[0], [0.0, 1.0, 0.0, 0.0, 0.0])
+    assert point.payoffs.tolist() == [0.5] and point.eps == 0.0
+    assert smpe.nash.enumeration_mode((9,)) == "exact"
+    assert smpe.nash.enumeration_mode((5, 2)) == "approx"
+
+
+def test_stage_game_copies_the_callers_arrays():
+    a = np.eye(2)
+    game = StageGame(payoffs=(a, a), actions=((0, 1),) * 2)
+    assert a.flags.writeable and not game.payoffs[0].flags.writeable
+    a[0, 0] = 7.0
+    assert game.payoffs[0][0, 0] == game.payoffs[1][0, 0] == 1.0
+
+
 def test_degenerate_duplicate_action_handled():
     # second row duplicates the first: equilibria still verified unperturbed
     game = bimatrix([[1, 1], [1, 1]], [[1, 0], [1, 0]])

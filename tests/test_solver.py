@@ -7,10 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from smpe import nash, solver
+from smpe import measure, nash, solver
 from smpe.errors import InvalidInput, NoConvergence, PreconditionFailed
 from smpe.game import KernelDecomposition
 from smpe.gamefile import canonical_bytes, result_to_doc
+from smpe.hull import project_to_hull
 from smpe.kernels import random_nowak_game
 from smpe.nash import AggregateVector, aggregate_moments, build_stage_game, stage_payoff_tensor
 from smpe.solver import (
@@ -337,7 +338,7 @@ def test_stage_equilibria_do_not_depend_on_stack_composition():
 # fixed point shows here.
 GOLDEN_RESULTS = {
     "mixture-32-0": "0531a6143340c402a0d45496ef2a7e2accb079486d9eca09ce3821d6bd36ef84",
-    "mixture-32-8": "e163229aeb1f1fe56044d3daf345ba7cad9d9026a7de2ea10df542ee7c988aa1",
+    "mixture-32-8": "bf1ba131daec29fefb8d0c55d702484ac4f07228dd0476efa56db23c718b187d",
     "atom-heavy-7": "af0720fcfcebb3a31a4828a5407e497fc404614af5b4dbcf2695f61e088664d4",
     "atom-heavy-13": "ee952243494f4c5c43facef7b28cf0207efeec9630a5e8e8a592aa3d549463f0",
 }
@@ -349,6 +350,68 @@ def test_result_bytes_match_golden_digest(name):
     _, spec = random_nowak_game(seed=[4242, int(index)], **FAMILIES[family])
     data = canonical_bytes(result_to_doc(solve(spec), spec))
     assert hashlib.sha256(data).hexdigest() == GOLDEN_RESULTS[name]
+
+
+@pytest.mark.parametrize("name", ["mixture-32-8", "atom-heavy-12"])
+def test_result_pieces_are_the_stage_steps_hull_weights(name, monkeypatch):
+    # _finalize splits each divisible cell by the Caratheodory weights its
+    # own stage step computed: no purify_selection, one projection per
+    # equilibrium count above 1, and each piece is the stage slot it weighs
+    family, index = name.rsplit("-", 1)
+    _, spec = random_nowak_game(seed=[4242, int(index)], **FAMILIES[family])
+    steps, projections, finalizing = [], [], []
+    real_step, real_project = solver._stage_step, solver.project_to_hull
+    real_finalize = solver._finalize
+
+    def step_spy(c, v2, spec, groups, cell_values):
+        steps.append((cell_values, real_step(c, v2, spec, groups, cell_values)))
+        return steps[-1][1]
+
+    def project_spy(target, points):
+        if finalizing:
+            projections.append(np.shape(points))
+        return real_project(target, points)
+
+    def finalize_spy(*args):
+        finalizing.append(1)
+        try:
+            return real_finalize(*args)
+        finally:
+            finalizing.pop()
+
+    def no_purify(*args, **kwargs):
+        raise AssertionError("solve called purify_selection")
+
+    monkeypatch.setattr(solver, "_stage_step", step_spy)
+    monkeypatch.setattr(solver, "project_to_hull", project_spy)
+    monkeypatch.setattr(solver, "_finalize", finalize_spy)
+    monkeypatch.setattr(solver, "purify_selection", no_purify)
+    monkeypatch.setattr(measure, "purify_selection", no_purify)
+    result = solve(spec)
+    cell_values, (_, (counts, payoffs, profiles), _, weights) = steps[-1]  # _finalize's step
+    cells = spec.space.divisible_indices
+    multi = cells[counts[cells] > 1]
+    assert len(multi) == result.diagnostics["multi_equilibrium_cells"] > 0
+    assert sorted(n for _, n, _ in projections) == sorted(set(counts[multi].tolist()))
+    assert sum(c for c, _, _ in projections) == len(multi)
+    for k in cells:
+        expected = np.ones(1)
+        if counts[k] > 1:  # a cell's weights do not depend on the rest of the stack
+            _, expected = project_to_hull(cell_values[k], payoffs[k, : counts[k]])
+        slots = np.flatnonzero(expected > 0)
+        values, strategies = result.values.pieces[k], result.strategies.pieces[k]
+        assert [p.fraction for p in values] == expected[slots].tolist()
+        assert [p.fraction for p in strategies] == expected[slots].tolist()
+        for vp, sp, j in zip(values, strategies, slots, strict=True):
+            assert np.array_equal(vp.value, payoffs[k, j])
+            assert np.array_equal(sp.value, profiles[k, j])
+        assert abs(sum(p.fraction for p in values) - 1.0) <= 1e-15
+    for a_idx, k in enumerate(spec.space.atom_indices):
+        (vp,), (sp,) = result.values.pieces[k], result.strategies.pieces[k]
+        assert counts[k] == 0 and weights[k].tolist() == [1.0] + [0.0] * (weights.shape[1] - 1)
+        assert vp.fraction == sp.fraction == 1.0
+        assert np.array_equal(vp.value, payoffs[k, 0])  # v2, with f2 beside it
+        assert np.array_equal(sp.value, profiles[k, 0])
 
 
 def uniform_payoffs(key, shape):
@@ -619,6 +682,18 @@ def test_exact_solve_builds_no_nash_point(monkeypatch):
     assert "NashPoint" in built
 
 
+def test_one_player_five_action_game_is_solved_exactly(monkeypatch):
+    def no_regret_matching(*args, **kwargs):
+        raise AssertionError("one-player stage game reached regret matching")
+
+    monkeypatch.setattr(solver, "regret_matching", no_regret_matching)
+    spec = constant_kernel_game(uniform_payoffs(38, (1, 3, 5)), [0.6], n_cells=3)
+    result = solve(spec)
+    assert result.epsilon <= 1e-9
+    for parts in result.strategies.pieces:  # pure best actions, not approximate mixtures
+        assert all(np.sort(p.value).tolist() == [0.0] * 4 + [1.0] for p in parts)
+
+
 def two_state_regret_game():
     _, spec = random_nowak_game(
         seed=[77, 1], n_cells=2, j_components=1, k_atoms=0, n_actions=(5, 5)
@@ -660,8 +735,9 @@ def test_four_player_game_solves_verifies_and_simulates():
 
 def test_games_without_atoms_or_without_cells_keep_well_formed_arrays():
     # no atoms: f2 is an empty (0, sum of action counts) array through the
-    # loop; no divisible cells: _finalize's stage arrays have no slots; the
-    # equilibrium count in the diagnostics stays a Python int either way
+    # loop; no divisible cells: _finalize's stage arrays keep one slot, for
+    # the atoms' pieces; the equilibrium count in the diagnostics stays a
+    # Python int either way
     cells_only = constant_kernel_game(uniform_payoffs(36, (2, 3, 4)), [0.5, 0.6], n_cells=3)
     opts = SolveOptions(max_iter=2)
     state = solver._initial_state(cells_only, opts, 0)
