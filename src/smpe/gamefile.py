@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidInput, ParseError, ValidationError
 from .game import KernelDecomposition, StochasticGameSpec, validate_game
 from .kernels import KernelMatrix
-from .measure import GridSpace, Piece, SplitSelection
+from .measure import GridSpace, SplitSelection
 
 FORMAT_VERSION = 1
 
@@ -248,18 +248,14 @@ def _fraction_string(value) -> str:
 
 
 def result_to_doc(result, spec: StochasticGameSpec) -> dict:
-    cells = []
-    for k in range(result.values.n_cells):
-        pieces = []
-        for vp, sp in zip(result.values.pieces[k], result.strategies.pieces[k]):
-            pieces.append(
-                {
-                    "fraction": _fraction_string(vp.fraction),
-                    "value": [float(v) for v in vp.value],
-                    "strategy": [float(v) for v in sp.value],
-                }
-            )
-        cells.append({"pieces": pieces})
+    values, strategies = result.values, result.strategies
+    start, fraction = values.start, values.fraction
+    value, strategy = (np.asarray(t.value, float).tolist() for t in (values, strategies))
+    pieces = [
+        {"fraction": _fraction_string(f), "value": v, "strategy": s}
+        for f, v, s in zip(fraction, value, strategy)
+    ]
+    cells = [{"pieces": pieces[lo:hi]} for lo, hi in zip(start[:-1], start[1:])]
     return {
         "version": FORMAT_VERSION,
         "kind": "result",
@@ -280,34 +276,35 @@ def load_result(path, spec: StochasticGameSpec):
     doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != "result":
         raise ParseError("not a result document")
+    version = _require(doc, "version", int, "")
+    if version != FORMAT_VERSION:
+        raise ParseError(f"unsupported version {version}")
     if doc.get("spec_hash") != spec_hash(spec):
         raise ValidationError(
             "result was computed from a different game (spec hash mismatch)"
         )
+    diagnostics = _require(doc, "diagnostics", dict, "") if "diagnostics" in doc else {}
     cells = _require(doc, "cells", list, "")
     if len(cells) != spec.n_states:
         raise ParseError("cells must cover every state")
     n_strategy = sum(len(a) for a in spec.actions)
-    value_pieces, strategy_pieces = [], []
+    counts, fractions, values, strategies = [], [], [], []
     for k, cell in enumerate(cells):
         pieces = _require(cell, "pieces", list, f"cells[{k}].")
         if not pieces:
             raise ParseError(f"cells[{k}].pieces must not be empty")
-        v_parts, s_parts = [], []
+        counts.append(len(pieces))
         for p, piece in enumerate(pieces):
-            where = f"cells[{k}].pieces[{p}]."
-            frac = _decimal(piece, "fraction", where)
-            value = _number_array(piece.get("value"), where + "value", (spec.players,))
-            strategy = _number_array(piece.get("strategy"), where + "strategy", (n_strategy,))
-            v_parts.append(Piece(frac, value))
-            s_parts.append(Piece(frac, strategy))
-        value_pieces.append(tuple(v_parts))
-        strategy_pieces.append(tuple(s_parts))
+            at = f"cells[{k}].pieces[{p}]."
+            fractions.append(_decimal(piece, "fraction", at))
+            values.append(_number_array(piece.get("value"), at + "value", (spec.players,)))
+            strategies.append(_number_array(piece.get("strategy"), at + "strategy", (n_strategy,)))
+    start, fraction = np.cumsum([0] + counts), np.array(fractions)
     return EquilibriumResult(
-        values=SplitSelection(tuple(value_pieces)),
-        strategies=SplitSelection(tuple(strategy_pieces)),
+        values=SplitSelection(start, fraction, np.array(values)),
+        strategies=SplitSelection(start, fraction, np.array(strategies)),
         epsilon=float(_require(doc, "epsilon", float, "")),
-        diagnostics=doc.get("diagnostics", {}),
+        diagnostics=diagnostics,
     )
 
 
@@ -391,6 +388,8 @@ def read_kernel_matrix(path) -> KernelMatrix:
             raise ParseError(f"missing header {key}")
     if data_start is None:
         raise ParseError("no matrix rows found")
+    if not set(header["space-divisible"]) <= {"0", "1"}:
+        raise ParseError("header space-divisible entries must be 0 or 1")
     try:
         masses = np.array([float(v) for v in header["space-masses"]])
         divisible = np.array([v == "1" for v in header["space-divisible"]])

@@ -181,56 +181,83 @@ class Piece(NamedTuple):
 
 @dataclass(frozen=True)
 class SplitSelection:
-    """Per cell, a finite list of (fraction, value) pieces.
+    """Per cell, a finite list of (fraction, value) pieces, as one flat table:
+    cell k's pieces are rows ``start[k]:start[k + 1]`` of ``fraction`` and
+    ``value``, floats or, in exact mode, ``Fraction`` objects. Fractions are
+    nonnegative and sum to one per cell; atomic cells carry exactly one
+    piece. The represented function takes each piece's value on a
+    sub-interval of the cell with the piece's share of the mass."""
 
-    Fractions are nonnegative and sum to one per cell; atomic cells carry
-    exactly one piece. The represented function takes each piece's value
-    on a sub-interval of the cell with the piece's share of the mass.
-    """
+    start: np.ndarray  # (n_cells + 1,) offsets
+    fraction: np.ndarray  # (P,)
+    value: np.ndarray  # (P, d)
 
-    pieces: tuple
+    @classmethod
+    def of(cls, cells):
+        """The table of nested per-cell sequences of (fraction, value) pieces."""
+        cells = [tuple(cell) for cell in cells]
+        pieces = [piece for cell in cells for piece in cell]
+        start = np.cumsum([0] + [len(cell) for cell in cells])
+        return cls(start, np.array([f for f, _ in pieces]), np.array([v for _, v in pieces]))
 
     @property
     def n_cells(self) -> int:
-        return len(self.pieces)
+        return len(self.start) - 1
 
     @property
     def dim(self) -> int:
-        return len(self.pieces[0][0].value)
+        return self.value.shape[1]
+
+    @property
+    def pieces(self) -> tuple:
+        """Read-only nested view: per cell, a tuple of :class:`Piece`."""
+        rows = self.value.view()
+        rows.setflags(write=False)
+        cells = zip(self.start[:-1].tolist(), self.start[1:].tolist())
+        return tuple(tuple(map(Piece, self.fraction[lo:hi], rows[lo:hi])) for lo, hi in cells)
+
+    def _cell_sums(self, terms):
+        """Per cell, the sum of its pieces' ``terms`` from the first piece on:
+        one masked add per piece slot, so each sum rounds as a sequential
+        sum does (``np.add.reduceat`` groups its additions differently)."""
+        counts = np.diff(self.start)
+        total = np.zeros((len(counts),) + terms.shape[1:], dtype=terms.dtype)
+        for slot in range(counts.max(initial=0)):
+            cells = np.flatnonzero(counts > slot)
+            row = terms[self.start[cells] + slot]
+            total[cells] = row if slot == 0 else total[cells] + row
+        return total
 
     def cell_average(self, k):
-        parts = self.pieces[k]
-        acc = parts[0].fraction * np.asarray(parts[0].value)
-        for piece in parts[1:]:
-            acc = acc + piece.fraction * np.asarray(piece.value)
-        return acc
+        return self._cell_sums(self.fraction[:, None] * self.value)[k]
 
     def averages(self) -> np.ndarray:
-        rows = [self.cell_average(k) for k in range(self.n_cells)]
-        out = np.empty((self.n_cells, len(rows[0])), dtype=object)
-        for k, row in enumerate(rows):
-            out[k] = row
+        out = self._cell_sums(self.fraction[:, None] * self.value)
         try:
             return out.astype(float)
         except (TypeError, ValueError):
             return out
 
     def validate(self, space: GridSpace, tol: float = MASS_TOL) -> None:
-        """Raise InvalidInput when the piece structure violates the invariants."""
+        """Raise InvalidInput when the piece structure violates the invariants,
+        naming the first offending cell."""
         if self.n_cells != space.n_cells:
             raise InvalidInput("selection cell count does not match the space")
-        for k, parts in enumerate(self.pieces):
-            if not parts:
+        counts = np.diff(self.start)
+        exact = space.exact or self.fraction.dtype == object
+        totals = self._cell_sums(self.fraction)  # a NaN total passes, as in a sequential check
+        off = np.asarray(totals != 1 if exact else abs(totals - 1.0) > tol, dtype=bool)
+        negative = np.asarray(self.fraction < (0 if exact else -tol), dtype=bool)
+        off |= self._cell_sums(negative.astype(int)) > 0
+        several = ~space.divisible & (counts != 1)
+        bad = np.flatnonzero((counts < 1) | several | off)
+        if bad.size:  # the first offending cell, with its first failed check
+            k = bad[0]
+            if counts[k] < 1:
                 raise InvalidInput(f"cell {k} carries no pieces")
-            if not space.divisible[k] and len(parts) != 1:
+            if several[k]:
                 raise InvalidInput(f"atomic cell {k} must carry a single piece")
-            total = sum(p.fraction for p in parts)
-            if space.exact or isinstance(total, Fraction):
-                bad = total != 1 or any(p.fraction < 0 for p in parts)
-            else:
-                bad = abs(float(total) - 1.0) > tol or any(p.fraction < -tol for p in parts)
-            if bad:
-                raise InvalidInput(f"cell {k} fractions must be nonnegative and sum to 1")
+            raise InvalidInput(f"cell {k} fractions must be nonnegative and sum to 1")
 
 
 @dataclass(frozen=True)
@@ -349,24 +376,19 @@ def half_split(retained, space: GridSpace) -> SplitSelection:
     """
     arr = _retained_masses(retained, space)
     exact = space.exact or arr.dtype == object
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
-    half = Fraction(1, 2) if exact else 0.5
-    pieces = []
-    for k in range(space.n_cells):
-        if arr[k] > 0 and not space.divisible[k]:
-            raise AtomicMass(f"cell {k} is atomic and carries positive retained mass")
-        if arr[k] > 0:
-            frac = half * arr[k] / space.masses[k]
-            pieces.append(
-                (
-                    Piece(frac, np.array([one], dtype=object if exact else float)),
-                    Piece(one - frac, np.array([zero], dtype=object if exact else float)),
-                )
-            )
-        else:
-            pieces.append((Piece(one, np.array([zero], dtype=object if exact else float)),))
-    return SplitSelection(tuple(pieces))
+    one, zero, half = (Fraction(1), Fraction(0), Fraction(1, 2)) if exact else (1.0, 0.0, 0.5)
+    carry = np.asarray(arr > 0, dtype=bool)
+    atomic = np.flatnonzero(carry & ~space.divisible)
+    if atomic.size:
+        raise AtomicMass(f"cell {atomic[0]} is atomic and carries positive retained mass")
+    start = np.cumsum(np.concatenate([[0], 1 + carry]))
+    cut = start[:-1][carry]  # each carrying cell's first piece: (frac, 1), then (1 - frac, 0)
+    frac = half * arr[carry] / space.masses[carry]
+    fraction = np.full(start[-1], one)  # the fill value sets the dtype
+    fraction[cut], fraction[cut + 1] = frac, one - frac
+    value = np.full((start[-1], 1), zero)
+    value[cut] = one
+    return SplitSelection(start, fraction, value)
 
 
 def _moments_matrix(moments, space):
@@ -437,7 +459,7 @@ def purify_selection(
         scale = np.max(np.abs(np.concatenate([values[ks, None], cands], axis=1)), axis=(1, 2))
         outside = np.max(np.abs(point - values[ks]), axis=1) > HULL_TOL * np.maximum(1.0, scale)
         weights_of.update((k, None if out else w) for k, w, out in zip(ks, weights, outside))
-    pieces = []
+    cells = []
     for k in range(space.n_cells):
         cands = candidates.sets[k]
         target = values[k]
@@ -447,16 +469,15 @@ def purify_selection(
                 raise NoSelection(
                     f"atomic cell {k}: target is not one of the {len(cands)} candidates"
                 )
-            one = Fraction(1) if exact else 1.0
-            pieces.append((Piece(one, cands[idx]),))
+            cells.append([(Fraction(1) if exact else 1.0, cands[idx])])
             continue
         weights = convex_weights_exact(target, cands) if exact else weights_of[k]
         if weights is None:
             raise InvalidInput(
                 f"divisible cell {k}: target lies outside the candidate hull (tol {HULL_TOL})"
             )
-        pieces.append(tuple(Piece(w, cands[i]) for i, w in enumerate(weights) if w > 0))
-    return SplitSelection(tuple(pieces))
+        cells.append([(w, cands[i]) for i, w in enumerate(weights) if w > 0])
+    return SplitSelection.of(cells)
 
 
 def _match_candidate(target, cands, exact, tol):

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InvalidInput, NoConvergence, PreconditionFailed, ValidationError
 from .game import StochasticGameSpec, validate_game
 from .hull import project_to_hull
-from .measure import Piece, SplitSelection
+from .measure import SplitSelection
 from .nash import (
     AggregateVector,
     aggregate_moments,
@@ -85,9 +85,9 @@ class EquilibriumResult:
 
     values: per cell, a piecewise selection of payoff vectors (one piece
         per carried stage equilibrium; atoms carry a single piece).
-    strategies: matching piecewise selection of mixed profiles, flattened
-        as the concatenation of per-player global-action probability
-        vectors.
+    strategies: matching selection (the same offsets and fractions) of
+        mixed profiles, flattened as the concatenation of per-player
+        global-action probability vectors.
     epsilon: the verifier's one-shot deviation slack for this result.
     diagnostics: iteration counts, restart index, residual trace and
         degeneracy flags.
@@ -403,7 +403,8 @@ def _finalize(spec, opts, state: SolverState, restart, converged, groups) -> Equ
     """Purify the converged convexified values and attach strategies: one
     piece per nonzero hull weight of the last stage step, in (cell, slot)
     order, carrying that slot's stage equilibrium payoff and profile; each
-    atom carries one piece, ``v2`` and ``f2``."""
+    atom carries one piece, ``v2`` and ``f2``. Values and strategies share
+    one ``start`` and one ``fraction`` array."""
     c = aggregate_moments(state.cell_values, spec)
     # the atoms keep state.f2, so only the divisible cells are enumerated
     divisible = spec.space.divisible
@@ -418,13 +419,9 @@ def _finalize(spec, opts, state: SolverState, restart, converged, groups) -> Equ
     counts, payoffs, profiles = stage
     atoms = spec.space.atom_indices
     payoffs[atoms, 0], profiles[atoms, 0] = state.v2.T, state.f2
-    slots = [np.flatnonzero(row > 0) for row in weights]
-    values, strategies = (
-        SplitSelection(
-            tuple(tuple(Piece(weights[k, j], of[k, j]) for j in js) for k, js in enumerate(slots))
-        )
-        for of in (payoffs, profiles)
-    )
+    keep = weights > 0  # row-major: (cell, slot) order
+    start, fraction = np.cumsum(np.concatenate([[0], keep.sum(axis=1)])), weights[keep]
+    values, strategies = (SplitSelection(start, fraction, of[keep]) for of in (payoffs, profiles))
     diagnostics = {
         "iterations": state.iteration,
         "restart": restart,

@@ -2,14 +2,15 @@
 
 This module re-derives everything it needs from the game data and the
 reported piecewise values/strategies alone, and it is where results
-enter: both readers reject a game that fails validation, flatten the
-reported selections into one table of pieces (cell, position in the
-cell, fraction, value, strategy) and reject a profile whose fractions
-or values are not finite, or whose fractions or strategies are not
-probability vectors (the strategies on the feasible actions). It
-deliberately shares no stage-game or enumeration code with the solver,
-so agreement between the two is a genuine cross-check. As array steps
-over that table it computes the one-shot deviation gains of every
+enter: both readers reject a game that fails validation, read the
+reported selections' flat piece tables as they are (the cell of each
+piece from the offsets, the values and the strategies on one shared
+set of rows) and reject a profile whose fractions or values are not
+finite, or whose fractions or strategies are not probability vectors
+(the strategies on the feasible actions). It deliberately shares no
+stage-game or enumeration code with the solver, so agreement between
+the two is a genuine cross-check. As array steps over those rows it
+computes the one-shot deviation gains of every
 piece, the exact evaluation of the reported strategy profile via a
 linear solve, and the sampling table of reproducible Monte Carlo
 estimates of discounted play. Payoffs and transitions read only (state,
@@ -22,12 +23,10 @@ for bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,49 +64,28 @@ class Certificate:
     simulation: SimulationReport | None = None
 
 
-class _PieceTable(NamedTuple):
-    """Every piece of a reported profile in cell order: its cell, its
-    position within the cell, its mass fraction, its value vector and its
-    strategy (the players' strategies concatenated)."""
-
-    cell: np.ndarray  # (P,)
-    index: np.ndarray  # (P,)
-    fraction: np.ndarray  # (P,)
-    value: np.ndarray  # (P, m)
-    strategy: np.ndarray  # (P, sum of action counts)
-
-
-def _piece_table(result, spec):
-    """The pieces of ``result``'s value and strategy selections as one
-    table, once the game, the fractions and the strategies pass their
-    checks; a game that fails :func:`~smpe.game.validate_game` raises
+def _piece_cells(result, spec):
+    """The cell of every piece of ``result``'s flat tables, once the game,
+    the fractions, the piece counts and the strategies pass their checks;
+    a game that fails :func:`~smpe.game.validate_game` raises
     :class:`ValidationError` with its violations joined by "; "."""
     report = validate_game(spec)
     if not report.passed:
         raise ValidationError("; ".join(report.violations), report=report)
     result.values.validate(spec.space)
-    counts = np.fromiter(map(len, result.values.pieces), dtype=int)
-    strategy_counts = np.fromiter(map(len, result.strategies.pieces), dtype=int, count=len(counts))
-    disagree = np.flatnonzero(counts != strategy_counts)
-    if disagree.size:
-        raise InvalidInput(f"cell {disagree[0]}: value and strategy pieces disagree")
-    fraction, value = zip(*itertools.chain.from_iterable(result.values.pieces))
-    _, strategy = zip(*itertools.chain.from_iterable(result.strategies.pieces))
-    cell = np.repeat(np.arange(len(counts)), counts)
-    table = _PieceTable(
-        cell=cell,
-        index=np.arange(len(cell)) - (np.cumsum(counts) - counts)[cell],
-        fraction=np.array(fraction, dtype=float),
-        value=np.array(value, dtype=float),
-        strategy=np.array(strategy, dtype=float),
-    )
-    _check_strategies(table, spec)
-    return table
+    start, other = result.values.start, result.strategies.start
+    if not np.array_equal(start, other):  # the first cell whose end offsets differ
+        k = np.argmax(np.append(start[1 : len(other)] != other[1 : len(start)], True))
+        raise InvalidInput(f"cell {k}: value and strategy pieces disagree")
+    cell = np.repeat(np.arange(result.values.n_cells), np.diff(start))
+    _check_strategies(result, cell, spec)
+    return cell
 
 
-def _player_strategies(table, spec):
-    """Each player's (P, n_actions_i) block of the table's strategies, as views."""
-    return np.split(table.strategy, np.cumsum(spec.profile_shape)[:-1], axis=1)
+def _player_strategies(result, spec):
+    """Each player's (P, n_actions_i) block of the result's strategies, as views."""
+    strategy = np.asarray(result.strategies.value, dtype=float)
+    return np.split(strategy, np.cumsum(spec.profile_shape)[:-1], axis=1)
 
 
 def _profile_probabilities(strategies):
@@ -119,7 +97,7 @@ def _profile_probabilities(strategies):
     return prob / prob.sum(axis=1, keepdims=True)
 
 
-def _check_strategies(table, spec):
+def _check_strategies(result, cell, spec):
     """Reject a reported profile that is not stationary Markov.
 
     Every piece's fraction and value must be finite, and every player's
@@ -133,11 +111,12 @@ def _check_strategies(table, spec):
     def reject(bad, message):
         if bad.any():
             p = int(np.argmax(bad))
-            raise InvalidInput(f"cell {table.cell[p]} piece {table.index[p]}: {message}")
+            k = cell[p]
+            raise InvalidInput(f"cell {k} piece {p - result.values.start[k]}: {message}")
 
-    reject(~np.isfinite(table.fraction), "fraction is not finite")
-    reject(~np.isfinite(table.value).all(axis=1), "value is not finite")
-    for i, (probs, feasible) in enumerate(zip(_player_strategies(table, spec), spec.feasible)):
+    reject(~np.isfinite(np.asarray(result.values.fraction, float)), "fraction is not finite")
+    reject(~np.isfinite(np.asarray(result.values.value, float)).all(axis=1), "value is not finite")
+    for i, (probs, feasible) in enumerate(zip(_player_strategies(result, spec), spec.feasible)):
         reject(
             ~np.isfinite(probs).all(axis=1) | (probs < 0).any(axis=1),
             "strategy has negative or non-finite entries",
@@ -146,7 +125,7 @@ def _check_strategies(table, spec):
         reject(totals <= 0, "strategy carries no probability")
         reject(np.abs(totals - 1.0) > STRATEGY_TOL, f"player {i}'s strategy does not sum to 1")
         reject(
-            np.where(feasible[table.cell], 0.0, probs).any(axis=1),
+            np.where(feasible[cell], 0.0, probs).any(axis=1),
             f"player {i}'s strategy puts mass on an infeasible action",
         )
 
@@ -171,7 +150,8 @@ def deviation_residual(result, spec: StochasticGameSpec) -> Certificate:
     not a probability vector on its cell's feasible actions raise
     ``InvalidInput``; this is where results from outside the solver enter.
     """
-    table = _piece_table(result, spec)
+    cell = _piece_cells(result, spec)
+    value = np.asarray(result.values.value, dtype=float)
     averages = np.asarray(result.values.averages(), dtype=float)
     density = spec.cell_density()
     masses = np.asarray(spec.space.masses, dtype=float)
@@ -184,11 +164,11 @@ def deviation_residual(result, spec: StochasticGameSpec) -> Certificate:
     one_shot = (1.0 - beta) * spec.payoffs + beta * cont
 
     shape = spec.profile_shape
-    n_pieces = len(table.cell)
-    strategies = _player_strategies(table, spec)
+    n_pieces = len(cell)
+    strategies = _player_strategies(result, spec)
     gains = np.empty((n_pieces, spec.players))
     for i in range(spec.players):
-        payoff = one_shot[i][table.cell].reshape((n_pieces,) + shape)
+        payoff = one_shot[i][cell].reshape((n_pieces,) + shape)
         # the others' axes from the last, each moved last and contracted by a
         # stacked matmul: the products and sums of one tensordot per piece
         for j in reversed(range(spec.players)):
@@ -196,42 +176,43 @@ def deviation_residual(result, spec: StochasticGameSpec) -> Certificate:
                 moved = np.moveaxis(payoff, 1 + j, -1)
                 contracted = moved.reshape(n_pieces, -1, shape[j]) @ strategies[j][:, :, None]
                 payoff = contracted.reshape(moved.shape[:-1])
-        best = np.where(spec.feasible[i][table.cell], payoff, -np.inf).max(axis=1)
-        gains[:, i] = best - table.value[:, i]
+        best = np.where(spec.feasible[i][cell], payoff, -np.inf).max(axis=1)
+        gains[:, i] = best - value[:, i]
+    index = np.arange(n_pieces) - result.values.start[cell]
     return Certificate(
         epsilon=max(0.0, float(gains.max())),
         gains=gains,
-        piece_labels=tuple(zip(table.cell.tolist(), table.index.tolist())),
-        recursion_residual=_recursion_gap(table, strategies, spec),
+        piece_labels=tuple(zip(cell.tolist(), index.tolist())),
+        recursion_residual=_recursion_gap(cell, result.values.fraction, value, strategies, spec),
     )
 
 
-def _recursion_gap(table, strategies, spec):
+def _recursion_gap(cell, fraction, value, strategies, spec):
     """Exact discounted evaluation of the reported strategies over pieces."""
-    n_pieces = len(table.cell)
+    n_pieces = len(cell)
     prob = _profile_probabilities(strategies)  # (piece, profile)
-    stage = (spec.payoffs[:, table.cell, None, :] @ prob[:, :, None])[..., 0, 0]  # (m, piece)
-    trans_masses = spec.transition_masses()[:, table.cell]  # (target cell, piece, profile)
+    stage = (spec.payoffs[:, cell, None, :] @ prob[:, :, None])[..., 0, 0]  # (m, piece)
+    trans_masses = spec.transition_masses()[:, cell]  # (target cell, piece, profile)
     to_cell = (trans_masses.transpose(1, 0, 2) @ prob[:, :, None])[..., 0]  # (piece, target cell)
     # each target cell's mass spread over that cell's pieces by their fractions
-    transition = to_cell[:, table.cell] * table.fraction
+    transition = to_cell[:, cell] * np.asarray(fraction, dtype=float)
     worst = 0.0
     eye = np.eye(n_pieces)
     for i in range(spec.players):
         beta = float(spec.discounts[i])
         exact = np.linalg.solve(eye - beta * transition, (1.0 - beta) * stage[i])
-        worst = max(worst, float(np.max(np.abs(table.value[:, i] - exact))))
+        worst = max(worst, float(np.max(np.abs(value[:, i] - exact))))
     return worst
 
 
-def _joint_law(table, spec):
+def _joint_law(result, spec):
     """(n_states, n_profiles * n_states) law of (profile, next state) at each
     state, column ``x * n_states + t``: the fraction-weighted profile law of
     the state's pieces times the transition masses of each profile,
     normalized; a profile that carries no transition mass gets no weight."""
-    first = np.flatnonzero(table.index == 0)  # each cell's first piece
-    prob = _profile_probabilities(_player_strategies(table, spec))  # (piece, profile)
-    law = np.add.reduceat(table.fraction[:, None] * prob, first)  # (state, profile)
+    prob = _profile_probabilities(_player_strategies(result, spec))  # (piece, profile)
+    fraction = np.asarray(result.values.fraction, dtype=float)
+    law = np.add.reduceat(fraction[:, None] * prob, result.values.start[:-1])  # (state, profile)
     trans = spec.transition_masses().transpose(1, 2, 0)  # (state, profile, next state)
     total = trans.sum(axis=2)
     weight = np.divide(law, total, out=np.zeros_like(law), where=total > 0)
@@ -302,7 +283,7 @@ def simulate_payoffs(
     thread count (``SMPE_THREADS``). The game and the pieces are checked as
     :func:`deviation_residual` checks them.
     """
-    table = _piece_table(result, spec)
+    _piece_cells(result, spec)
     if paths < 1:
         raise InvalidInput("need at least one path")
     if horizon is not None and horizon < 1:
@@ -326,7 +307,7 @@ def simulate_payoffs(
         )
     truncation_bound = beta_max**horizon * bound
 
-    cum = np.cumsum(_joint_law(table, spec), axis=1)  # (state, profile * next state)
+    cum = np.cumsum(_joint_law(result, spec), axis=1)  # (state, profile * next state)
     cum /= cum[:, -1:]
     cum[:, -1] = 1.0
     draw = _inverse_cdf(cum)

@@ -29,6 +29,11 @@ match bit for bit. ``joint_law_reference`` is the simulation's law of
 expectation a simulation estimates; ``simulate_payoffs_reference`` is
 the chain sampler the joint draw replaced (piece, each player's action,
 next state), which samples the same path law from another stream.
+``cell_average_reference``, ``averages_reference`` and
+``validate_selection_reference`` are a selection's averages and checks
+one cell and one piece at a time over its nested ``pieces`` view; the
+flat table's slot loops must match them bit for bit and message for
+message.
 """
 
 import itertools
@@ -40,7 +45,8 @@ import numpy as np
 
 from smpe.game import NORMALIZATION_TOL, KernelDecomposition, ValidationReport
 from smpe.kernels import ROW_MATCH_TOL
-from smpe.measure import GridSpace
+from smpe.errors import InvalidInput
+from smpe.measure import MASS_TOL, GridSpace
 from smpe.nash import NashPoint, payoff_against_stack, stage_payoff_tensor
 from smpe.solver import _signature_groups, _stage_stack
 from smpe.verify import CHUNK_PATHS
@@ -753,3 +759,42 @@ def simulate_payoffs_reference(spec, result, s0, paths, seed, horizon):
         var = np.zeros(spec.players)
     occupancy = visits / visits.sum() if visits.sum() > 0 else visits
     return means, np.sqrt(var / paths), occupancy
+
+
+def cell_average_reference(selection, k):
+    """Cell ``k``'s fraction-weighted value, summed piece by piece."""
+    parts = selection.pieces[k]
+    acc = parts[0].fraction * np.asarray(parts[0].value)
+    for piece in parts[1:]:
+        acc = acc + piece.fraction * np.asarray(piece.value)
+    return acc
+
+
+def averages_reference(selection):
+    """Every cell's average, as floats when they convert."""
+    rows = [cell_average_reference(selection, k) for k in range(selection.n_cells)]
+    out = np.empty((selection.n_cells, len(rows[0])), dtype=object)
+    for k, row in enumerate(rows):
+        out[k] = row
+    try:
+        return out.astype(float)
+    except (TypeError, ValueError):
+        return out
+
+
+def validate_selection_reference(selection, space, tol=MASS_TOL):
+    """The selection checks cell by cell, raising at the first offending cell."""
+    if selection.n_cells != space.n_cells:
+        raise InvalidInput("selection cell count does not match the space")
+    for k, parts in enumerate(selection.pieces):
+        if not parts:
+            raise InvalidInput(f"cell {k} carries no pieces")
+        if not space.divisible[k] and len(parts) != 1:
+            raise InvalidInput(f"atomic cell {k} must carry a single piece")
+        total = sum(p.fraction for p in parts)
+        if space.exact or isinstance(total, Fraction):
+            bad = total != 1 or any(p.fraction < 0 for p in parts)
+        else:
+            bad = abs(float(total) - 1.0) > tol or any(p.fraction < -tol for p in parts)
+        if bad:
+            raise InvalidInput(f"cell {k} fractions must be nonnegative and sum to 1")

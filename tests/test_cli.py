@@ -182,6 +182,30 @@ def test_cell_without_pieces_exits_two(game_file, result_file, command):
     assert "pieces" in err and "Traceback" not in err
 
 
+MALFORMED_RESULT_HEADERS = {
+    "version-99": (lambda doc: {**doc, "version": 99}, "unsupported version 99"),
+    "no-version": (
+        lambda doc: {k: v for k, v in doc.items() if k != "version"},
+        "missing key version",
+    ),
+    "string-version": (lambda doc: {**doc, "version": "1"}, "version must be an integer"),
+    "list-diagnostics": (lambda doc: {**doc, "diagnostics": [1, 2]}, "diagnostics must be"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("damage", sorted(MALFORMED_RESULT_HEADERS))
+def test_malformed_result_header_exits_two(game_file, result_file, command, damage):
+    # a result file is read the way a game file is: version 1, and an
+    # object for the diagnostics
+    forge, message = MALFORMED_RESULT_HEADERS[damage]
+    result_file.write_text(json.dumps(forge(json.loads(result_file.read_text()))))
+    code, err = run_cli([command, "--game", str(game_file), "--result", str(result_file)])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert message in err
+
+
 MALFORMED_GAMES = {
     "int-actions": lambda doc: {**doc, "actions": [2] * len(doc["actions"])},
     "string-actions": lambda doc: {**doc, "actions": ["ab"] * len(doc["actions"])},
@@ -390,6 +414,23 @@ def test_analyze_non_finite_threshold_exits_two(tmp_path, capsys, threshold):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "threshold" in err
+
+
+@pytest.mark.parametrize("entry", ["2", "yes"])
+def test_analyze_divisible_flag_other_than_zero_or_one_exits_two(tmp_path, capsys, entry):
+    # read as "not 1", such an entry would make a divisible cell atomic
+    from smpe.kernels import kernel_matrix, random_noisy_game
+
+    _, spec = random_noisy_game(seed=2, n_h=3, n_r=3)
+    path = tmp_path / "kernel.kmtx"
+    gamefile.write_kernel_matrix(path, kernel_matrix(spec))
+    text = path.read_text()
+    assert "# space-divisible 1 " in text
+    path.write_text(text.replace("# space-divisible 1 ", f"# space-divisible {entry} "))
+    assert run_command(["analyze", "--kernel", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "space-divisible" in err
 
 
 @pytest.mark.parametrize(

@@ -301,9 +301,10 @@ def test_purify_lexicographic_support():
         sel = purify_selection(StepFunction.of([target]), cands, np.ones((1, 1)), sp)
         carried = {}
         for piece in sel.pieces[0]:
-            # the row of the candidate array the piece's value is a view of
-            rows = enumerate(cands.sets[0])
-            (i,) = [i for i, row in rows if np.shares_memory(piece.value, row)]
+            # the first candidate row equal to the piece's value: the table
+            # holds copies, so a repeated vertex's copies look alike here,
+            # and test_hull checks which copy the hull weights pick
+            i = int(np.flatnonzero((cands.sets[0] == piece.value).all(axis=1))[0])
             carried[i] = piece.fraction
         assert carried == pytest.approx(expected, rel=0, abs=1e-15)
 
@@ -390,7 +391,7 @@ def test_split_selection_validation():
     sp = GridSpace(np.array([0.5, 0.5]), np.array([True, False]), np.array([0, 1]))
     from smpe.measure import Piece
 
-    bad = SplitSelection(
+    bad = SplitSelection.of(
         (
             (Piece(1.0, np.array([0.0])),),
             (Piece(0.5, np.array([0.0])), Piece(0.5, np.array([1.0]))),
@@ -398,3 +399,112 @@ def test_split_selection_validation():
     )
     with pytest.raises(InvalidInput):
         bad.validate(sp)
+
+
+# --- the flat piece table against the nested loops ------------------------------
+
+
+def ragged_cells(rng, n_cells, dim, exact):
+    """Per cell, one to five (fraction, value) pieces: fractions on the
+    simplex, values at a scale between 1e-3 and 1e3, or small rationals."""
+    cells = []
+    for _ in range(n_cells):
+        n = int(rng.integers(1, 6))
+        if exact:
+            weights = [int(w) for w in rng.integers(1, 10, n)]
+            fractions = [Fraction(w, sum(weights)) for w in weights]
+            values = [
+                np.array([Fraction(int(a), int(b)) for a, b in rng.integers(1, 50, (dim, 2))])
+                for _ in range(n)
+            ]
+        else:
+            fractions = list(rng.dirichlet(np.ones(n)))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            values = list(rng.uniform(-1, 1, (n, dim)) * scale)
+        cells.append(list(zip(fractions, values)))
+    return cells
+
+
+def ragged_space(cells, exact):
+    """Equal masses; a one-piece cell is atomic with probability one half."""
+    n = len(cells)
+    masses = np.array([Fraction(1, n)] * n, dtype=object) if exact else np.full(n, 1.0 / n)
+    divisible = [len(c) > 1 or k % 2 == 0 for k, c in enumerate(cells)]
+    return GridSpace(masses, np.array(divisible), np.zeros(n, int))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+def test_table_averages_equal_the_nested_loop(exact):
+    from oracles import averages_reference, cell_average_reference
+
+    rng = np.random.default_rng(20)
+    for _ in range(100 if exact else 400):
+        n_cells, dim = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        sel = SplitSelection.of(ragged_cells(rng, n_cells, dim, exact))
+        averages, reference = sel.averages(), averages_reference(sel)
+        assert averages.dtype == reference.dtype and np.array_equal(averages, reference)
+        for k in range(n_cells):
+            row, reference_row = sel.cell_average(k), cell_average_reference(sel, k)
+            assert row.dtype == reference_row.dtype and np.array_equal(row, reference_row)
+
+
+def _damage(cells, space, k, defect, exact):
+    """``cells`` and ``space`` with ``defect`` written into cell ``k``."""
+    cells = [list(c) for c in cells]
+    divisible = space.divisible.copy()
+    (f0, v0), rest = cells[k][0], cells[k][1:]
+    if defect == "empty":
+        cells[k] = []
+    elif defect == "atomic-two":
+        divisible[k] = False
+        cells[k] = [(f0 / 2, v0), (f0 / 2, v0)] + rest
+    elif defect == "negative":
+        quarter = Fraction(1, 4) if exact else 0.25
+        cells[k] = [(f0 + quarter, v0), (-quarter, v0)] + rest
+    elif defect == "sum-off":
+        cells[k] = [(f0 + (Fraction(1, 10**9) if exact else 1e-9), v0)] + rest
+    elif defect == "nan":
+        cells[k] = [(np.nan, v0)] + rest
+    return cells, GridSpace(space.masses, divisible, space.coarse)
+
+
+def _outcome(check):
+    try:
+        check()
+    except InvalidInput as exc:
+        return str(exc)
+    return None
+
+
+DEFECTS = ["empty", "atomic-two", "negative", "sum-off", "nan"]
+
+
+@pytest.mark.parametrize(
+    "exact, defect",
+    [(False, d) for d in DEFECTS] + [(True, d) for d in DEFECTS if d != "nan"],
+    ids=lambda v: {False: "float", True: "fraction"}.get(v, v),
+)
+def test_table_validate_names_the_cell_the_nested_loop_names(exact, defect):
+    # the defect at one cell, and a second random defect (or none) at
+    # another, so the first offending cell and its first failed check count
+    from oracles import validate_selection_reference
+
+    rng = np.random.default_rng([21, DEFECTS.index(defect), int(exact)])
+    kinds = ["empty", "atomic-two", "negative", "sum-off", None] + ([] if exact else ["nan"])
+    messages = set()
+    for _ in range(60):
+        n_cells = int(rng.integers(2, 8))
+        cells = ragged_cells(rng, n_cells, int(rng.integers(1, 4)), exact)
+        space = ragged_space(cells, exact)
+        sel = SplitSelection.of(cells)
+        assert _outcome(lambda: sel.validate(space)) is None
+        first, second = rng.choice(n_cells, 2, replace=False)
+        cells, space = _damage(cells, space, first, defect, exact)
+        other = kinds[int(rng.integers(len(kinds)))]
+        if other is not None:
+            cells, space = _damage(cells, space, second, other, exact)
+        sel = SplitSelection.of(cells)
+        outcome = _outcome(lambda: sel.validate(space))
+        assert outcome == _outcome(lambda: validate_selection_reference(sel, space))
+        messages.add(outcome)
+    assert len(messages) > 1

@@ -17,7 +17,6 @@ from smpe.solver import EquilibriumResult, solve
 from smpe.verify import (
     _inverse_cdf,
     _joint_law,
-    _piece_table,
     deviation_residual,
     simulate_payoffs,
 )
@@ -40,8 +39,8 @@ def stationary_result(spec, strategy_rows, value_rows):
         values.append((Piece(1.0, np.asarray(value_rows[k], float)),))
         strategies.append((Piece(1.0, np.asarray(strategy_rows[k], float)),))
     return EquilibriumResult(
-        values=SplitSelection(tuple(values)),
-        strategies=SplitSelection(tuple(strategies)),
+        values=SplitSelection.of(tuple(values)),
+        strategies=SplitSelection.of(tuple(strategies)),
         epsilon=float("nan"),
         diagnostics={},
     )
@@ -67,8 +66,8 @@ def random_profile(spec, key, max_pieces=3):
         values.append(tuple(v_parts))
         strategies.append(tuple(s_parts))
     return EquilibriumResult(
-        values=SplitSelection(tuple(values)),
-        strategies=SplitSelection(tuple(strategies)),
+        values=SplitSelection.of(tuple(values)),
+        strategies=SplitSelection.of(tuple(strategies)),
         epsilon=float("nan"),
         diagnostics={},
     )
@@ -92,7 +91,7 @@ def shift_values(result, delta):
         tuple(Piece(p.fraction, np.asarray(p.value) + delta) for p in parts)
         for parts in result.values.pieces
     )
-    return replace(result, values=SplitSelection(pieces))
+    return replace(result, values=SplitSelection.of(pieces))
 
 
 def test_static_nash_certifies_at_zero():
@@ -130,7 +129,7 @@ def test_certificate_rejects_fractions_off_the_simplex(fractions):
 
     def cell_zero(selection, piece):
         parts = tuple(Piece(f, piece.value) for f in fractions)
-        return SplitSelection((parts,) + selection.pieces[1:])
+        return SplitSelection.of((parts,) + selection.pieces[1:])
 
     forged = replace(
         result,
@@ -238,7 +237,7 @@ def test_malformed_strategy_is_named_by_cell_and_piece():
     k = next(k for k in range(1, spec.n_states) if len(pieces[k]) > 1)
     bad = Piece(pieces[k][1].fraction, np.array([0.25, 0.25, 0.5, 0.5]))
     cell = pieces[k][:1] + (bad,) + pieces[k][2:]
-    forged = replace(result, strategies=SplitSelection(pieces[:k] + (cell,) + pieces[k + 1 :]))
+    forged = replace(result, strategies=SplitSelection.of(pieces[:k] + (cell,) + pieces[k + 1 :]))
     message = f"^cell {k} piece 1: player 0's strategy does not sum to 1$"
     with pytest.raises(InvalidInput, match=message):
         deviation_residual(forged, spec)
@@ -259,7 +258,7 @@ def test_non_finite_piece_is_rejected(field):
             piece = Piece(np.nan, piece.value)
         elif is_value:
             piece = Piece(piece.fraction, np.concatenate([[np.nan], piece.value[1:]]))
-        return SplitSelection(selection.pieces[:2] + ((piece, *rest),) + selection.pieces[3:])
+        return SplitSelection.of(selection.pieces[:2] + ((piece, *rest),) + selection.pieces[3:])
 
     forged = replace(
         result, values=forge(result.values, True), strategies=forge(result.strategies, False)
@@ -269,6 +268,54 @@ def test_non_finite_piece_is_rejected(field):
         deviation_residual(forged, spec)
     with pytest.raises(InvalidInput, match=message):
         simulate_payoffs(spec, forged, s0=0, paths=10, seed=0, horizon=3)
+
+
+@pytest.mark.parametrize("damage", ["extra-piece", "missing-cell"])
+def test_value_and_strategy_piece_counts_must_agree(damage):
+    # the strategies' rows are read beside the values' rows, so their
+    # offsets must be the same, cell by cell
+    _, spec = random_nowak_game(seed=[4242, 2], n_cells=6, j_components=2, k_atoms=1)
+    result = random_profile(spec, key=[5, 1])
+    pieces = list(result.strategies.pieces)
+    if damage == "extra-piece":
+        cell = 1
+        pieces[cell] += pieces[cell][-1:]
+    else:  # the first cell the strategies lack
+        cell = len(pieces) - 1
+        pieces.pop()
+    forged = replace(result, strategies=SplitSelection.of(pieces))
+    message = f"^cell {cell}: value and strategy pieces disagree$"
+    with pytest.raises(InvalidInput, match=message):
+        deviation_residual(forged, spec)
+    with pytest.raises(InvalidInput, match=message):
+        simulate_payoffs(spec, forged, s0=0, paths=10, seed=0, horizon=3)
+
+
+def test_results_flow_as_tables_without_piece_objects(monkeypatch, tmp_path):
+    # solve, the result file and the verifier read the flat table itself;
+    # only the nested view builds a Piece, and nothing on this path asks for it
+    import smpe.gamefile
+    import smpe.measure
+    import smpe.solver
+    import smpe.verify
+
+    assert not hasattr(smpe.verify, "_PieceTable")
+    for module in (smpe.solver, smpe.gamefile, smpe.verify):
+        assert not hasattr(module, "Piece")
+
+    def no_piece(*args, **kwargs):
+        raise AssertionError("a Piece was built")
+
+    monkeypatch.setattr(smpe.measure, "Piece", no_piece)
+    _, spec = random_nowak_game(seed=20, n_cells=4, j_components=1, k_atoms=1)
+    result = solve(spec)
+    path = tmp_path / "result.json"
+    smpe.gamefile.write_result(path, result, spec)
+    loaded = smpe.gamefile.load_result(path, spec)
+    assert deviation_residual(loaded, spec).epsilon == result.epsilon
+    simulate_payoffs(spec, loaded, s0=0, paths=10, seed=0, horizon=3)
+    with pytest.raises(AssertionError, match="a Piece was built"):
+        loaded.values.pieces
 
 
 @pytest.mark.parametrize("reader", ["certificate", "simulation"])
@@ -440,7 +487,7 @@ SIMULATION_CASES = {
 @pytest.mark.parametrize("case", sorted(SIMULATION_CASES))
 def test_joint_law_matches_per_piece_reference(case):
     spec, result = SIMULATION_CASES[case]()
-    law = _joint_law(_piece_table(result, spec), spec)
+    law = _joint_law(result, spec)
     reference = joint_law_reference(result, spec).reshape(spec.n_states, -1)
     assert np.max(np.abs(law - reference)) <= 1e-15
 
