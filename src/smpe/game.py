@@ -25,7 +25,8 @@ NORMALIZATION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class KernelDecomposition:
-    """Transition density on the divisible part as a sum of J components.
+    """Transition density on the divisible part as a sum of J components,
+    held as read-only C-ordered copies (see :class:`StochasticGameSpec`).
 
     rho: (J, n_cells) nonnegative per-cell densities (expected to vanish
         on atomic cells in well-posed games).
@@ -38,8 +39,8 @@ class KernelDecomposition:
     q: np.ndarray
 
     def __post_init__(self):
-        rho = np.array(self.rho, dtype=float)  # copied: no alias
-        q = np.array(self.q, dtype=float)
+        rho = np.array(self.rho, dtype=float, order="C")  # copied: no alias
+        q = np.array(self.q, dtype=float, order="C")
         if rho.ndim != 2 or q.ndim != 4 or rho.shape[0] != q.shape[0]:
             raise InvalidInput("rho must be (J, n_cells) and q (J, n_coarse, n_states, n_profiles)")
         if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(q))):
@@ -57,6 +58,12 @@ class KernelDecomposition:
 @dataclass(frozen=True)
 class StochasticGameSpec:
     """Complete description of a discounted stochastic game on a grid.
+
+    Every array it holds, in ``kernel`` and ``space`` too, is a read-only
+    C-ordered copy taken at construction. So a spec aliases no caller's
+    array, and numpy's reductions, which round in memory order, make its
+    result bytes depend on the game's values, not on how its arrays were
+    built (gathered, sliced, Fortran-ordered or read from a game file).
 
     discounts: per-player discount factors in [0, 1).
     actions: global action labels per player.
@@ -80,9 +87,9 @@ class StochasticGameSpec:
     atom_kernel: np.ndarray
 
     def __post_init__(self):
-        discounts = np.array(self.discounts, dtype=float)  # copied: no alias
-        payoffs = np.array(self.payoffs, dtype=float)
-        atom_kernel = np.array(self.atom_kernel, dtype=float)
+        discounts = np.array(self.discounts, dtype=float, order="C")  # copied: no alias
+        payoffs = np.array(self.payoffs, dtype=float, order="C")
+        atom_kernel = np.array(self.atom_kernel, dtype=float, order="C")
         if discounts.ndim != 1:
             raise InvalidInput(f"discounts must be a 1-D array, got shape {discounts.shape}")
         m = len(discounts)
@@ -93,7 +100,7 @@ class StochasticGameSpec:
             raise InvalidInput("each player needs a nonempty global action list")
         n_states = self.space.n_cells
         n_profiles = int(np.prod([len(a) for a in actions]))
-        feasible = tuple(np.array(f, dtype=bool) for f in self.feasible)  # copied: no alias
+        feasible = tuple(np.array(f, dtype=bool, order="C") for f in self.feasible)
         if len(feasible) != m or any(
             f.shape != (n_states, len(actions[i])) for i, f in enumerate(feasible)
         ):
@@ -214,6 +221,8 @@ def validate_game(spec: StochasticGameSpec, tol: float = NORMALIZATION_TOL) -> V
     fine structure stays strictly finer than the coarse partition on the
     part of the space the density reaches.
     """
+    if not 0 <= tol < np.inf:  # NaN included: it would pass every game
+        raise InvalidInput(f"tolerance must be nonnegative and finite, got {tol!r}")
     violations = []
     if np.any(spec.kernel.rho < 0) or np.any(spec.kernel.q < 0) or np.any(spec.atom_kernel < 0):
         violations.append("negative kernel component")
@@ -255,31 +264,23 @@ def sunspot_extend(spec: StochasticGameSpec, sunspot_cells: int) -> StochasticGa
     and the new coarse partition is the original fine partition, so the
     extended kernel is measurable with respect to it by construction.
     """
-    if sunspot_cells < 2:
-        raise InvalidInput("sunspot_cells must be at least 2")
+    if not isinstance(sunspot_cells, (int, np.integer)) or sunspot_cells < 2:
+        raise InvalidInput(f"sunspot_cells must be an integer >= 2, got {sunspot_cells!r}")
     if not spec.space.divisible.any():
         raise InvalidInput("nothing to extend: the game has no divisible cells")
     old = spec.space
     copies = np.where(old.divisible, sunspot_cells, 1)
     origin = np.repeat(np.arange(old.n_cells), copies)
-    new_space = GridSpace(
-        np.asarray((old.masses / copies)[origin], dtype=float),
-        old.divisible[origin],
-        origin,
-    )
-    feasible = tuple(f[origin] for f in spec.feasible)
-    payoffs = spec.payoffs[:, origin, :]
-    rho = spec.kernel.rho[:, origin]
-    # new coarse cell k0 is the old fine cell k0: look up the old coarse table
-    # at old coarse id of k0, for the old source state behind each new state
-    q_old_coarse = spec.kernel.q[:, old.coarse, :, :]  # (J, old_cells, old_s, x)
-    q = q_old_coarse[:, :, origin, :]
-    atom_kernel = spec.atom_kernel[:, origin, :]
+    masses = np.asarray((old.masses / copies)[origin], dtype=float)
+    # np.take gathers straight into C-ordered arrays. The new coarse cell k0
+    # is the old fine cell k0: q looks up the old coarse table at the old
+    # coarse id of k0, for the old source state behind each new state
+    q = np.take(np.take(spec.kernel.q, old.coarse, axis=1), origin, axis=2)
     return replace(
         spec,
-        feasible=feasible,
-        payoffs=payoffs,
-        space=new_space,
-        kernel=KernelDecomposition(rho=rho, q=q),
-        atom_kernel=atom_kernel,
+        feasible=tuple(f[origin] for f in spec.feasible),
+        payoffs=np.take(spec.payoffs, origin, axis=1),
+        space=GridSpace(masses, old.divisible[origin], origin),
+        kernel=KernelDecomposition(rho=np.take(spec.kernel.rho, origin, axis=1), q=q),
+        atom_kernel=np.take(spec.atom_kernel, origin, axis=1),
     )

@@ -18,6 +18,7 @@ depend on the informative coordinate only (rank 1).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,12 @@ def kernel_matrix(spec: StochasticGameSpec, profiles=None) -> KernelMatrix:
     """
     if profiles is None:
         profiles = range(spec.n_profiles)
-    profiles = np.array([int(p) for p in profiles], dtype=int)
+    try:  # a float or negative index would silently read another profile
+        profiles = np.array([operator.index(p) for p in profiles], dtype=int)
+    except TypeError:
+        raise InvalidInput("profiles must be a sequence of integer profile indices") from None
+    if np.any((profiles < 0) | (profiles >= spec.n_profiles)):
+        raise InvalidInput(f"profile indices must lie in [0, {spec.n_profiles})")
     dens = spec.cell_density()  # (n_cells, n_states, n_profiles)
     rows = spec.space.divisible_indices
     matrix = dens[rows][:, :, profiles].reshape(len(rows), spec.n_states * len(profiles))
@@ -95,6 +101,8 @@ def check_coarser(kmtx: KernelMatrix, tol: float = ROW_MATCH_TOL) -> bool:
     the fine structure onto the coarse one. Atomic cells outside the
     matrix rows belong to the direct atom channel and do not count.
     """
+    if not 0 <= tol < np.inf:  # NaN included: it would pass every matrix
+        raise InvalidInput(f"tolerance must be nonnegative and finite, got {tol!r}")
     space = kmtx.space
     if not np.all(space.divisible[kmtx.rows]):
         return False

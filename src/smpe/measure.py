@@ -35,7 +35,7 @@ def _is_exact(arr) -> bool:
 
 
 def _vector(values, name):
-    arr = np.asarray(values)
+    arr = np.array(values)  # copied: no alias; one axis, so C-ordered
     if arr.ndim != 1:
         raise InvalidInput(f"{name} must be one-dimensional, got shape {arr.shape}")
     return arr
@@ -51,6 +51,7 @@ class GridSpace:
         consecutive integers 0..n_coarse-1 and every coarse cell must be
         a nonempty union of fine cells.
     total_mass: declared total weight; defaults to the mass sum.
+    The three arrays are held as read-only C-ordered copies.
     """
 
     masses: np.ndarray
@@ -245,8 +246,8 @@ class SplitSelection:
             raise InvalidInput("selection cell count does not match the space")
         counts = np.diff(self.start)
         exact = space.exact or self.fraction.dtype == object
-        totals = self._cell_sums(self.fraction)  # a NaN total passes, as in a sequential check
-        off = np.asarray(totals != 1 if exact else abs(totals - 1.0) > tol, dtype=bool)
+        totals = self._cell_sums(self.fraction)  # a NaN fraction makes its cell's total NaN
+        off = np.asarray(totals != 1 if exact else ~(abs(totals - 1.0) <= tol), dtype=bool)
         negative = np.asarray(self.fraction < (0 if exact else -tol), dtype=bool)
         off |= self._cell_sums(negative.astype(int)) > 0
         several = ~space.divisible & (counts != 1)

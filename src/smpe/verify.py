@@ -100,12 +100,12 @@ def _profile_probabilities(strategies):
 def _check_strategies(result, cell, spec):
     """Reject a reported profile that is not stationary Markov.
 
-    Every piece's fraction and value must be finite, and every player's
-    strategy in every piece must be a probability vector (finite,
-    nonnegative, positive mass, summing to 1 within ``STRATEGY_TOL``) on
-    the player's feasible actions at the piece's cell; otherwise
-    ``InvalidInput`` names an offending piece by its cell and its position
-    in the cell.
+    Every piece's value must be finite (its fraction passed the selection's
+    own check), and every player's strategy in every piece must be a
+    probability vector (finite, nonnegative, positive mass, summing to 1
+    within ``STRATEGY_TOL``) on the player's feasible actions at the
+    piece's cell; otherwise ``InvalidInput`` names an offending piece by
+    its cell and its position in the cell.
     """
 
     def reject(bad, message):
@@ -114,7 +114,6 @@ def _check_strategies(result, cell, spec):
             k = cell[p]
             raise InvalidInput(f"cell {k} piece {p - result.values.start[k]}: {message}")
 
-    reject(~np.isfinite(np.asarray(result.values.fraction, float)), "fraction is not finite")
     reject(~np.isfinite(np.asarray(result.values.value, float)).all(axis=1), "value is not finite")
     for i, (probs, feasible) in enumerate(zip(_player_strategies(result, spec), spec.feasible)):
         reject(

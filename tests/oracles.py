@@ -795,6 +795,6 @@ def validate_selection_reference(selection, space, tol=MASS_TOL):
         if space.exact or isinstance(total, Fraction):
             bad = total != 1 or any(p.fraction < 0 for p in parts)
         else:
-            bad = abs(float(total) - 1.0) > tol or any(p.fraction < -tol for p in parts)
+            bad = not abs(float(total) - 1.0) <= tol or any(p.fraction < -tol for p in parts)
         if bad:
             raise InvalidInput(f"cell {k} fractions must be nonnegative and sum to 1")

@@ -9,7 +9,7 @@ import pytest
 
 from smpe.errors import InvalidInput
 from smpe.game import KernelDecomposition, validate_game, sunspot_extend
-from smpe.gamefile import spec_hash
+from smpe.gamefile import canonical_bytes, result_to_doc, spec_from_doc, spec_hash, spec_to_doc
 from smpe.kernels import (
     ROW_MATCH_TOL,
     KernelMatrix,
@@ -21,6 +21,7 @@ from smpe.kernels import (
     random_nowak_game,
 )
 from smpe.measure import GridSpace
+from smpe.solver import solve
 
 from helpers import constant_kernel_game, single_atom_game
 from oracles import check_coarser_reference, sunspot_extend_reference, validate_game_reference
@@ -163,6 +164,12 @@ def test_sunspot_requires_two_cells():
     spec = two_cell_spec()
     with pytest.raises(InvalidInput):
         sunspot_extend(spec, 1)
+
+
+@pytest.mark.parametrize("cells", [2.5, 2.0, "2"])
+def test_sunspot_requires_an_integer_cell_count(cells):
+    with pytest.raises(InvalidInput, match="sunspot_cells must be an integer"):
+        sunspot_extend(two_cell_spec(), cells)
 
 
 def test_sunspot_requires_divisible_cells():
@@ -377,7 +384,8 @@ def test_check_coarser_matches_loop_reference(name):
 @pytest.mark.parametrize("name", sorted(_family_games()))
 def test_kernel_matrix_columns_match_the_loop_form(name):
     spec = _family_games()[name]
-    for profiles in (None, [spec.n_profiles - 1, 0]):
+    last = spec.n_profiles - 1
+    for profiles in (None, [last, 0], np.array([last, 0])):
         kmtx = kernel_matrix(spec, profiles=profiles)
         chosen = list(range(spec.n_profiles)) if profiles is None else profiles
         rows = spec.space.divisible_indices
@@ -412,3 +420,98 @@ def test_fuzzed_games_match_loop_references():
         assert spec_hash(ext) == spec_hash(sunspot_extend_reference(spec, copies))
         for kmtx in (kernel_matrix(spec), kernel_matrix(ext)):
             assert check_coarser(kmtx) is check_coarser_reference(kmtx)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1e-9, np.inf])
+def test_bad_tolerances_are_refused(tol):
+    # a NaN tolerance fails every comparison, so it would pass any game or matrix
+    spec = two_cell_spec()
+    with pytest.raises(InvalidInput, match="tolerance must be nonnegative and finite"):
+        validate_game(spec, tol)
+    with pytest.raises(InvalidInput, match="tolerance must be nonnegative and finite"):
+        check_coarser(kernel_matrix(spec), tol)
+
+
+def test_zero_tolerance_is_accepted():
+    spec = two_cell_spec()
+    assert validate_game(spec, 0.0).passed
+    assert check_coarser(kernel_matrix(spec), 0.0)
+
+
+@pytest.mark.parametrize(
+    "profiles, message",
+    [
+        ([99], r"must lie in \[0, 4\)"),
+        ([-1], r"must lie in \[0, 4\)"),
+        ([0, 4], r"must lie in \[0, 4\)"),
+        ([1.5], "integer profile indices"),
+        ([np.float64(1.0)], "integer profile indices"),
+        (["1"], "integer profile indices"),
+        (3, "integer profile indices"),
+    ],
+)
+def test_kernel_matrix_refuses_bad_profile_indices(profiles, message):
+    # [-1] used to read profile 3 under a column labelled -1
+    with pytest.raises(InvalidInput, match=message):
+        kernel_matrix(two_cell_spec(), profiles=profiles)
+
+
+# --- array layout -------------------------------------------------------------
+
+
+MIXTURE = {"n_cells": 32, "j_components": 2, "k_atoms": 1}
+ATOM_HEAVY = {"n_cells": 4, "j_components": 2, "k_atoms": 8}
+
+
+def _result_bytes(spec):
+    return canonical_bytes(result_to_doc(solve(spec), spec))
+
+
+def _held_arrays(spec):
+    space = spec.space
+    return (
+        spec.discounts, spec.payoffs, spec.atom_kernel, spec.kernel.rho, spec.kernel.q,
+        *spec.feasible, space.masses, space.divisible, space.coarse,
+    )
+
+
+def _strided(arr):
+    """A view of ``arr``'s values: every other entry of a wider buffer, with
+    the first axis running fastest, as a gather along a later axis leaves it."""
+    moved = np.moveaxis(arr, 0, -1)
+    wide = np.zeros(moved.shape[:-1] + (2 * moved.shape[-1],), dtype=arr.dtype)
+    wide[..., ::2] = moved
+    return np.moveaxis(wide[..., ::2], -1, 0)
+
+
+@pytest.mark.parametrize(
+    "key, family", [([4242, i], MIXTURE) for i in range(4)] + [([4242, 0], ATOM_HEAVY)]
+)
+def test_sunspot_result_bytes_do_not_depend_on_the_route(key, family):
+    # the extension gathers its tables; the same game read back from its
+    # document must solve to the same bytes
+    ext = sunspot_extend(random_nowak_game(seed=key, **family)[1], 2)
+    assert all(arr.flags.c_contiguous for arr in _held_arrays(ext))
+    assert _result_bytes(ext) == _result_bytes(spec_from_doc(spec_to_doc(ext)))
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_spec_stores_c_ordered_read_only_copies(layout):
+    _, spec = random_nowak_game(seed=[4242, 0], **MIXTURE)
+    relay = np.asfortranarray if layout == "fortran" else _strided
+    kernel = KernelDecomposition(rho=relay(spec.kernel.rho), q=relay(spec.kernel.q))
+    grid = spec.space
+    space = GridSpace(relay(grid.masses), relay(grid.divisible), relay(grid.coarse))
+    other = replace(
+        spec,
+        payoffs=relay(spec.payoffs),
+        atom_kernel=relay(spec.atom_kernel),
+        feasible=tuple(relay(f) for f in spec.feasible),
+        kernel=kernel,
+        space=space,
+    )
+    assert not any(relay(a).flags.c_contiguous for a in (spec.payoffs, spec.kernel.q))
+    for held in _held_arrays(other):
+        assert held.flags.c_contiguous and not held.flags.writeable
+    assert spec_hash(other) == spec_hash(spec)
+    assert _result_bytes(other) == _result_bytes(spec)

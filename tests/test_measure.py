@@ -505,6 +505,7 @@ def test_table_validate_names_the_cell_the_nested_loop_names(exact, defect):
             cells, space = _damage(cells, space, second, other, exact)
         sel = SplitSelection.of(cells)
         outcome = _outcome(lambda: sel.validate(space))
+        assert outcome is not None  # every defect, a NaN fraction included, is refused
         assert outcome == _outcome(lambda: validate_selection_reference(sel, space))
         messages.add(outcome)
     assert len(messages) > 1
