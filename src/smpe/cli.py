@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -46,23 +47,13 @@ def _emit(doc):
 
 
 def _solve_options(args) -> SolveOptions:
-    return SolveOptions(
-        tol=args.tol,
-        max_iter=args.max_iter,
-        damping=args.damping,
-        restarts=args.restarts,
-        seed=args.seed,
-        eps_target=args.eps_target,
-    )
+    return SolveOptions(**{f.name: getattr(args, f.name) for f in fields(SolveOptions)})
 
 
 def _add_solver_flags(parser):
-    parser.add_argument("--tol", type=float, default=SolveOptions.tol)
-    parser.add_argument("--max-iter", type=int, default=SolveOptions.max_iter)
-    parser.add_argument("--damping", type=float, default=SolveOptions.damping)
-    parser.add_argument("--restarts", type=int, default=SolveOptions.restarts)
-    parser.add_argument("--seed", type=int, default=SolveOptions.seed)
-    parser.add_argument("--eps-target", type=float, default=SolveOptions.eps_target)
+    """One flag per ``SolveOptions`` field, typed and defaulted as the field."""
+    for f in fields(SolveOptions):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
 
 
 def _solve_or_best(spec, args):

@@ -18,15 +18,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInput
-from .measure import GridSpace
+from .measure import GridSpace, frozen_copy, hold, is_real
 
 NORMALIZATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class KernelDecomposition:
-    """Transition density on the divisible part as a sum of J components,
-    held as read-only C-ordered copies (see :class:`StochasticGameSpec`).
+    """Transition density on the divisible part as a sum of J components.
 
     rho: (J, n_cells) nonnegative per-cell densities (expected to vanish
         on atomic cells in well-posed games).
@@ -39,16 +38,11 @@ class KernelDecomposition:
     q: np.ndarray
 
     def __post_init__(self):
-        rho = np.array(self.rho, dtype=float, order="C")  # copied: no alias
-        q = np.array(self.q, dtype=float, order="C")
+        rho = frozen_copy(self.rho, "kernel components")
+        q = frozen_copy(self.q, "kernel components")
         if rho.ndim != 2 or q.ndim != 4 or rho.shape[0] != q.shape[0]:
             raise InvalidInput("rho must be (J, n_cells) and q (J, n_coarse, n_states, n_profiles)")
-        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(q))):
-            raise InvalidInput("kernel components must be finite")
-        rho.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "q", q)
+        hold(self, rho=rho, q=q)
 
     @property
     def n_components(self) -> int:
@@ -59,11 +53,11 @@ class KernelDecomposition:
 class StochasticGameSpec:
     """Complete description of a discounted stochastic game on a grid.
 
-    Every array it holds, in ``kernel`` and ``space`` too, is a read-only
-    C-ordered copy taken at construction. So a spec aliases no caller's
-    array, and numpy's reductions, which round in memory order, make its
-    result bytes depend on the game's values, not on how its arrays were
-    built (gathered, sliced, Fortran-ordered or read from a game file).
+    Every array it holds, in ``kernel`` and ``space`` too, is taken in by
+    :func:`~smpe.measure.frozen_copy`. Numpy's reductions round in memory
+    order, so a spec's result bytes depend on the game's values, not on
+    how its arrays were built (gathered, sliced, Fortran-ordered or read
+    from a game file).
 
     discounts: per-player discount factors in [0, 1).
     actions: global action labels per player.
@@ -87,9 +81,10 @@ class StochasticGameSpec:
     atom_kernel: np.ndarray
 
     def __post_init__(self):
-        discounts = np.array(self.discounts, dtype=float, order="C")  # copied: no alias
-        payoffs = np.array(self.payoffs, dtype=float, order="C")
-        atom_kernel = np.array(self.atom_kernel, dtype=float, order="C")
+        discounts = frozen_copy(self.discounts, "discounts")
+        payoffs = frozen_copy(self.payoffs, "payoffs")
+        atom_kernel = frozen_copy(self.atom_kernel, "atom_kernel")
+        feasible = tuple(frozen_copy(f, "feasible masks", bool) for f in self.feasible)
         if discounts.ndim != 1:
             raise InvalidInput(f"discounts must be a 1-D array, got shape {discounts.shape}")
         m = len(discounts)
@@ -100,7 +95,6 @@ class StochasticGameSpec:
             raise InvalidInput("each player needs a nonempty global action list")
         n_states = self.space.n_cells
         n_profiles = int(np.prod([len(a) for a in actions]))
-        feasible = tuple(np.array(f, dtype=bool, order="C") for f in self.feasible)
         if len(feasible) != m or any(
             f.shape != (n_states, len(actions[i])) for i, f in enumerate(feasible)
         ):
@@ -109,9 +103,7 @@ class StochasticGameSpec:
             raise InvalidInput(
                 f"payoffs must have shape {(m, n_states, n_profiles)}, got {payoffs.shape}"
             )
-        if not np.all(np.isfinite(payoffs)):
-            raise InvalidInput("payoffs must be finite")
-        if not (np.isfinite(self.payoff_bound) and self.payoff_bound > 0):
+        if not (is_real(self.payoff_bound) and 0 < self.payoff_bound < np.inf):
             raise InvalidInput("payoff_bound must be a positive number")
         n_atoms = len(self.space.atom_indices)
         if atom_kernel.shape != (n_atoms, n_states, n_profiles):
@@ -122,14 +114,15 @@ class StochasticGameSpec:
             raise InvalidInput("kernel rho must cover every cell")
         if self.kernel.q.shape[1:] != (self.space.n_coarse, n_states, n_profiles):
             raise InvalidInput("kernel q must be (J, n_coarse, n_states, n_profiles)")
-        for arr in (discounts, payoffs, atom_kernel, *feasible):
-            arr.setflags(write=False)
-        object.__setattr__(self, "discounts", discounts)
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "feasible", feasible)
-        object.__setattr__(self, "payoffs", payoffs)
-        object.__setattr__(self, "payoff_bound", float(self.payoff_bound))
-        object.__setattr__(self, "atom_kernel", atom_kernel)
+        hold(
+            self,
+            discounts=discounts,
+            actions=actions,
+            feasible=feasible,
+            payoffs=payoffs,
+            payoff_bound=float(self.payoff_bound),
+            atom_kernel=atom_kernel,
+        )
 
     @property
     def players(self) -> int:
@@ -182,8 +175,7 @@ class StochasticGameSpec:
         if density is None:
             q_at_cell = self.kernel.q[:, self.space.coarse, :, :]  # (J, n_cells, s, x)
             density = np.einsum("jk,jksx->ksx", self.kernel.rho, q_at_cell)
-            density.setflags(write=False)
-            object.__setattr__(self, "_cell_density", density)
+            hold(self, _cell_density=density)
         return density
 
     def transition_masses(self) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .game import KernelDecomposition, StochasticGameSpec
-from .measure import GridSpace
+from .measure import GridSpace, frozen_copy, hold, is_integer
 
 RANK_THRESHOLD = 1e-8
 ROW_MATCH_TOL = 1e-10
@@ -45,24 +45,20 @@ class KernelMatrix:
     columns: np.ndarray
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        rows = np.asarray(self.rows, dtype=int)
-        columns = np.asarray(self.columns, dtype=int)
+        matrix = frozen_copy(self.matrix, "kernel matrix entries")
+        rows = frozen_copy(self.rows, "row cells", int)
+        columns = frozen_copy(self.columns, "column labels", int)
         if matrix.ndim != 2 or matrix.shape != (len(rows), len(columns)):
             raise InvalidInput("matrix shape must match row and column labels")
-        if not np.all(np.isfinite(matrix)) or np.any(matrix < -1e-12):
-            raise InvalidInput("kernel matrix entries must be finite and nonnegative")
+        if np.any(matrix < -1e-12):
+            raise InvalidInput("kernel matrix entries must be nonnegative")
         if columns.ndim != 2 or columns.shape[1] != 2:
             raise InvalidInput("column labels must be (state, profile) pairs")
         n = self.space.n_cells
         for name, labels in (("row cells", rows), ("column states", columns[:, 0])):
             if np.any((labels < 0) | (labels >= n)):
                 raise InvalidInput(f"{name} must lie in [0, {n})")
-        for arr in (matrix, rows, columns):
-            arr.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "columns", columns)
+        hold(self, matrix=matrix, rows=rows, columns=columns)
 
     def block_ids(self):
         """Coarse ids that own at least one matrix row, ascending."""
@@ -316,13 +312,11 @@ class NowakParams:
     bmix: np.ndarray
 
     def __post_init__(self):
-        mu = np.atleast_2d(np.asarray(self.mu, dtype=float))
-        delta = np.asarray(self.delta, dtype=float)
-        if delta.size == 0:
-            delta = delta.reshape(0, 0)
-        delta = np.atleast_2d(delta)
-        qmix = np.asarray(self.qmix, dtype=float)
-        bmix = np.asarray(self.bmix, dtype=float)
+        mu = np.atleast_2d(frozen_copy(self.mu, "mu"))
+        delta = frozen_copy(self.delta, "delta")
+        delta = np.atleast_2d(delta.reshape(0, 0) if delta.size == 0 else delta)
+        qmix = frozen_copy(self.qmix, "qmix")
+        bmix = frozen_copy(self.bmix, "bmix")
         if bmix.size == 0:
             bmix = bmix.reshape(0, *qmix.shape[1:])
         if mu.shape[0] < 1:
@@ -340,12 +334,7 @@ class NowakParams:
             raise InvalidInput("mixing weights must lie in [0, 1]")
         if np.abs(mix.sum(axis=0) - 1.0).max() > 1e-9:
             raise InvalidInput("mixing weights must sum to 1 per state and profile")
-        for arr in (mu, delta, qmix, bmix):
-            arr.setflags(write=False)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "qmix", qmix)
-        object.__setattr__(self, "bmix", bmix)
+        hold(self, mu=mu, delta=delta, qmix=qmix, bmix=bmix)
 
     @property
     def j_components(self) -> int:
@@ -411,10 +400,7 @@ def _seeded_rng(seed):
     in [0, 2**64); a key Philox refuses, or a list entry that is not such
     an integer (numpy would cast it with a warning), is an input error."""
     if isinstance(seed, (list, tuple)) or getattr(seed, "ndim", 0) > 0:
-        if not all(
-            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < 2**64
-            for v in seed
-        ):
+        if not all(is_integer(v) and 0 <= v < 2**64 for v in seed):
             raise InvalidInput(f"seed {seed!r}: list entries must be integers in [0, 2**64)")
         seed = np.array(seed, dtype=np.uint64)
     try:
@@ -475,10 +461,10 @@ class NoisyGameParams:
     noise: np.ndarray
 
     def __post_init__(self):
-        h_masses = np.asarray(self.h_masses, dtype=float)
-        r_masses = np.asarray(self.r_masses, dtype=float)
-        alpha = np.asarray(self.alpha, dtype=float)
-        noise = np.asarray(self.noise, dtype=float)
+        h_masses = frozen_copy(self.h_masses, "h_masses")
+        r_masses = frozen_copy(self.r_masses, "r_masses")
+        alpha = frozen_copy(self.alpha, "alpha")
+        noise = frozen_copy(self.noise, "noise")
         if np.any(h_masses < 0) or np.any(r_masses < 0):
             raise InvalidInput("coordinate masses must be nonnegative")
         if np.any(alpha < 0) or np.any(noise < 0):
@@ -492,12 +478,7 @@ class NoisyGameParams:
             raise InvalidInput("alpha must integrate to 1 against h_masses")
         if np.abs(noise @ r_masses - 1.0).max() > 1e-9:
             raise InvalidInput("noise must integrate to 1 against r_masses per row")
-        for arr in (h_masses, r_masses, alpha, noise):
-            arr.setflags(write=False)
-        object.__setattr__(self, "h_masses", h_masses)
-        object.__setattr__(self, "r_masses", r_masses)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "noise", noise)
+        hold(self, h_masses=h_masses, r_masses=r_masses, alpha=alpha, noise=noise)
 
 
 def make_noisy_game(

@@ -34,11 +34,42 @@ def _is_exact(arr) -> bool:
     return isinstance(arr, np.ndarray) and arr.dtype == object
 
 
-def _vector(values, name):
-    arr = np.array(values)  # copied: no alias; one axis, so C-ordered
-    if arr.ndim != 1:
-        raise InvalidInput(f"{name} must be one-dimensional, got shape {arr.shape}")
+def is_integer(x) -> bool:
+    """True for a Python or numpy integer, but not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """True for an integer (not a bool) or a Python or numpy float."""
+    return is_integer(x) or isinstance(x, (float, np.floating))
+
+
+def frozen_copy(values, name, dtype=float):
+    """The one intake rule of every value type: a read-only, C-ordered copy
+    of ``values`` as ``dtype``, so no value aliases its caller's array.
+    Float entries must be finite. With ``dtype=None``, an object array
+    (exact-mode ``Fraction`` values, checked by the caller) stays exact
+    and anything else is read as floats."""
+    try:
+        arr = np.array(values, dtype=dtype, order="C")
+        if dtype is None and arr.dtype != object:
+            arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{name} must be a numeric array: {exc}") from None
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise InvalidInput(f"{name} must be finite")
+    arr.setflags(write=False)
     return arr
+
+
+def hold(obj, **fields):
+    """Store ``fields`` on the frozen dataclass ``obj`` from its
+    ``__post_init__``, past the ``__setattr__`` that refuses them; arrays
+    among them are made read-only."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    obj.__dict__.update(fields)
 
 
 @dataclass(frozen=True)
@@ -51,7 +82,7 @@ class GridSpace:
         consecutive integers 0..n_coarse-1 and every coarse cell must be
         a nonempty union of fine cells.
     total_mass: declared total weight; defaults to the mass sum.
-    The three arrays are held as read-only C-ordered copies.
+    The three arrays are taken in by :func:`frozen_copy`.
     """
 
     masses: np.ndarray
@@ -60,21 +91,18 @@ class GridSpace:
     total_mass: object = None
 
     def __post_init__(self):
-        masses = _vector(self.masses, "masses")
-        divisible = _vector(self.divisible, "divisible").astype(bool)
-        coarse = _vector(self.coarse, "coarse").astype(int)
+        masses = frozen_copy(self.masses, "cell masses", None)
+        divisible = frozen_copy(self.divisible, "divisible", bool)
+        coarse = frozen_copy(self.coarse, "coarse", int)
+        for name, arr in (("masses", masses), ("divisible", divisible), ("coarse", coarse)):
+            if arr.ndim != 1:
+                raise InvalidInput(f"{name} must be one-dimensional, got shape {arr.shape}")
         if not (len(masses) == len(divisible) == len(coarse)) or len(masses) == 0:
             raise InvalidInput("masses, divisible and coarse must share a positive length")
+        if np.any(masses < 0):
+            raise InvalidInput("cell masses must be nonnegative")
         exact = masses.dtype == object
-        if exact:
-            if any(m < 0 for m in masses):
-                raise InvalidInput("cell masses must be nonnegative")
-            total = sum(masses, Fraction(0))
-        else:
-            masses = masses.astype(float)
-            if not np.all(np.isfinite(masses)) or np.any(masses < 0):
-                raise InvalidInput("cell masses must be finite and nonnegative")
-            total = float(masses.sum())
+        total = sum(masses, Fraction(0)) if exact else float(masses.sum())
         declared = self.total_mass
         if declared is None:
             declared = total
@@ -89,16 +117,15 @@ class GridSpace:
         ids = np.unique(coarse)
         if ids[0] != 0 or ids[-1] != len(ids) - 1:
             raise InvalidInput("coarse ids must be consecutive integers starting at 0")
-        atoms = np.flatnonzero(~divisible)
-        cells = np.flatnonzero(divisible)
-        for arr in (masses, divisible, coarse, atoms, cells):
-            arr.setflags(write=False)
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "divisible", divisible)
-        object.__setattr__(self, "coarse", coarse)
-        object.__setattr__(self, "total_mass", declared)
-        object.__setattr__(self, "_atom_indices", atoms)
-        object.__setattr__(self, "_divisible_indices", cells)
+        hold(
+            self,
+            masses=masses,
+            divisible=divisible,
+            coarse=coarse,
+            total_mass=declared,
+            _atom_indices=np.flatnonzero(~divisible),
+            _divisible_indices=np.flatnonzero(divisible),
+        )
 
     @property
     def n_cells(self) -> int:
@@ -125,39 +152,32 @@ class GridSpace:
 
 
 def _values_matrix(values, space, name):
-    arr = np.asarray(values)
+    arr = frozen_copy(values, name, None)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.shape[0] != space.n_cells:
         raise InvalidInput(
             f"{name} must provide one value vector per cell "
-            f"({space.n_cells} cells, got shape {np.asarray(values).shape})"
+            f"({space.n_cells} cells, got shape {np.shape(values)})"
         )
-    if arr.dtype != object:
-        arr = arr.astype(float)
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInput(f"{name} must be finite")
     return arr
 
 
 @dataclass(frozen=True)
 class StepFunction:
-    """Function that is constant on each fine cell: one value vector per cell."""
+    """Function that is constant on each fine cell: one value vector per
+    cell (a vector of scalars is read as one column), taken in by
+    :func:`frozen_copy`."""
 
     values: np.ndarray
 
+    def __post_init__(self):
+        values = frozen_copy(self.values, "step-function values", None)
+        hold(self, values=values.reshape(-1, 1) if values.ndim == 1 else values)
+
     @classmethod
     def of(cls, values):
-        arr = np.asarray(values)
-        if arr.ndim == 1:
-            arr = arr.reshape(-1, 1)
-        if arr.dtype != object:
-            arr = arr.astype(float)
-            if not np.all(np.isfinite(arr)):
-                raise InvalidInput("step-function values must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        return cls(arr)
+        return cls(values)
 
     @classmethod
     def constant(cls, value, n_cells):
@@ -263,26 +283,24 @@ class SplitSelection:
 
 @dataclass(frozen=True)
 class CandidateField:
-    """Finite set of admissible value vectors per fine cell."""
+    """Finite set of admissible value vectors per fine cell, each cell's
+    set taken in by :func:`frozen_copy` (a vector of scalars is one column)."""
 
     sets: tuple
 
     def __post_init__(self):
         if not self.sets:
             raise InvalidInput("candidate field must cover at least one cell")
-        dims = set()
-        norm = []
+        sets = []
         for k, cands in enumerate(self.sets):
-            arr = np.asarray(cands)
-            if arr.ndim == 1:
-                arr = arr.reshape(-1, 1)
+            arr = frozen_copy(cands, f"cell {k} candidates", None)
+            arr = arr.reshape(-1, 1) if arr.ndim == 1 else arr
             if arr.shape[0] == 0:
                 raise InvalidInput(f"cell {k} has an empty candidate set")
-            dims.add(arr.shape[1])
-            norm.append(arr)
-        if len(dims) != 1:
+            sets.append(arr)
+        if len({arr.shape[1] for arr in sets}) != 1:
             raise InvalidInput("candidate vectors must share one dimension")
-        object.__setattr__(self, "sets", tuple(norm))
+        hold(self, sets=tuple(sets))
 
     @property
     def dim(self) -> int:
@@ -328,19 +346,15 @@ def conditional_expectation(f: StepFunction, space: GridSpace) -> StepFunction:
 
 
 def _retained_masses(retained, space):
-    arr = _vector(retained, "retained masses")
+    arr = frozen_copy(retained, "retained masses", None)
+    if arr.ndim != 1:
+        raise InvalidInput(f"retained masses must be one-dimensional, got shape {arr.shape}")
     if len(arr) != space.n_cells:
         raise InvalidInput("retained masses must provide one entry per cell")
-    if arr.dtype == object:
-        if any(r < 0 for r in arr):
-            raise InvalidInput("retained masses must be nonnegative")
-        if any(r > m for r, m in zip(arr, space.masses)):
-            raise InvalidInput("retained mass exceeds cell mass")
-        return arr
-    arr = arr.astype(float)
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise InvalidInput("retained masses must be finite and nonnegative")
-    if np.any(arr > np.asarray(space.masses, dtype=float) + MASS_TOL):
+    if np.any(arr < 0):
+        raise InvalidInput("retained masses must be nonnegative")
+    exact = arr.dtype == object
+    if np.any(arr > (space.masses if exact else space.masses.astype(float) + MASS_TOL)):
         raise InvalidInput("retained mass exceeds cell mass")
     return arr
 

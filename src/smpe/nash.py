@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import InvalidInput, NoConvergence
 from .game import StochasticGameSpec
+from .measure import frozen_copy, hold
 
 BR_TOL = 1e-10
 DEDUPE_TOL = 1e-8
@@ -53,21 +54,15 @@ class StageGame:
     actions: tuple
 
     def __post_init__(self):
-        payoffs = tuple(np.array(p, dtype=float) for p in self.payoffs)  # copied: no alias
+        payoffs = tuple(frozen_copy(p, "payoffs") for p in self.payoffs)
         actions = tuple(tuple(int(a) for a in acts) for acts in self.actions)
         m = len(payoffs)
         shape = tuple(len(a) for a in actions)
         if m == 0 or len(actions) != m:
             raise InvalidInput("payoffs and actions must cover the same players")
-        for p in payoffs:
-            if p.shape != shape:
-                raise InvalidInput(f"payoff tensors must have shape {shape}")
-            if not np.all(np.isfinite(p)):
-                raise InvalidInput("payoffs must be finite")
-        for p in payoffs:
-            p.setflags(write=False)
-        object.__setattr__(self, "payoffs", payoffs)
-        object.__setattr__(self, "actions", actions)
+        if any(p.shape != shape for p in payoffs):
+            raise InvalidInput(f"payoff tensors must have shape {shape}")
+        hold(self, payoffs=payoffs, actions=actions)
 
     @property
     def m(self) -> int:
@@ -102,13 +97,10 @@ class AggregateVector:
     c: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
+        c = frozen_copy(self.c, "aggregates")
         if c.ndim != 3:
             raise InvalidInput("aggregates must be (players, components, coarse cells)")
-        if not np.all(np.isfinite(c)):
-            raise InvalidInput("aggregates must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
+        hold(self, c=c)
 
 
 def aggregate_moments(cell_values: np.ndarray, spec: StochasticGameSpec) -> AggregateVector:

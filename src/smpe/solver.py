@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InvalidInput, NoConvergence, PreconditionFailed, ValidationError
 from .game import StochasticGameSpec, validate_game
 from .hull import project_to_hull
-from .measure import SplitSelection
+from .measure import SplitSelection, is_integer, is_real
 from .nash import (
     AggregateVector,
     aggregate_moments,
@@ -301,19 +301,13 @@ def solve(spec: StochasticGameSpec, opts: SolveOptions = SolveOptions()) -> Equi
     :class:`NoConvergence` carries the best result certified before it,
     or None. Out-of-range options raise :class:`InvalidInput`.
     """
-    def integer(x):
-        return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-    def real(x):
-        return integer(x) or isinstance(x, (float, np.floating))
-
     for name, ok, rule in (
-        ("tol", real(opts.tol) and 0 < opts.tol < np.inf, "finite and > 0"),
-        ("max_iter", integer(opts.max_iter) and opts.max_iter >= 1, "an integer >= 1"),
-        ("damping", real(opts.damping) and 0 < opts.damping <= 1, "in (0, 1]"),
-        ("restarts", integer(opts.restarts) and opts.restarts >= 0, "an integer >= 0"),
-        ("seed", integer(opts.seed) and 0 <= opts.seed < 2**64, "an integer in [0, 2**64)"),
-        ("eps_target", real(opts.eps_target) and opts.eps_target > 0, "> 0"),
+        ("tol", is_real(opts.tol) and 0 < opts.tol < np.inf, "finite and > 0"),
+        ("max_iter", is_integer(opts.max_iter) and opts.max_iter >= 1, "an integer >= 1"),
+        ("damping", is_real(opts.damping) and 0 < opts.damping <= 1, "in (0, 1]"),
+        ("restarts", is_integer(opts.restarts) and opts.restarts >= 0, "an integer >= 0"),
+        ("seed", is_integer(opts.seed) and 0 <= opts.seed < 2**64, "an integer in [0, 2**64)"),
+        ("eps_target", is_real(opts.eps_target) and opts.eps_target > 0, "> 0"),
     ):
         if not ok:
             raise InvalidInput(f"solver option {name} must be {rule}, got {getattr(opts, name)!r}")

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import InvalidInput, ValidationError
 from .game import StochasticGameSpec, validate_game
+from .measure import is_integer, is_real
 
 CHUNK_PATHS = 8192
 STRATEGY_TOL = 1e-12
@@ -280,18 +281,26 @@ def simulate_payoffs(
     driven by a counter-based generator keyed on (seed, block), so
     identical seeds reproduce the report bit for bit regardless of the
     thread count (``SMPE_THREADS``). The game and the pieces are checked as
-    :func:`deviation_residual` checks them.
+    :func:`deviation_residual` checks them; ``s0``, ``paths``, ``seed`` and
+    ``horizon`` must be integers, not bool, and ``seed`` lie in [0, 2**64),
+    as ``solve`` requires of its seed.
     """
     _piece_cells(result, spec)
+    counts = {"s0": s0, "paths": paths, "seed": seed, "horizon": 1 if horizon is None else horizon}
+    for name, value in counts.items():  # 1.5 or True would index a state or size an array
+        if not is_integer(value):
+            raise InvalidInput(f"{name} must be an integer, got {value!r}")
     if paths < 1:
         raise InvalidInput("need at least one path")
     if horizon is not None and horizon < 1:
         raise InvalidInput(f"horizon must be at least 1, got {horizon}")
     if not (0 <= s0 < spec.n_states):
         raise InvalidInput(f"initial state {s0} out of range")
+    if not 0 <= seed < 2**64:
+        raise InvalidInput(f"seed must lie in [0, 2**64), got {seed}")
     beta_max = float(spec.discounts.max())
     bound = spec.payoff_bound
-    if truncation is not None and not truncation > 0:  # NaN included
+    if truncation is not None and not (is_real(truncation) and truncation > 0):  # NaN included
         raise InvalidInput("truncation must be positive")
     if horizon is None:
         if truncation is None:
@@ -321,7 +330,7 @@ def simulate_payoffs(
     def run_chunk(chunk_idx):
         n = min(CHUNK_PATHS, paths - chunk_idx * CHUNK_PATHS)
         rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed % 2**64, chunk_idx], dtype=np.uint64))
+            np.random.Philox(key=np.array([seed, chunk_idx], dtype=np.uint64))
         )
         states = np.full(n, s0, dtype=int)
         acc = np.zeros((spec.players, n))

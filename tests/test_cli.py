@@ -11,8 +11,9 @@ import pytest
 
 import smpe
 from smpe import gamefile
-from smpe.cli import run_command
+from smpe.cli import _solve_options, build_parser, run_command
 from smpe.kernels import random_nowak_game
+from smpe.solver import SolveOptions
 from smpe.verify import deviation_residual
 
 from helpers import four_player_game, single_atom_game
@@ -379,6 +380,23 @@ def test_simulate_horizon_below_one_exits_two(game_file, result_file, length, wo
     assert code == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert word in err and "Traceback" not in err
+
+
+def test_simulate_negative_seed_exits_two(game_file, result_file):
+    # a seed solve refuses is no simulation seed either
+    args = ["simulate", "--game", str(game_file), "--result", str(result_file)]
+    code, err = run_cli(args + ["--paths", "100", "--seed", "-1", "--horizon", "5"])
+    assert code == 2
+    assert err == "error: seed must lie in [0, 2**64), got -1\n"
+
+
+@pytest.mark.parametrize("command", [["solve", "--game", "g.json"], ["demo", "nowak"]])
+def test_solver_flags_are_the_solve_options_fields(command):
+    assert _solve_options(build_parser().parse_args(command)) == SolveOptions()
+    flags = ["--tol", "1e-8", "--max-iter", "7", "--damping", "0.25", "--restarts", "1"]
+    args = build_parser().parse_args(command + flags + ["--seed", "3", "--eps-target", "1e-5"])
+    assert _solve_options(args) == SolveOptions(1e-8, 7, 0.25, 1, 3, 1e-5)
+    assert type(args.max_iter) is int and type(args.tol) is float
 
 
 def test_unknown_flag_exits_two(capsys):

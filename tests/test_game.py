@@ -1,5 +1,6 @@
 """Game validation and the sunspot extension."""
 
+import dataclasses
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -7,6 +8,7 @@ from functools import cache
 import numpy as np
 import pytest
 
+import smpe
 from smpe.errors import InvalidInput
 from smpe.game import KernelDecomposition, validate_game, sunspot_extend
 from smpe.gamefile import canonical_bytes, result_to_doc, spec_from_doc, spec_hash, spec_to_doc
@@ -14,13 +16,16 @@ from smpe.kernels import (
     ROW_MATCH_TOL,
     KernelMatrix,
     LevyParams,
+    NoisyGameParams,
+    NowakParams,
     check_coarser,
     kernel_matrix,
     make_levy_kernel,
     random_noisy_game,
     random_nowak_game,
 )
-from smpe.measure import GridSpace
+from smpe.measure import CandidateField, GridSpace, StepFunction
+from smpe.nash import AggregateVector, StageGame
 from smpe.solver import solve
 
 from helpers import constant_kernel_game, single_atom_game
@@ -78,28 +83,133 @@ def test_spec_keeps_its_own_read_only_feasible_masks():
     assert not owned.feasible[0].flags.writeable
 
 
-def test_spec_keeps_its_own_read_only_arrays():
-    _, spec = random_nowak_game(seed=20, n_cells=4, j_components=1, k_atoms=1)
-    discounts, payoffs, atom_kernel = (
-        spec.discounts.copy(), spec.payoffs.copy(), spec.atom_kernel.copy()
-    )
-    rho, q = spec.kernel.rho.copy(), spec.kernel.q.copy()
-    owned = replace(
-        spec,
-        discounts=discounts,
-        payoffs=payoffs,
-        atom_kernel=atom_kernel,
-        kernel=KernelDecomposition(rho=rho, q=q),
-    )
-    callers = (discounts, payoffs, atom_kernel, rho, q)
-    kept = (owned.discounts, owned.payoffs, owned.atom_kernel, owned.kernel.rho, owned.kernel.q)
-    assert all(arr.flags.writeable for arr in callers)
-    assert not any(arr.flags.writeable for arr in kept)
-    before = [arr.copy() for arr in kept]
-    for arr in callers:  # the caller's arrays, written after construction
-        arr[...] = 99.0
-    assert all(np.array_equal(arr, old) for arr, old in zip(kept, before))
-    assert validate_game(owned).passed
+@cache
+def _intake_game():
+    return random_nowak_game(seed=20, n_cells=4, j_components=1, k_atoms=1)
+
+
+def _fields(*names):
+    return lambda value: {name: getattr(value, name) for name in names}
+
+
+def _spec_arrays(spec):
+    arrays = _fields("discounts", "payoffs", "atom_kernel")(spec)
+    return arrays | {f"feasible[{i}]": mask for i, mask in enumerate(spec.feasible)}
+
+
+def _spec_build(a):
+    feasible = tuple(a.pop(f"feasible[{i}]") for i in range(2))
+    return replace(_intake_game()[1], feasible=feasible, **a)
+
+
+# Per value type: a valid value, how to build one from caller's arrays, and
+# the arrays it holds, by name; the caller's arrays are fresh copies of the
+# valid value's.
+INTAKE = {
+    "GridSpace": (
+        lambda: GridSpace([0.25, 0.25, 0.5], [True, True, False], [0, 0, 1]),
+        lambda a: GridSpace(**a),
+        _fields("masses", "divisible", "coarse"),
+    ),
+    "StepFunction": (
+        lambda: StepFunction.of(np.arange(6.0).reshape(3, 2)),
+        lambda a: StepFunction.of(a["values"]),
+        _fields("values"),
+    ),
+    "CandidateField": (
+        lambda: CandidateField(([[0.0, 1.0], [1.0, 0.0]], [[0.5, 0.5]])),
+        lambda a: CandidateField(tuple(a.values())),
+        lambda v: {f"sets[{k}]": cands for k, cands in enumerate(v.sets)},
+    ),
+    "KernelDecomposition": (
+        lambda: _intake_game()[1].kernel,
+        lambda a: KernelDecomposition(**a),
+        _fields("rho", "q"),
+    ),
+    "StochasticGameSpec": (lambda: _intake_game()[1], _spec_build, _spec_arrays),
+    "KernelMatrix": (
+        lambda: kernel_matrix(_intake_game()[1]),
+        lambda a: KernelMatrix(space=_intake_game()[1].space, **a),
+        _fields("matrix", "rows", "columns"),
+    ),
+    "NowakParams": (
+        lambda: _intake_game()[0],
+        lambda a: NowakParams(**a),
+        _fields("mu", "delta", "qmix", "bmix"),
+    ),
+    "NoisyGameParams": (
+        lambda: random_noisy_game(seed=3, n_h=2, n_r=2)[0],
+        lambda a: NoisyGameParams(**a),
+        _fields("h_masses", "r_masses", "alpha", "noise"),
+    ),
+    "StageGame": (
+        lambda: StageGame(([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]), ((0, 1), (0, 1))),
+        lambda a: StageGame(tuple(a.values()), ((0, 1), (0, 1))),
+        lambda v: {f"payoffs[{i}]": p for i, p in enumerate(v.payoffs)},
+    ),
+    "AggregateVector": (
+        lambda: AggregateVector(np.linspace(0.0, 1.0, 6).reshape(2, 3, 1)),
+        lambda a: AggregateVector(**a),
+        _fields("c"),
+    ),
+}
+
+# Exported dataclasses that take in no caller's array, and why.
+INTAKE_EXEMPT = {
+    "EquilibriumResult": "output of solve, built from its own tables",
+    "Certificate": "output of deviation_residual",
+    "SimulationReport": "output of simulate_payoffs",
+    "ValidationReport": "output of validate_game, strings and flags only",
+    "SplitSelection": "checked by validate, where results enter the certificate",
+    "NashPoint": "output of nash_enumerate, from its own clipped arrays",
+    "SolveOptions": "scalars only, checked on entry to solve",
+    "LevyParams": "scalars only, checked by its constructor",
+}
+
+
+def _callers_arrays(row):
+    """Fresh, writeable copies of the arrays a valid value of ``row`` holds."""
+    example, _, held = INTAKE[row]
+    return {name: np.array(arr) for name, arr in held(example()).items()}
+
+
+@pytest.mark.parametrize("row", sorted(INTAKE))
+def test_value_type_keeps_its_own_read_only_arrays(row):
+    _, build, held = INTAKE[row]
+    callers = _callers_arrays(row)
+    kept = held(build(dict(callers)))
+    assert kept.keys() == callers.keys()
+    for name, arr in kept.items():
+        assert arr.flags.c_contiguous and not arr.flags.writeable, name
+        assert not np.shares_memory(arr, callers[name]), name
+    before = {name: arr.copy() for name, arr in kept.items()}
+    for arr in callers.values():  # the caller's arrays, written after construction
+        arr[...] = ~arr if arr.dtype == bool else 99
+    assert all(np.array_equal(kept[name], before[name]) for name in kept)
+    assert all(arr.flags.writeable for arr in callers.values())
+    floats = [name for name, arr in callers.items() if arr.dtype.kind == "f"]
+    assert floats
+    for name in floats:
+        for bad in (np.nan, np.inf, -np.inf):
+            damaged = _callers_arrays(row)
+            damaged[name].flat[-1] = bad
+            with pytest.raises(InvalidInput, match="must be finite"):
+                build(damaged)
+
+
+def test_every_exported_value_type_takes_its_arrays_in():
+    # a new value type must be a row of INTAKE or exempt with a reason
+    exported = {name for name in smpe.__all__ if dataclasses.is_dataclass(getattr(smpe, name))}
+    assert not INTAKE.keys() & INTAKE_EXEMPT.keys()
+    assert INTAKE.keys() | INTAKE_EXEMPT.keys() <= exported
+    assert not exported - INTAKE.keys() - INTAKE_EXEMPT.keys()
+
+
+def test_spec_refuses_a_payoff_bound_that_is_not_a_number():
+    spec = two_cell_spec()
+    for bound in ("1.0", None, np.nan, np.inf, 0.0, True):
+        with pytest.raises(InvalidInput, match="payoff_bound must be a positive number"):
+            replace(spec, payoff_bound=bound)
 
 
 def test_cell_density_is_computed_once_per_spec():

@@ -203,6 +203,27 @@ def test_simulation_horizon_truncation_consistency():
 
 
 @pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("s0", 1.5, "s0 must be an integer, got 1.5"),
+        ("s0", True, "s0 must be an integer, got True"),
+        ("paths", 2.5, "paths must be an integer, got 2.5"),
+        ("horizon", 2.5, "horizon must be an integer, got 2.5"),
+        ("seed", -1, re.escape("seed must lie in [0, 2**64), got -1")),
+        ("seed", 2**64, re.escape("seed must lie in [0, 2**64)")),
+    ],
+)
+def test_simulation_refuses_counts_it_cannot_run(option, value, message):
+    # read as numbers, 1.5 and True index state 1, 2.5 paths or steps are no
+    # array size, and -1 and 2**64 are no key solve accepts
+    _, spec = random_nowak_game(seed=1, n_cells=4, j_components=1, k_atoms=0)
+    result = solve(spec)
+    args = {"s0": 0, "paths": 10, "seed": 0, "horizon": 3, option: value}
+    with pytest.raises(InvalidInput, match=f"^{message}"):
+        simulate_payoffs(spec, result, **args)
+
+
+@pytest.mark.parametrize(
     "strategy, feasible, message",
     [
         ([0.0, 0.0, 0.5, 0.5], [True, True], "strategy carries no probability"),
