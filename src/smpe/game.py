@@ -13,6 +13,7 @@ are enumerated in C order over the per-player global action lists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,7 +95,8 @@ class StochasticGameSpec:
         if len(actions) != m or any(len(a) == 0 for a in actions):
             raise InvalidInput("each player needs a nonempty global action list")
         n_states = self.space.n_cells
-        n_profiles = int(np.prod([len(a) for a in actions]))
+        profile_shape = tuple(len(a) for a in actions)
+        n_profiles = math.prod(profile_shape)
         if len(feasible) != m or any(
             f.shape != (n_states, len(actions[i])) for i, f in enumerate(feasible)
         ):
@@ -122,6 +124,8 @@ class StochasticGameSpec:
             payoffs=payoffs,
             payoff_bound=float(self.payoff_bound),
             atom_kernel=atom_kernel,
+            _profile_shape=profile_shape,
+            _n_profiles=n_profiles,
         )
 
     @property
@@ -138,11 +142,11 @@ class StochasticGameSpec:
 
     @property
     def profile_shape(self) -> tuple:
-        return tuple(len(a) for a in self.actions)
+        return self._profile_shape
 
     @property
     def n_profiles(self) -> int:
-        return int(np.prod(self.profile_shape))
+        return self._n_profiles
 
     def profile_index(self, profile) -> int:
         return int(np.ravel_multi_index(tuple(profile), self.profile_shape))

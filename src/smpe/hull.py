@@ -105,6 +105,17 @@ def convex_weights_exact(target, points):
     return None
 
 
+_EPS = np.finfo(float).eps
+
+
+@functools.cache
+def _identity(size):
+    """A read-only identity matrix, the stand-in for a singular system."""
+    eye = np.eye(size)
+    eye.flags.writeable = False
+    return eye
+
+
 def _face_weights(sub, target):
     """Affine weights of each ``target``'s projection onto the affine hull
     of each support of k >= 2 points, and which rows were solvable.
@@ -127,15 +138,15 @@ def _face_weights(sub, target):
         ok = sq > 0
         z = ((rhs * edge).sum(axis=-1) / np.where(ok, sq, 1.0))[..., None]
     else:
-        mat = np.swapaxes(span, -1, -2)
+        mat = span.swapaxes(-1, -2)
         if k < d + 1:
             q, mat = np.linalg.qr(mat)
             rhs = (q * rhs[..., :, None]).sum(axis=-2)
         # solvable: |det| above machine epsilon times the product of the
         # column norms (Hadamard's bound); an exactly singular one has det 0
         norms = np.sqrt((mat * mat).sum(axis=-2))
-        ok = np.abs(np.linalg.det(mat)) > np.finfo(float).eps * np.prod(norms, axis=-1)
-        mat = np.where(ok[..., None, None], mat, np.eye(k - 1))
+        ok = np.abs(np.linalg.det(mat)) > _EPS * norms.prod(axis=-1)
+        mat = np.where(ok[..., None, None], mat, _identity(k - 1))
         z = np.linalg.solve(mat, rhs[..., None])[..., 0]
     return np.concatenate([z, 1.0 - z.sum(axis=-1, keepdims=True)], axis=-1), ok
 

@@ -47,15 +47,21 @@ def is_real(x) -> bool:
 def frozen_copy(values, name, dtype=float):
     """The one intake rule of every value type: a read-only, C-ordered copy
     of ``values`` as ``dtype``, so no value aliases its caller's array.
-    Float entries must be finite. With ``dtype=None``, an object array
-    (exact-mode ``Fraction`` values, checked by the caller) stays exact
-    and anything else is read as floats."""
+    Float entries must be finite, and bool and int entries must survive the
+    cast (a bool field takes 0, 1, True and False only). With
+    ``dtype=None``, an object array (exact-mode ``Fraction`` values, checked
+    by the caller) stays exact and anything else is read as floats."""
     try:
         arr = np.array(values, dtype=dtype, order="C")
         if dtype is None and arr.dtype != object:
             arr = arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"{name} must be a numeric array: {exc}") from None
+    if arr.dtype.kind in "bi":  # the cast must give back the input's values
+        raw = np.asarray(values)
+        if raw.dtype != arr.dtype and not np.array_equal(arr, raw):
+            kind = "booleans (0 or 1)" if arr.dtype.kind == "b" else "integers"
+            raise InvalidInput(f"{name} must hold {kind}")
     if arr.dtype.kind == "f" and not np.isfinite(arr).all():
         raise InvalidInput(f"{name} must be finite")
     arr.setflags(write=False)
@@ -125,6 +131,7 @@ class GridSpace:
             total_mass=declared,
             _atom_indices=np.flatnonzero(~divisible),
             _divisible_indices=np.flatnonzero(divisible),
+            _n_coarse=len(ids),
         )
 
     @property
@@ -133,7 +140,7 @@ class GridSpace:
 
     @property
     def n_coarse(self) -> int:
-        return int(self.coarse.max()) + 1
+        return self._n_coarse
 
     @property
     def exact(self) -> bool:

@@ -8,8 +8,12 @@ payoffs); only the public :func:`nash_enumerate`, a stack of one, builds
 most four actions each), :func:`nash_enumerate_stack` enumerates
 supports: two players' pure support pairs need no solve, the others one
 batched solve per pair; three players run damped Newton game by game.
-One stacked check verifies, dedupes and sorts the candidates with the
-arithmetic of a single-profile check. Beyond it, for any player count,
+What depends on a stack's shape alone (the perturbation ramp, the pure
+support candidates, each mixed support pair's index arrays and bordered
+system) is built once per shape and cached read-only. One stacked check
+verifies, dedupes and sorts the candidates on the (games, candidates)
+arrays with the arithmetic of a single-profile check; only when a game
+keeps two candidates are its kept ones compared pairwise. Beyond it, for any player count,
 :func:`regret_matching` runs each game of the stack on its own until its
 best slack meets the target or stalls. Payoffs are contracted against
 mixed strategies by one einsum program per player count and player.
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,25 +212,43 @@ def degenerate_games(payoffs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _ramp(m: int, shape: tuple) -> np.ndarray:
+    """The perturbation's read-only (m, 1, *shape) ramp: player i's entry x
+    of a game with ``size`` profiles gets (x * m + i + 1) / (size * m + 1)."""
+    size = math.prod(shape)
+    steps = np.arange(size, dtype=float) * m
+    ramp = np.stack([(steps + i + 1.0) / (size * m + 1.0) for i in range(m)])
+    return frozen_copy(ramp.reshape((m, 1) + shape), "perturbation ramp")
+
+
 def _perturbed(payoffs: np.ndarray) -> np.ndarray:
     """Deterministic lexicographic tie-break of a game stack (m, n, *shape):
     each payoff entry is nudged by a distinct multiple of a tiny unit
     scaled to its own game's largest payoff."""
     m, n, *shape = payoffs.shape
-    size = int(np.prod(shape))
-    largest = np.abs(payoffs).reshape(m, n, size).max(axis=(0, 2))
+    largest = np.abs(payoffs).reshape(m, n, math.prod(shape)).max(axis=(0, 2))
     scale = (PERTURB_SCALE * np.maximum(1.0, largest)).reshape((n,) + (1,) * len(shape))
-    out = np.empty_like(payoffs)
-    for i in range(m):
-        ramp = (np.arange(size, dtype=float) * m + i + 1.0) / (size * m + 1.0)
-        out[i] = payoffs[i] + scale * ramp.reshape(shape)
-    return out
+    return payoffs + scale * _ramp(m, tuple(shape))
 
 
 def _projected(vec, support, size):
     full = np.zeros(size)
     full[list(support)] = vec
     return full
+
+
+@functools.cache
+def _bordered(r: int):
+    """The bordered indifference system of a support pair of size r: a
+    read-only (2, 1, r + 1, r + 1) template holding the -1 value column and
+    the row of ones around a zero block, and the right-hand side e_r."""
+    lhs = np.zeros((2, 1, r + 1, r + 1))
+    lhs[:, :, :r, r] = -1.0
+    lhs[:, :, r, :r] = 1.0
+    rhs = np.zeros((r + 1, 1))
+    rhs[r] = 1.0
+    return frozen_copy(lhs, "bordered system"), frozen_copy(rhs, "bordered system")
 
 
 def _support_mixtures(perturbed: np.ndarray, rows, cols):
@@ -239,16 +262,14 @@ def _support_mixtures(perturbed: np.ndarray, rows, cols):
     system is singular, the games of this support pair are solved one by
     one.
     """
+    rows, cols = np.asarray(rows), np.asarray(cols)
     r = len(rows)
     _, n, k1, k2 = perturbed.shape
-    block = perturbed[:, :, list(rows)][:, :, :, list(cols)]
-    lhs = np.zeros((2, n, r + 1, r + 1))
-    lhs[0, :, :r, :r] = np.swapaxes(block[1], 1, 2)
+    block = perturbed[:, :, rows[:, None], cols]
+    template, rhs = _bordered(r)
+    lhs = template.repeat(n, axis=1)
+    lhs[0, :, :r, :r] = block[1].swapaxes(1, 2)
     lhs[1, :, :r, :r] = block[0]
-    lhs[:, :, :r, r] = -1.0
-    lhs[:, :, r, :r] = 1.0
-    rhs = np.zeros((r + 1, 1))
-    rhs[r] = 1.0
     ok = np.ones(n, dtype=bool)
     try:
         sol = np.linalg.solve(lhs, rhs)[..., :r, 0]
@@ -260,23 +281,37 @@ def _support_mixtures(perturbed: np.ndarray, rows, cols):
             except np.linalg.LinAlgError:
                 ok[g] = False
     ok &= ~(sol.min(axis=2) < -1e-9).any(axis=0)
-    sol = np.clip(sol, 0.0, None)
+    sol = np.maximum(sol, 0.0)
     total = sol.sum(axis=2)
     ok &= ~(total <= 0).any(axis=0)
     sol = np.divide(sol, total[..., None], out=np.zeros_like(sol), where=ok[:, None])
     x = np.zeros((n, k1))
-    x[:, list(rows)] = sol[0]
+    x[:, rows] = sol[0]
     y = np.zeros((n, k2))
-    y[:, list(cols)] = sol[1]
+    y[:, cols] = sol[1]
     return x, y, ok
 
 
+@functools.lru_cache(maxsize=256)
 def _pure_supports(n, k1, k2):
     """:func:`_support_mixtures` of every 1x1 pair of an (n, k1, k2) stack,
     in (rows, cols) order, with no solve: the system [[a, -1], [1, 0]] has
-    determinant 1 and its one positive entry normalizes to exactly 1.0."""
+    determinant 1 and its one positive entry normalizes to exactly 1.0.
+    Read-only, and built once per stack shape."""
     pure = np.eye(k1).repeat(k2, axis=0), np.tile(np.eye(k2), (k1, 1)), np.ones(k1 * k2, bool)
-    return tuple(p[None].repeat(n, axis=0) for p in pure)
+    return tuple(frozen_copy(p[None].repeat(n, axis=0), "pure supports", p.dtype) for p in pure)
+
+
+@functools.cache
+def _mixed_supports(k1, k2):
+    """The support pairs of size r >= 2 of a k1 x k2 game in (size, rows,
+    cols) order, as read-only (rows, cols) index arrays."""
+    return tuple(
+        (frozen_copy(rows, "support rows", int), frozen_copy(cols, "support columns", int))
+        for r in range(2, min(k1, k2) + 1)
+        for rows in itertools.combinations(range(k1), r)
+        for cols in itertools.combinations(range(k2), r)
+    )
 
 
 def nash_enumerate_stack(payoffs):
@@ -295,7 +330,7 @@ def nash_enumerate_stack(payoffs):
     m = payoffs.shape[0] if payoffs.ndim else 0
     if not 1 <= m <= EXACT_MAX_PLAYERS or payoffs.ndim != m + 2:
         raise InvalidInput("a stack must be (m, games, k_1, ..., k_m) with 1 <= m <= 3")
-    if not np.all(np.isfinite(payoffs)):
+    if not np.isfinite(payoffs).all():
         raise InvalidInput("payoffs must be finite")
     n, *shape = payoffs.shape[1:]
     if m == 1:  # distinct pure actions never dedupe, and the sort orders them
@@ -311,12 +346,7 @@ def nash_enumerate_stack(payoffs):
                 part[g, : sizes[g]] = rows
         return _verify_stack(payoffs, strategies, np.arange(sizes.max(initial=0)) < sizes[:, None])
     k1, k2 = shape
-    mixed = [
-        _support_mixtures(perturbed, rows, cols)
-        for r in range(2, min(k1, k2) + 1)
-        for rows in itertools.combinations(range(k1), r)
-        for cols in itertools.combinations(range(k2), r)
-    ]
+    mixed = [_support_mixtures(perturbed, rows, cols) for rows, cols in _mixed_supports(k1, k2)]
     xs, ys, oks = (  # (n, supports, ...)
         np.concatenate([pure] + [part[:, None] for part in parts], axis=1)
         for pure, *parts in zip(_pure_supports(n, k1, k2), *mixed)
@@ -338,25 +368,34 @@ def _verify_stack(payoffs, strategies, found):
     """
     m = len(payoffs)
     played, gap = _slack(payoffs, strategies)
-    kept = found & (gap <= BR_TOL)
-    # each game's kept candidates, moved to the front in enumeration order;
-    # greedily, any within DEDUPE_TOL of a kept one before it is dropped
-    games = np.arange(len(kept))[:, None]
-    front = np.argsort(~kept, axis=1, kind="stable")[:, : kept.sum(axis=1).max(initial=0)]
-    alive = kept[games, front]
-    rows = np.concatenate([played, *strategies], axis=-1)[games, front]
-    flat = rows[..., m:]
-    near = np.max(np.abs(flat[:, :, None] - flat[:, None]), axis=3) <= DEDUPE_TOL
-    near &= np.tri(front.shape[1], k=-1, dtype=bool) & alive[:, :, None] & alive[:, None]
-    for a in np.flatnonzero(near.any(axis=(0, 2))):
-        alive[:, a] &= ~(near[:, a] & alive).any(axis=1)
+    alive = found & (gap <= BR_TOL)
+    rows = np.concatenate([played, *strategies], axis=-1)
+    if alive.sum(axis=1).max(initial=0) > 1:
+        _dedupe(rows[..., m:], alive)
     # kept points first, each game's in (payoffs, flat strategies) order
     counts = alive.sum(axis=1)
-    keys = tuple(np.moveaxis(rows[..., ::-1], -1, 0)) + (~alive,)
+    keys = tuple(rows[..., ::-1].transpose(2, 0, 1)) + (~alive,)
+    games = np.arange(len(alive))[:, None]
     rows = rows[games, np.lexsort(keys, axis=1)[:, : counts.max(initial=0)]]
     rows[np.arange(rows.shape[1]) >= counts[:, None]] = 0.0
     ends = np.cumsum([m] + [s.shape[-1] for s in strategies])
     return counts, tuple(rows[..., a:b] for a, b in zip(ends, ends[1:])), rows[..., :m]
+
+
+def _dedupe(flat, alive):
+    """Greedily drop, in place in ``alive`` (n, s), each candidate within
+    ``DEDUPE_TOL`` of a kept one before it in its game's enumeration order;
+    ``flat`` (n, s, K) holds the flat strategies. Only each game's alive
+    candidates are compared, moved to the front in order."""
+    games = np.arange(len(alive))[:, None]
+    front = np.argsort(~alive, axis=1, kind="stable")[:, : alive.sum(axis=1).max()]
+    kept = alive[games, front]
+    flat = flat[games, front]
+    near = np.max(np.abs(flat[:, :, None] - flat[:, None]), axis=3) <= DEDUPE_TOL
+    near &= np.tri(front.shape[1], k=-1, dtype=bool) & kept[:, :, None] & kept[:, None]
+    for a in np.flatnonzero(near.any(axis=(0, 2))):
+        kept[:, a] &= ~(near[:, a] & kept).any(axis=1)
+    alive[games, front] = kept
 
 
 def _slack(payoffs, strategies):

@@ -14,7 +14,13 @@ enumeration inside the envelope, regret matching beyond it, for any
 player count) into padded arrays of counts, payoffs and global
 profiles; the hull projection (one per equilibrium count), the atom
 profile (one masked argmin) and the result read them, and no StageGame
-or NashPoint is built. The result's pieces are the last projection's
+or NashPoint is built. What the loop reads that no iterate changes (each
+signature stack's gather index into the stage-payoff table and its
+profile columns, the atoms' payoff and kernel rows, feasibility masks and
+discount scales, the policy evaluation's index arrays) is built once per
+game and kept on the spec, so an iteration runs only the arithmetic that
+depends on the continuation moments, the atom values and strategies and
+the cell values. The result's pieces are the last projection's
 weights on actual stage equilibria, and the result is certified by the
 independent verifier; the reported slack is its number, never less.
 """
@@ -23,13 +29,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInput, NoConvergence, PreconditionFailed, ValidationError
 from .game import StochasticGameSpec, validate_game
 from .hull import project_to_hull
-from .measure import SplitSelection, is_integer, is_real
+from .measure import SplitSelection, hold, is_integer, is_real
 from .nash import (
     AggregateVector,
     aggregate_moments,
@@ -114,24 +121,40 @@ def atom_value_operator(
     strategies; :func:`stage_payoff_tensor` checks ``c`` and ``v2``.
     """
     table = stage_payoff_tensor(c, v2, spec)
+    offsets = _layout(spec).offsets
     f2 = np.asarray(f2, dtype=float)
-    if f2.shape != (spec.n_atoms, sum(len(a) for a in spec.actions)):
+    if f2.shape != (spec.n_atoms, offsets[-1]):
         raise InvalidInput("atom strategies must be (atoms, sum of action counts)")
-    atoms = spec.space.atom_indices
-    offsets = np.cumsum([0] + [len(a) for a in spec.actions])  # player blocks of a profile
-    new = np.empty((spec.players, len(atoms)))
-    for actions, members in _signature_groups(spec, atoms):
-        stack = _stage_stack(table, spec, atoms[members], actions)
-        local = [f2[members][:, offsets[i] + actions[i]] for i in range(spec.players)]
+    flat = table.reshape(spec.players, -1)
+    new = np.empty((spec.players, spec.n_atoms))
+    for group in _signature_groups(spec, spec.space.atom_indices):
+        stack = np.take(flat, group.gather, axis=1)
+        local = [f2[group.members][:, offsets[i] + a] for i, a in enumerate(group.actions)]
         for i in range(spec.players):
-            new[i, members] = payoff_against_stack(stack, i, local).max(axis=1)
+            new[i, group.members] = payoff_against_stack(stack, i, local).max(axis=1)
     return new
 
 
-def _signature_groups(spec, states):
-    """Split ``states`` by feasible-action signature: pairs (actions,
-    members) with ``actions[i]`` player i's feasible global action ids
-    and ``members`` the positions in ``states`` that share them."""
+class _Group(NamedTuple):
+    """The states among some ``states`` that share one feasible-action
+    signature: ``actions[i]`` is player i's feasible global action ids,
+    ``members`` the states' positions in ``states``, ``gather`` (members,
+    k_1, ..., k_m) the flat indices of their stage games in the
+    stage-payoff table's (m, n_states * n_profiles) view, ``columns`` the
+    result-profile columns of their concatenated local strategies, and
+    ``exact`` whether their stack is enumerated, else run by regret
+    matching."""
+
+    actions: tuple
+    members: np.ndarray
+    gather: np.ndarray
+    columns: np.ndarray
+    exact: bool
+
+
+def _signature_groups(spec, states) -> tuple:
+    """Split ``states`` by feasible-action signature, in order of first
+    appearance, into read-only :class:`_Group` records."""
     masks = np.concatenate([feas[states] for feas in spec.feasible], axis=1)
     members = {}
     for pos, row in enumerate(masks):
@@ -140,34 +163,113 @@ def _signature_groups(spec, states):
     groups = []
     for group in members.values():
         key = masks[group[0]]
-        actions = tuple(
-            np.flatnonzero(key[offsets[i] : offsets[i + 1]]) for i in range(spec.players)
-        )
+        actions = tuple(np.flatnonzero(key[lo:hi]) for lo, hi in zip(offsets, offsets[1:]))
         if any(len(a) == 0 for a in actions):
             raise InvalidInput(f"state {states[group[0]]} has an empty feasible set")
-        groups.append((actions, np.array(group)))
-    return groups
+        profiles = np.ravel_multi_index(np.ix_(*actions), spec.profile_shape)  # (k_1, ..., k_m)
+        gather = np.asarray(states)[group].reshape((-1,) + (1,) * spec.players)
+        gather = gather * spec.n_profiles + profiles
+        exact = enumeration_mode(profiles.shape) == "exact"
+        groups.append(_Group(actions, np.array(group), gather, np.flatnonzero(key), exact))
+    return _read_only(tuple(groups))
 
 
-def _stage_stack(table, spec, states, actions):
-    """Stage payoffs at ``states`` restricted to ``actions``, as one
-    (m, len(states), k_1, ..., k_m) stack sliced from ``table``."""
-    full = table[:, states].reshape((spec.players, len(states)) + spec.profile_shape)
-    return full[np.ix_(range(spec.players), range(len(states)), *actions)]
+def _read_only(value):
+    """``value``, with every array in it or in its nested tuples made read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    return value
 
 
-def _stage_equilibria(states, groups, spec, table):
-    """Stage equilibria at the positions of ``states`` under ``table``, as
-    padded arrays: counts (N,), payoffs (N, S, m) and profiles (N, S, sum
-    of action counts) laid out as result strategies, zeros past each
-    count, and S >= 1 even with no ``groups``. ``groups`` is
-    ``_signature_groups(spec, states)``; each is one stack, enumerated
-    exactly inside the envelope and by regret matching beyond it, where
-    the first missing state raises :class:`NoConvergence`."""
+class _Layout(NamedTuple):
+    """What a game's outer loop reads that no iterate changes, all
+    read-only: ``offsets`` (m + 1,) and ``blocks``, the player blocks of a
+    result profile as offsets and as slices; ``groups``, every state's
+    signature stacks, and ``cell_groups``, their divisible cells, which
+    ``_finalize`` enumerates; and the atom MDP of :func:`_atom_mdp` at n
+    atoms: ``atom_q``, the atoms' columns of the kernel's coarse-cell
+    tables, ``atom_base``, (1 - beta) times their stage payoffs,
+    ``atom_stack`` (m, n, n + 1, n_profiles), each atom's kernel rows after
+    a zero row for its payoffs, ``atom_feasible`` (n, sum of action counts),
+    ``atom_scale``, per player beta_i times its feasible mask,
+    ``atom_reward`` (m, n, max k_i) all -inf, and ``identity``, ``players``
+    and ``atoms``, a policy evaluation's index arrays."""
+
+    offsets: np.ndarray
+    blocks: tuple
+    groups: tuple
+    cell_groups: tuple
+    atom_q: np.ndarray
+    atom_base: np.ndarray
+    atom_stack: np.ndarray
+    atom_feasible: np.ndarray
+    atom_scale: tuple
+    atom_reward: np.ndarray
+    identity: np.ndarray
+    players: np.ndarray
+    atoms: np.ndarray
+
+
+def _layout(spec) -> _Layout:
+    """``spec``'s loop layout, built on first use and kept on the spec. The
+    spec's arrays are read-only, so the layout cannot go stale, and a spec
+    made by ``dataclasses.replace`` or ``sunspot_extend`` builds its own."""
+    layout = spec.__dict__.get("_loop_layout")
+    if layout is None:
+        layout = _build_layout(spec)
+        hold(spec, _loop_layout=layout)
+    return layout
+
+
+def _build_layout(spec) -> _Layout:
+    atoms, m, n = spec.space.atom_indices, spec.players, spec.n_atoms
+    offsets = np.cumsum([0] + [len(a) for a in spec.actions])
+    blocks = tuple(slice(lo, hi) for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+    groups = _signature_groups(spec, np.arange(spec.n_states))
+    divisible = spec.space.divisible
+    cell_groups = tuple(
+        g._replace(members=g.members[keep], gather=g.gather[keep])
+        for g in groups
+        if (keep := divisible[g.members]).any()
+    )
+    stack = np.zeros((m, n, n + 1, spec.n_profiles))
+    stack[:, :, 1:] = np.swapaxes(spec.atom_kernel[:, atoms], 0, 1)  # (atom, target, profile)
+    feasible = np.concatenate([feas[atoms] for feas in spec.feasible], axis=1)
+    beta = spec.discounts[:, None, None]
+    layout = _Layout(
+        offsets=offsets,
+        blocks=blocks,
+        groups=groups,
+        cell_groups=cell_groups,
+        atom_q=spec.kernel.q[:, :, atoms],
+        atom_base=(1.0 - beta) * spec.payoffs[:, atoms],
+        atom_stack=stack,
+        atom_feasible=feasible,
+        atom_scale=tuple(b * feasible[:, block, None] for b, block in zip(spec.discounts, blocks)),
+        atom_reward=np.full((m, n, max(len(a) for a in spec.actions)), -np.inf),
+        identity=np.eye(n),
+        players=np.arange(m)[:, None],
+        atoms=np.arange(n),
+    )
+    return _read_only(layout)
+
+
+def _stage_equilibria(n, groups, spec, table):
+    """Stage equilibria of the ``n`` states that the signature ``groups``
+    cover, under ``table``, as padded arrays: counts (n,), payoffs (n, S, m)
+    and profiles (n, S, sum of action counts) laid out as result
+    strategies, zeros past each count, and S >= 1 even with no ``groups``.
+    Each group is one stack, gathered from ``table``, enumerated exactly
+    inside the envelope and by regret matching beyond it, where the first
+    missing state raises :class:`NoConvergence`."""
+    flat = table.reshape(spec.players, -1)
     parts = []
-    for actions, members in groups:
-        stack = _stage_stack(table, spec, states[members], actions)
-        if enumeration_mode(stack.shape[2:]) == "exact":
+    for group in groups:
+        stack = np.take(flat, group.gather, axis=1)
+        if group.exact:
             parts.append(nash_enumerate_stack(stack))
             continue
         arrays, _, _, misses = regret_matching(stack)
@@ -175,16 +277,15 @@ def _stage_equilibria(states, groups, spec, table):
             raise NoConvergence(misses[0])
         parts.append(arrays)
     width = max((values.shape[1] for _, _, values in parts), default=1)
-    offsets = np.cumsum([0] + [len(a) for a in spec.actions])  # player blocks of a profile
-    counts = np.zeros(len(states), int)
-    payoffs = np.zeros((len(states), width, spec.players))
-    profiles = np.zeros((len(states), width, offsets[-1]))
-    for (actions, members), (n_eq, strategies, values) in zip(groups, parts):
+    counts = np.zeros(n, int)
+    payoffs = np.zeros((n, width, spec.players))
+    profiles = np.zeros((n, width, _layout(spec).offsets[-1]))
+    for group, (n_eq, strategies, values) in zip(groups, parts):
         slots = np.arange(values.shape[1])[:, None]
-        counts[members] = n_eq
-        payoffs[members, : len(slots)] = values
-        for i, strategy in enumerate(strategies):
-            profiles[members[:, None, None], slots, offsets[i] + actions[i]] = strategy
+        counts[group.members] = n_eq
+        payoffs[group.members, : len(slots)] = values
+        local = np.concatenate(strategies, axis=-1)
+        profiles[group.members[:, None, None], slots, group.columns] = local
     return counts, payoffs, profiles
 
 
@@ -199,51 +300,43 @@ def atom_fixed_point(f2, c, spec, v2_init):
     """
     if spec.n_atoms == 0:
         return np.zeros((spec.players, 0)), 0
-    reward, transition = _atom_mdp(f2, c, spec)
-    players = np.arange(spec.players)[:, None]
-    atoms = np.arange(spec.n_atoms)
+    layout = _layout(spec)
+    reward, transition = _atom_mdp(f2, c, spec, layout)
     v2 = np.asarray(v2_init, dtype=float)
-    policy = np.argmax(reward + np.einsum("iskt,it->isk", transition, v2), axis=2)
-    identity = np.eye(spec.n_atoms)
+    policy = (reward + np.einsum("iskt,it->isk", transition, v2)).argmax(axis=2)
     for evaluations in itertools.count(1):
-        chosen = (players, atoms, policy)
-        v2 = np.linalg.solve(identity - transition[chosen], reward[chosen][..., None])[..., 0]
+        chosen = (layout.players, layout.atoms, policy)
+        v2 = np.linalg.solve(layout.identity - transition[chosen], reward[chosen][..., None])[..., 0]
         values = reward + np.einsum("iskt,it->isk", transition, v2)
         current = values[chosen]
         switch = values.max(axis=2) - current > SWITCH_TOL * np.maximum(1.0, np.abs(current))
         if not switch.any():
             return v2, evaluations
-        policy = np.where(switch, np.argmax(values, axis=2), policy)
+        policy = np.where(switch, values.argmax(axis=2), policy)
 
 
-def _atom_mdp(f2, c, spec):
+def _atom_mdp(f2, c, spec, layout):
     """Each player's affine Bellman form on the atoms at fixed ``f2`` and
     ``c``, by global action: rewards (m, n_atoms, k) and transitions (m,
     n_atoms, k, n_atoms), so the atom operator is max_a reward[i, s, a] +
-    transition[i, s, a] @ v2[i]. Each atom's payoff row and kernel rows are
-    contracted over the whole profile grid against the others' strategies
-    masked to feasible actions; infeasible actions get reward -inf and no
-    transition mass."""
-    atoms = spec.space.atom_indices
-    m, n = spec.players, len(atoms)
-    beta = spec.discounts[:, None, None]
-    offsets = np.cumsum([0] + [len(a) for a in spec.actions])  # player blocks of a profile
-    feasible = np.concatenate([feas[atoms] for feas in spec.feasible], axis=1)
-    cont_q = np.einsum("jesx,ije->isx", spec.kernel.q[:, :, atoms], c.c)
-    table = (1.0 - beta) * spec.payoffs[:, atoms] + beta * cont_q
-    kernel = np.swapaxes(spec.atom_kernel[:, atoms], 0, 1)  # (atom, target, profile)
-    kernel = np.broadcast_to(kernel, (m,) + kernel.shape)
-    stack = np.concatenate([table[:, :, None], kernel], axis=2)
+    transition[i, s, a] @ v2[i]. Each atom's payoff row and kernel rows
+    (``layout.atom_stack``) are contracted over the whole profile grid
+    against the others' strategies masked to feasible actions; infeasible
+    actions get reward -inf and no transition mass."""
+    m, n = spec.players, spec.n_atoms
+    stack = layout.atom_stack.copy()
+    cont_q = np.einsum("jesx,ije->isx", layout.atom_q, c.c)
+    stack[:, :, 0] = layout.atom_base + spec.discounts[:, None, None] * cont_q
     stack = stack.reshape((m, n * (n + 1)) + spec.profile_shape)
-    local = np.split(np.repeat(np.where(feasible, f2, 0.0), n + 1, axis=0), offsets[1:-1], axis=1)
-    reward = np.full((m, n, max(len(a) for a in spec.actions)), -np.inf)
+    masked = np.where(layout.atom_feasible, f2, 0.0).repeat(n + 1, axis=0)
+    local = [masked[:, block] for block in layout.blocks]
+    reward = layout.atom_reward.copy()
     transition = np.zeros(reward.shape + (n,))
-    for i in range(m):
-        own = feasible[:, offsets[i] : offsets[i + 1]]
-        out = payoff_against_stack(stack, i, local).reshape(n, n + 1, -1)
-        reward[i, :, : own.shape[1]] = np.where(own, out[:, 0], -np.inf)
-        moved = np.swapaxes(out[:, 1:], 1, 2)
-        transition[i, :, : own.shape[1]] = moved * (spec.discounts[i] * own[..., None])
+    for i, (block, scale) in enumerate(zip(layout.blocks, layout.atom_scale)):
+        k = block.stop - block.start
+        out = payoff_against_stack(stack, i, local).reshape(n, n + 1, k)
+        reward[i, :, :k] = np.where(layout.atom_feasible[:, block], out[:, 0], -np.inf)
+        transition[i, :, :k] = out[:, 1:].swapaxes(1, 2) * scale
     return reward, transition
 
 
@@ -262,7 +355,7 @@ def _atom_strategies(v2, spec, stage):
     atoms = spec.space.atom_indices
     gaps = np.abs(payoffs[atoms] - v2.T[:, None]).max(axis=2)
     gaps[np.arange(gaps.shape[1]) >= counts[atoms, None]] = np.inf
-    return profiles[atoms, np.argmin(gaps, axis=1)]
+    return profiles[atoms, gaps.argmin(axis=1)]
 
 
 def _stage_step(c, v2, spec, groups, cell_values):
@@ -273,14 +366,15 @@ def _stage_step(c, v2, spec, groups, cell_values):
     one projection per equilibrium count, the atoms at ``v2``; a lone
     equilibrium and every atom weigh 1 on slot 0."""
     table = stage_payoff_tensor(c, v2, spec)
-    stage = _stage_equilibria(np.arange(spec.n_states), groups, spec, table)
+    stage = _stage_equilibria(spec.n_states, groups, spec, table)
     counts, payoffs, _ = stage
     targets = cell_values.copy()
     weights = np.zeros(payoffs.shape[:2])
     weights[:, 0] = 1.0
     cells = spec.space.divisible_indices
-    for count in np.unique(counts[cells]):
-        ks = cells[counts[cells] == count]
+    cell_counts = counts[cells]
+    for count in np.flatnonzero(np.bincount(cell_counts)):  # the distinct counts, ascending
+        ks = cells[cell_counts == count]
         if count == 1:
             targets[ks] = payoffs[ks, 0]
         else:
@@ -321,14 +415,12 @@ def solve(spec: StochasticGameSpec, opts: SolveOptions = SolveOptions()) -> Equi
         )
     from .verify import deviation_residual  # local import to keep code paths separate
 
-    # feasible-action signatures depend on the game alone
-    groups = _signature_groups(spec, np.arange(spec.n_states))
     best = None
     for restart in range(opts.restarts + 1):
         state = _initial_state(spec, opts, restart)
         try:
-            converged = _outer_loop(spec, opts, state, groups)
-            result = _finalize(spec, opts, state, restart, converged, groups)
+            converged = _outer_loop(spec, opts, state)
+            result = _finalize(spec, opts, state, restart, converged)
         except NoConvergence as exc:  # regret matching missed on a stage game
             raise NoConvergence(
                 f"attempt {restart + 1}: {exc}",
@@ -369,18 +461,19 @@ def _initial_state(spec, opts, restart):
     return SolverState(v2=v2, f2=f2, cell_values=cell_values)
 
 
-def _outer_loop(spec, opts, state: SolverState, groups) -> bool:
+def _outer_loop(spec, opts, state: SolverState) -> bool:
     atoms = spec.space.atom_indices
+    groups = _layout(spec).groups
     for t in range(opts.max_iter):
         c = aggregate_moments(state.cell_values, spec)
         v2_new, _ = atom_fixed_point(state.f2, c, spec, state.v2)
-        v2_change = float(np.max(np.abs(v2_new - state.v2), initial=0.0))
+        v2_change = float(np.abs(v2_new - state.v2).max(initial=0.0))
         state.v2 = v2_new
         _, stage, targets, _ = _stage_step(c, state.v2, spec, groups, state.cell_values)
         f2_new = _atom_strategies(state.v2, spec, stage)
-        f2_change = float(np.max(np.abs(state.f2 - f2_new), initial=0.0))
+        f2_change = float(np.abs(state.f2 - f2_new).max(initial=0.0))
         state.f2 = f2_new
-        value_change = float(np.max(np.abs(targets - state.cell_values)))
+        value_change = float(np.abs(targets - state.cell_values).max())
         residual = max(value_change, v2_change, f2_change)
         state.residuals.append(residual)
         state.iteration = t + 1
@@ -393,7 +486,7 @@ def _outer_loop(spec, opts, state: SolverState, groups) -> bool:
     return False
 
 
-def _finalize(spec, opts, state: SolverState, restart, converged, groups) -> EquilibriumResult:
+def _finalize(spec, opts, state: SolverState, restart, converged) -> EquilibriumResult:
     """Purify the converged convexified values and attach strategies: one
     piece per nonzero hull weight of the last stage step, in (cell, slot)
     order, carrying that slot's stage equilibrium payoff and profile; each
@@ -401,14 +494,13 @@ def _finalize(spec, opts, state: SolverState, restart, converged, groups) -> Equ
     one ``start`` and one ``fraction`` array."""
     c = aggregate_moments(state.cell_values, spec)
     # the atoms keep state.f2, so only the divisible cells are enumerated
-    divisible = spec.space.divisible
-    cell_groups = [(a, m[divisible[m]]) for a, m in groups if divisible[m].any()]
+    cell_groups = _layout(spec).cell_groups
     table, stage, state.cell_values, weights = _stage_step(
         c, state.v2, spec, cell_groups, state.cell_values
     )
+    flat = table.reshape(spec.players, -1)
     degenerate = sum(
-        int(degenerate_games(_stage_stack(table, spec, members, actions)).sum())
-        for actions, members in cell_groups
+        int(degenerate_games(np.take(flat, group.gather, axis=1)).sum()) for group in cell_groups
     )
     counts, payoffs, profiles = stage
     atoms = spec.space.atom_indices

@@ -48,7 +48,7 @@ from smpe.kernels import ROW_MATCH_TOL
 from smpe.errors import InvalidInput
 from smpe.measure import MASS_TOL, GridSpace
 from smpe.nash import NashPoint, payoff_against_stack, stage_payoff_tensor
-from smpe.solver import _signature_groups, _stage_stack
+from smpe.solver import _signature_groups
 from smpe.verify import CHUNK_PATHS
 
 
@@ -409,6 +409,14 @@ def points_of(arrays, g):
     ]
 
 
+def stage_stack_reference(table, spec, states, actions):
+    """Stage payoffs at ``states`` restricted to ``actions``, as one
+    (m, len(states), k_1, ..., k_m) stack sliced from the whole
+    stage-payoff ``table`` by ``np.ix_``."""
+    full = table[:, states].reshape((spec.players, len(states)) + spec.profile_shape)
+    return full[np.ix_(range(spec.players), range(len(states)), *actions)]
+
+
 def atom_operator_reference(f2, c, v2, spec):
     """One step of the atom operator from scratch: the whole stage-payoff
     table, the atom rows sliced per feasible-action signature, and each
@@ -418,8 +426,8 @@ def atom_operator_reference(f2, c, v2, spec):
     atoms = spec.space.atom_indices
     offsets = np.cumsum([0] + [len(a) for a in spec.actions])
     new = np.empty((spec.players, len(atoms)))
-    for actions, members in _signature_groups(spec, atoms):
-        stack = _stage_stack(table, spec, atoms[members], actions)
+    for actions, members, *_ in _signature_groups(spec, atoms):
+        stack = stage_stack_reference(table, spec, atoms[members], actions)
         local = [
             np.array([f2[a_idx][offsets[i] + actions[i]] for a_idx in members], dtype=float)
             for i in range(spec.players)

@@ -197,6 +197,49 @@ def test_value_type_keeps_its_own_read_only_arrays(row):
                 build(damaged)
 
 
+# Every bool and int array among INTAKE's values, with the field name its
+# InvalidInput gives.
+CAST_FIELDS = {
+    ("GridSpace", "divisible"): "divisible",
+    ("GridSpace", "coarse"): "coarse",
+    ("KernelMatrix", "rows"): "row cells",
+    ("KernelMatrix", "columns"): "column labels",
+    ("StochasticGameSpec", "feasible[0]"): "feasible masks",
+    ("StochasticGameSpec", "feasible[1]"): "feasible masks",
+}
+
+
+@pytest.mark.parametrize("row, name", sorted(CAST_FIELDS), ids="-".join)
+def test_bool_and_int_fields_refuse_values_the_cast_would_change(row, name):
+    # np.array(..., dtype=bool) reads 0.5 and NaN as True and int reads 1.7
+    # as 1; a field takes in only values that its cast gives back
+    _, build, _ = INTAKE[row]
+    is_bool = _callers_arrays(row)[name].dtype == bool
+    kind = "booleans \\(0 or 1\\)" if is_bool else "integers"
+    for bad in (0.5, np.nan, 2.0) if is_bool else (0.5, 1.7, -0.5):
+        damaged = _callers_arrays(row)
+        damaged[name] = damaged[name].astype(float)
+        damaged[name].flat[-1] = bad
+        with pytest.raises(InvalidInput, match=f"^{CAST_FIELDS[row, name]} must hold {kind}$"):
+            build(damaged)
+    as_floats = _callers_arrays(row)
+    as_floats[name] = as_floats[name].astype(float)  # values the cast gives back
+    kept = INTAKE[row][2](build(as_floats))[name]
+    assert np.array_equal(kept, _callers_arrays(row)[name]) and kept.dtype.kind in "bi"
+
+
+def test_every_bool_and_int_field_is_checked_on_intake():
+    fields = {
+        (row, name)
+        for row in INTAKE
+        for name, arr in _callers_arrays(row).items()
+        if arr.dtype.kind in "bi"
+    }
+    assert fields == CAST_FIELDS.keys()
+    with pytest.raises(InvalidInput, match="divisible must hold booleans"):
+        GridSpace([0.5, 0.5], [np.nan, 0.5], [0.9, 1.7])
+
+
 def test_every_exported_value_type_takes_its_arrays_in():
     # a new value type must be a row of INTAKE or exempt with a reason
     exported = {name for name in smpe.__all__ if dataclasses.is_dataclass(getattr(smpe, name))}

@@ -9,7 +9,7 @@ import pytest
 
 from smpe import measure, nash, solver
 from smpe.errors import InvalidInput, NoConvergence, PreconditionFailed
-from smpe.game import KernelDecomposition
+from smpe.game import KernelDecomposition, sunspot_extend
 from smpe.gamefile import canonical_bytes, result_to_doc
 from smpe.hull import project_to_hull
 from smpe.kernels import random_nowak_game
@@ -37,6 +37,7 @@ from oracles import (
     nash_two_reference,
     payoff_against,
     points_of,
+    stage_stack_reference,
 )
 
 
@@ -270,9 +271,9 @@ def test_stage_layer_matches_per_state_reference_across_signatures():
     table = stage_payoff_tensor(c, v2, spec)
     states = np.arange(spec.n_states)
     groups = _signature_groups(spec, states)
-    stage = _stage_equilibria(states, groups, spec, table)
-    assert len({tuple(len(a) for a in actions) for actions, _ in groups}) == 2
-    for actions, members in groups:
+    stage = _stage_equilibria(len(states), groups, spec, table)
+    assert len({tuple(len(a) for a in group.actions) for group in groups}) == 2
+    for actions, members, *_ in groups:
         for state in states[members]:
             game = build_stage_game(int(state), c, v2, spec, payoff_table=table)
             assert [tuple(a) for a in actions] == list(game.actions)
@@ -312,12 +313,12 @@ def test_stage_equilibria_do_not_depend_on_stack_composition():
         table = stage_payoff_tensor(c, v2, spec)
 
         def stage_of(states):
-            return _stage_equilibria(states, _signature_groups(spec, states), spec, table)
+            return _stage_equilibria(len(states), _signature_groups(spec, states), spec, table)
 
         def actions_of(states):
             return {
                 int(states[p]): [tuple(a) for a in actions]
-                for actions, members in _signature_groups(spec, states)
+                for actions, members, *_ in _signature_groups(spec, states)
                 for p in members
             }
 
@@ -350,6 +351,123 @@ def test_result_bytes_match_golden_digest(name):
     _, spec = random_nowak_game(seed=[4242, int(index)], **FAMILIES[family])
     data = canonical_bytes(result_to_doc(solve(spec), spec))
     assert hashlib.sha256(data).hexdigest() == GOLDEN_RESULTS[name]
+
+
+def pool_specs():
+    """The benchmark pools in a fixed order: mixture-32 [4242, 0..9],
+    atom-heavy [4242, 0..17], then the two-cell sunspot extensions of
+    mixture-32 [4242, 0..3]."""
+    mixture = [random_nowak_game(seed=[4242, i], **FAMILIES["mixture-32"])[1] for i in range(10)]
+    atoms = [random_nowak_game(seed=[4242, i], **FAMILIES["atom-heavy"])[1] for i in range(18)]
+    return mixture + atoms + [sunspot_extend(spec, 2) for spec in mixture[:4]]
+
+
+# SHA-256 over the concatenated canonical result bytes of default-option
+# solves of pool_specs(), recorded as above.
+POOL_DIGEST = "42b1d7c3567a385c4a52d91c76d64ca2d77e2070b11262216018b05a7e0a7444"
+
+
+def test_pool_result_bytes_match_golden_digest():
+    digest = hashlib.sha256()
+    for spec in pool_specs():
+        digest.update(canonical_bytes(result_to_doc(solve(spec), spec)))
+    assert digest.hexdigest() == POOL_DIGEST
+
+
+def test_loop_layout_is_built_once_per_spec_and_never_shared(monkeypatch):
+    builds = []
+    real_build = solver._build_layout
+
+    def build_spy(spec):
+        builds.append(spec)
+        return real_build(spec)
+
+    monkeypatch.setattr(solver, "_build_layout", build_spy)
+    tables = (nash._ramp, nash._bordered, nash._pure_supports, nash._mixed_supports)
+    for table in tables:
+        table.cache_clear()
+    spec = atom_game("atom-heavy-0")
+    first, second = solve(spec), solve(spec)  # _finalize included
+    assert len(builds) == 1 and builds[0] is spec
+    assert canonical_bytes(result_to_doc(first, spec)) == canonical_bytes(
+        result_to_doc(second, spec)
+    )
+    # the nash tables are built once per shape: one 2x2 game shape, and
+    # stacks of every state (the loop) and of the four cells (_finalize)
+    assert [table.cache_info().misses for table in tables] == [1, 1, 2, 1]
+    layout = solver._layout(spec)
+    arrays = [layout.offsets, layout.atom_stack, layout.atom_q, *layout.atom_scale]
+    arrays += [a for group in layout.groups + layout.cell_groups for a in group[1:4]]
+    assert not any(a.flags.writeable for a in arrays)
+    # a spec made from another builds its own layout, from its own arrays
+    masks = [f.copy() for f in spec.feasible]
+    masks[0][1::2, 1] = False
+    rng = np.random.Generator(np.random.Philox(key=[7, 95]))
+    for other, n_groups in ((replace(spec, feasible=tuple(masks)), 2), (sunspot_extend(spec, 2), 1)):
+        builds.clear()
+        assert solve(other).epsilon <= 1e-6
+        assert len(builds) == 1 and builds[0] is other
+        own = solver._layout(other)
+        assert own is not layout and len(own.groups) == n_groups
+        c = aggregate_moments(rng.uniform(-1, 1, (other.n_states, other.players)), other)
+        table = stage_payoff_tensor(c, rng.uniform(-1, 1, (other.players, other.n_atoms)), other)
+        covered = []
+        for group in own.groups:
+            stack = np.take(table.reshape(other.players, -1), group.gather, axis=1)
+            assert np.array_equal(stack, stage_stack_reference(table, other, group.members, group.actions))
+            for i, actions in enumerate(group.actions):
+                assert all(np.array_equal(np.flatnonzero(other.feasible[i][k]), actions) for k in group.members)
+            covered += group.members.tolist()
+        assert sorted(covered) == list(range(other.n_states))
+    assert solver._layout(spec) is layout
+
+
+LOOP_TARGETS = (
+    "aggregate_moments",
+    "stage_payoff_tensor",
+    "atom_fixed_point",
+    "project_to_hull",
+    "_atom_strategies",
+)
+
+
+@pytest.mark.parametrize("name", ["mixture-32-0", "atom-heavy-12"])
+def test_traced_layers_run_every_outer_iteration(name, monkeypatch):
+    # perfbench --trace 1 times these smpe.solver names (its TARGETS) by
+    # wrapping them; a loop that hoisted work out of them must still call
+    # each through the module once per outer iteration, or its per-layer
+    # metrics would read zero
+    calls = dict.fromkeys(("_outer_loop",) + LOOP_TARGETS, 0)
+
+    def counting(target, real):
+        def wrapper(*args, **kwargs):
+            calls[target] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for target in calls:
+        monkeypatch.setattr(solver, target, counting(target, getattr(solver, target)))
+    multi = []  # per stage step: has a divisible cell more than one equilibrium?
+    real_step = solver._stage_step
+
+    def step_spy(c, v2, spec, groups, cell_values):
+        step = real_step(c, v2, spec, groups, cell_values)
+        counts = step[1][0]
+        multi.append(bool(np.any(counts[spec.space.divisible_indices] > 1)))
+        return step
+
+    monkeypatch.setattr(solver, "_stage_step", step_spy)
+    family, index = name.rsplit("-", 1)
+    _, spec = random_nowak_game(seed=[4242, int(index)], **FAMILIES[family])
+    result = solve(spec)
+    iterations = result.diagnostics["iterations"]
+    assert calls["_outer_loop"] == 1 and result.diagnostics["restart"] == 0
+    assert len(multi) == iterations + 1 and any(multi)  # the loop's steps and _finalize's
+    for target in ("aggregate_moments", "stage_payoff_tensor", "atom_fixed_point"):
+        assert calls[target] >= iterations, target
+    assert calls["_atom_strategies"] >= iterations
+    assert calls["project_to_hull"] >= sum(multi)
 
 
 @pytest.mark.parametrize("name", ["mixture-32-8", "atom-heavy-12"])
@@ -637,8 +755,7 @@ def test_outer_iteration_builds_one_stage_table(monkeypatch):
     monkeypatch.setattr(solver, "nash_enumerate_stack", enumerate_spy)
     opts = SolveOptions(max_iter=1)
     state = solver._initial_state(spec, opts, 0)
-    groups = _signature_groups(spec, np.arange(spec.n_states))
-    solver._outer_loop(spec, opts, state, groups)
+    solver._outer_loop(spec, opts, state)
     # one table, built outside the fixed point, and one enumeration of
     # every state's stage game, for the atom strategies and the divisible
     # cells together
@@ -741,8 +858,7 @@ def test_games_without_atoms_or_without_cells_keep_well_formed_arrays():
     cells_only = constant_kernel_game(uniform_payoffs(36, (2, 3, 4)), [0.5, 0.6], n_cells=3)
     opts = SolveOptions(max_iter=2)
     state = solver._initial_state(cells_only, opts, 0)
-    groups = _signature_groups(cells_only, np.arange(cells_only.n_states))
-    solver._outer_loop(cells_only, opts, state, groups)
+    solver._outer_loop(cells_only, opts, state)
     assert state.f2.shape == (0, 4) and state.iteration == 2
     atoms_only = single_atom_game(uniform_payoffs(37, (2, 4)), [0.5, 0.6])
     for spec in (cells_only, atoms_only):
