@@ -115,7 +115,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     kmtx = gamefile.read_kernel_matrix(args.kernel)
-    ranks = block_rank_profile(kmtx, threshold=args.threshold, method=args.method)
+    ranks = block_rank_profile(kmtx, threshold=args.threshold)
     coarser = check_coarser(kmtx)
     _emit(
         {
@@ -328,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="rank profile and coarseness of a kernel matrix")
     p.add_argument("--kernel", required=True)
     p.add_argument("--threshold", type=float, default=1e-8)
-    p.add_argument("--method", choices=["svd", "elimination"], default="svd")
     p.set_defaults(func=cmd_analyze)
 
     demo = sub.add_parser("demo", help="built-in constructions and demonstrations")

@@ -5,12 +5,24 @@ writers emit canonical bytes (sorted keys, fixed separators, shortest
 round-trip float repr), so identical inputs produce identical files.
 Result files embed the hash of the game they were computed from;
 consumers refuse mismatched pairs.
+
+Each document kind is read by one schema table (``GAME_SCHEMA``,
+``RESULT_SCHEMA``) and one walker, :func:`_walk`. A row ``(path, kind,
+*shape)`` reads every entry its path names (``grid.cells[].mass``: a key
+of an object, ``[]`` every item of a list; ``?`` at the end when it may be
+absent) as a JSON kind, or as a numeric array read whole: JSON numbers
+only, never strings or booleans, and for a mask 0, 1, true and false. The
+shape (a list's length, an array's shape, an index's bound) names sizes
+read so far. A ParseError names the path of the first entry that breaks
+its row. The version, the atom masses and a result's game hash, which
+gives the sizes, are checked in code.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -27,64 +39,128 @@ def canonical_bytes(doc) -> bytes:
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
-def _require(doc, key, kind, path):
-    if not isinstance(doc, dict) or key not in doc:
-        raise ParseError(f"missing key {path}{key}")
-    value = doc[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ParseError(f"{path}{key} must be a number")
-        if not abs(value) <= sys.float_info.max:  # 10**400 is a valid JSON integer
-            raise ParseError(f"{path}{key} must be a finite number")
-        return float(value)
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ParseError(f"{path}{key} must be an integer")
-        return value
-    if not isinstance(value, kind):
-        raise ParseError(f"{path}{key} must be {kind.__name__}")
-    return value
+GAME_SCHEMA = (
+    ("version", "integer"),
+    ("players", "integer"),
+    ("discounts", "numbers", "players"),
+    ("grid.cells", "list"),
+    ("grid.cells[].mass", "number"),
+    ("grid.cells[].divisible", "boolean"),
+    ("grid.coarse", "list", "grid.cells"),
+    ("grid.coarse[]", "integer", "grid.cells"),
+    ("actions", "list", "players"),
+    ("actions[]", "list"),
+    ("actions[][]", "string"),
+    ("feasible", "list", "players"),
+    ("feasible[]", "mask", "grid.cells", "actions"),
+    ("payoffs", "numbers", "players", "grid.cells", "profiles"),
+    ("payoff_bound", "number"),
+    ("kernel.J", "integer"),
+    ("kernel.rho", "numbers", "kernel.J", "grid.cells"),
+    ("kernel.q", "numbers", "kernel.J", "coarse", "grid.cells", "profiles"),
+    ("atoms.masses", "numbers", "atoms"),
+    ("atoms.kernel", "numbers", "atoms", "grid.cells", "profiles"),
+)
+GAME_SIZES = {
+    "actions": lambda got, at: len(got["actions[]"][at[0]]),  # of the mask's own player
+    "profiles": lambda got, at: math.prod(map(len, got["actions[]"])),
+    "coarse": lambda got, at: len(set(got["grid.coarse[]"])),
+    "atoms": lambda got, at: got["grid.cells[].divisible"].count(False),
+}
+# a result's sizes are its game's: "players", "states" and "strategy"
+RESULT_SCHEMA = (
+    ("version", "integer"),
+    ("epsilon", "number"),
+    ("diagnostics?", "object"),
+    ("cells", "list", "states"),
+    ("cells[].pieces", "list"),
+    ("cells[].pieces[].fraction", "decimal string"),
+    ("cells[].pieces[].value", "numbers", "players"),
+    ("cells[].pieces[].strategy", "numbers", "strategy"),
+)
+_JSON_KINDS = {"object": dict, "list": list, "string": str, "boolean": bool, "integer": int,
+               "number": (int, float), "decimal string": str}
 
 
-def _decimal(doc, key, path):
-    text = _require(doc, key, str, path)
+def _walk(doc, schema, sizes):
+    """``doc`` read row by row into {path: value}, a path under "[]" holding
+    its entries' values in document order; the first entry that breaks its
+    row, or a step that finds no object or list, is a ParseError naming it."""
+    found = {"": [("", (), doc)]}  # path -> [(name, list indices, JSON value)]
+    got = {}
+
+    def match(path, optional=False):
+        if path not in found:
+            head, _, key = (path[:-2], "", None) if path.endswith("[]") else path.rpartition(".")
+            found[path] = []
+            for name, at, node in match(head):
+                _read(node, "list" if key is None else "object", name or "document", ())
+                if key is None:
+                    found[path] += [(f"{name}[{i}]", at + (i,), v) for i, v in enumerate(node)]
+                elif key in node:
+                    found[path].append((f"{name}.{key}" if name else key, at, node[key]))
+                elif not optional:
+                    raise ParseError(f"missing key {name}.{key}" if name else f"missing key {key}")
+        return found[path]
+
+    def size(name, at):
+        n = sizes.get(name, got.get(name))
+        n = n(got, at) if callable(n) else n
+        return n if isinstance(n, int) else len(n)
+
+    for row, kind, *shape in schema:
+        path = row.rstrip("?")
+        values = [
+            _read(value, kind, name, tuple(size(s, at) for s in shape))
+            for name, at, value in match(path, row.endswith("?"))
+        ]
+        got[path] = values if "[]" in path else values[0] if values else None
+    return got
+
+
+def _read(value, kind, name, shape):
+    """One entry as its row's kind and shape; numeric kinds take JSON
+    numbers only, never strings or booleans."""
+    if kind in ("numbers", "mask"):
+        return _array(value, name, shape, kind == "mask")
+    if not isinstance(value, _JSON_KINDS[kind]) or (isinstance(value, bool) and kind != "boolean"):
+        raise ParseError(f"{name} must be {'an' if kind[0] in 'aeiou' else 'a'} {kind}")
+    if shape and kind == "list" and len(value) != shape[0]:
+        raise ParseError(f"{name} must have {shape[0]} entries, got {len(value)}")
+    if shape and kind == "integer" and not 0 <= value < shape[0]:  # an index
+        raise ParseError(f"{name} must lie in [0, {shape[0]})")
+    if kind == "number" and not abs(value) <= sys.float_info.max:  # 10**400 is a JSON integer
+        raise ParseError(f"{name} must be a finite number")
+    if kind == "decimal string":
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
+            raise ParseError(f"{name} must be a finite decimal string, got {value!r}")
+        return number
+    return float(value) if kind == "number" else value
+
+
+def _array(value, name, shape, mask):
+    """A numeric array of ``shape``, as booleans for a mask, else floats."""
     try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"{path}{key} must be a decimal string, got {text!r}") from None
-    if not np.isfinite(value):
-        raise ParseError(f"{path}{key} must be finite, got {text!r}")
-    return value
-
-
-def _number_array(value, path, shape=None, bools=False):
-    """``value`` as floats; JSON numbers only, and booleans only where
-    ``bools``, never strings."""
-    try:
-        arr = np.asarray(value)
-        if arr.dtype.kind not in "biuf":
+        arr = np.asarray(value)  # which reads [true, 0.5] as floats, so look at the leaves
+        leaves = set(map(type, np.asarray(value, dtype=object).flat))
+        if arr.dtype.kind not in "biuf" or bool in leaves and not mask:
             raise ValueError
-        # numpy reads [true, 0.5] as floats, so look at the leaves themselves
-        if not bools and bool in set(map(type, np.asarray(value, dtype=object).flat)):
-            raise ValueError
-    except ValueError:  # a ragged nesting, a string, a boolean, null or an object
-        raise ParseError(f"{path} must be a numeric array") from None
+    except ValueError:  # a ragged nesting, a string, a boolean, null, an object or 10**400
+        raise ParseError(f"{name} must be a numeric array") from None
     arr = arr.astype(float)
-    if shape is not None and arr.shape != shape:
-        if arr.size == 0 and 0 in shape:
-            return np.zeros(shape)  # empty blocks lose their shape in JSON
-        raise ParseError(f"{path} must have shape {shape}, got {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ParseError(f"{path} contains non-finite numbers")
-    return arr
-
-
-def _mask_array(value, path, shape):
-    """A boolean mask written with 0, 1, true and false only."""
-    arr = _number_array(value, path, shape, bools=True)
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ParseError(f"{path} entries must be 0, 1, true or false")
-    return arr.astype(bool)
+    if arr.shape != shape:  # empty blocks lose their shape in JSON
+        if arr.size or 0 not in shape or not all(0 <= n < 2**31 for n in shape):
+            raise ParseError(f"{name} must have shape {shape}, got {arr.shape}")
+        arr = np.zeros(shape)
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{name} contains non-finite numbers")
+    if mask and not np.all((arr == 0) | (arr == 1)):
+        raise ParseError(f"{name} entries must be 0, 1, true or false")
+    return arr.astype(bool) if mask else arr
 
 
 def spec_to_doc(spec: StochasticGameSpec) -> dict:
@@ -121,85 +197,18 @@ def spec_hash(spec: StochasticGameSpec) -> str:
 
 
 def spec_from_doc(doc) -> StochasticGameSpec:
-    if not isinstance(doc, dict):
-        raise ParseError("game document must be an object")
-    version = _require(doc, "version", int, "")
-    if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported version {version}")
-    players = _require(doc, "players", int, "")
-    discounts = _number_array(_require(doc, "discounts", list, ""), "discounts", (players,))
-    grid = _require(doc, "grid", dict, "")
-    cells = _require(grid, "cells", list, "grid.")
-    masses, divisible = [], []
-    for k, cell in enumerate(cells):
-        masses.append(_require(cell, "mass", float, f"grid.cells[{k}]."))
-        div = _require(cell, "divisible", bool, f"grid.cells[{k}].")
-        divisible.append(div)
-    coarse = _require(grid, "coarse", list, "grid.")
-    if len(coarse) != len(cells):
-        raise ParseError("grid.coarse must assign one coarse id per cell")
-    for k, e in enumerate(coarse):
-        if not isinstance(e, int) or isinstance(e, bool):
-            raise ParseError(f"grid.coarse[{k}] must be an integer, got {e!r}")
-    try:
-        space = GridSpace(
-            np.asarray(masses, dtype=float),
-            np.asarray(divisible, dtype=bool),
-            np.asarray(coarse, dtype=int),
-        )
-    except Exception as exc:
-        raise ParseError(f"grid: {exc}") from None
-    actions = _require(doc, "actions", list, "")
-    if len(actions) != players:
-        raise ParseError("actions must list one action list per player")
-    for i, acts in enumerate(actions):
-        if not isinstance(acts, list):
-            raise ParseError(f"actions[{i}] must be a list of action labels")
-    actions = tuple(tuple(str(a) for a in acts) for acts in actions)
-    n_states = space.n_cells
-    n_profiles = int(np.prod([len(a) for a in actions]))
-    feas_doc = _require(doc, "feasible", list, "")
-    if len(feas_doc) != players:
-        raise ParseError("feasible must list one mask per player")
-    feasible = tuple(
-        _mask_array(feas_doc[i], f"feasible[{i}]", (n_states, len(actions[i])))
-        for i in range(players)
-    )
-    payoffs = _number_array(
-        _require(doc, "payoffs", list, ""), "payoffs", (players, n_states, n_profiles)
-    )
-    payoff_bound = _require(doc, "payoff_bound", float, "")
-    kernel_doc = _require(doc, "kernel", dict, "")
-    j = _require(kernel_doc, "J", int, "kernel.")
-    rho = _number_array(_require(kernel_doc, "rho", list, "kernel."), "kernel.rho", (j, n_states))
-    q = _number_array(
-        _require(kernel_doc, "q", list, "kernel."),
-        "kernel.q",
-        (j, space.n_coarse, n_states, n_profiles),
-    )
-    atoms_doc = _require(doc, "atoms", dict, "")
-    atom_ids = space.atom_indices
-    atom_masses = _number_array(
-        _require(atoms_doc, "masses", list, "atoms."), "atoms.masses", (len(atom_ids),)
-    )
-    declared = np.asarray([space.masses[k] for k in atom_ids], dtype=float)
-    if len(atom_ids) and np.max(np.abs(atom_masses - declared)) > 1e-12:
+    got = _walk(doc, GAME_SCHEMA, GAME_SIZES)
+    if got["version"] != FORMAT_VERSION:
+        raise ParseError(f"unsupported version {got['version']}")
+    masses, divisible = got["grid.cells[].mass"], got["grid.cells[].divisible"]
+    declared = np.array([m for m, d in zip(masses, divisible) if not d])
+    if len(declared) and np.max(np.abs(got["atoms.masses"] - declared)) > 1e-12:
         raise ParseError("atoms.masses disagree with the atomic grid cells")
-    atom_kernel = _number_array(
-        _require(atoms_doc, "kernel", list, "atoms."),
-        "atoms.kernel",
-        (len(atom_ids), n_states, n_profiles),
-    )
-    try:
+    try:  # positional in field order: discounts, actions, feasible, payoffs, ...
         return StochasticGameSpec(
-            discounts=discounts,
-            actions=actions,
-            feasible=feasible,
-            payoffs=payoffs,
-            payoff_bound=payoff_bound,
-            space=space,
-            kernel=KernelDecomposition(rho=rho, q=q),
-            atom_kernel=atom_kernel,
+            got["discounts"], got["actions[]"], got["feasible[]"], got["payoffs"],
+            got["payoff_bound"], GridSpace(masses, divisible, got["grid.coarse[]"]),
+            KernelDecomposition(got["kernel.rho"], got["kernel.q"]), got["atoms.kernel"],
         )
     except Exception as exc:
         raise ParseError(str(exc)) from None
@@ -226,8 +235,8 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, too deep, 5000 digits
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def parse_game_spec(path) -> StochasticGameSpec:
@@ -270,42 +279,31 @@ def write_result(path, result, spec) -> None:
     write_bytes(path, canonical_bytes(result_to_doc(result, spec)))
 
 
-def load_result(path, spec: StochasticGameSpec):
+def result_from_doc(doc, spec: StochasticGameSpec):
     from .solver import EquilibriumResult  # deferred: results are solver types
 
-    doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != "result":
         raise ParseError("not a result document")
-    version = _require(doc, "version", int, "")
-    if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported version {version}")
     if doc.get("spec_hash") != spec_hash(spec):
-        raise ValidationError(
-            "result was computed from a different game (spec hash mismatch)"
-        )
-    diagnostics = _require(doc, "diagnostics", dict, "") if "diagnostics" in doc else {}
-    cells = _require(doc, "cells", list, "")
-    if len(cells) != spec.n_states:
-        raise ParseError("cells must cover every state")
-    n_strategy = sum(len(a) for a in spec.actions)
-    counts, fractions, values, strategies = [], [], [], []
-    for k, cell in enumerate(cells):
-        pieces = _require(cell, "pieces", list, f"cells[{k}].")
-        if not pieces:
-            raise ParseError(f"cells[{k}].pieces must not be empty")
-        counts.append(len(pieces))
-        for p, piece in enumerate(pieces):
-            at = f"cells[{k}].pieces[{p}]."
-            fractions.append(_decimal(piece, "fraction", at))
-            values.append(_number_array(piece.get("value"), at + "value", (spec.players,)))
-            strategies.append(_number_array(piece.get("strategy"), at + "strategy", (n_strategy,)))
-    start, fraction = np.cumsum([0] + counts), np.array(fractions)
+        raise ValidationError("result was computed from a different game (spec hash mismatch)")
+    sizes = dict(players=spec.players, states=spec.n_states, strategy=sum(map(len, spec.actions)))
+    got = _walk(doc, RESULT_SCHEMA, sizes)
+    if got["version"] != FORMAT_VERSION:
+        raise ParseError(f"unsupported version {got['version']}")
+    counts = list(map(len, got["cells[].pieces"]))
+    if 0 in counts:
+        raise ParseError(f"cells[{counts.index(0)}].pieces must not be empty")
+    start, fraction = np.cumsum([0] + counts), np.array(got["cells[].pieces[].fraction"])
     return EquilibriumResult(
-        values=SplitSelection(start, fraction, np.array(values)),
-        strategies=SplitSelection(start, fraction, np.array(strategies)),
-        epsilon=float(_require(doc, "epsilon", float, "")),
-        diagnostics=diagnostics,
+        values=SplitSelection(start, fraction, np.array(got["cells[].pieces[].value"])),
+        strategies=SplitSelection(start, fraction, np.array(got["cells[].pieces[].strategy"])),
+        epsilon=got["epsilon"],
+        diagnostics=got["diagnostics"] or {},
     )
+
+
+def load_result(path, spec: StochasticGameSpec):
+    return result_from_doc(_read_json(path), spec)
 
 
 def certificate_to_doc(cert, spec: StochasticGameSpec) -> dict:

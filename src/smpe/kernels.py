@@ -126,42 +126,17 @@ def _svd_rank(block: np.ndarray, threshold: float) -> int:
     return int(np.sum(sv > threshold))
 
 
-def _elimination_rank(block: np.ndarray, threshold: float) -> int:
-    a = np.array(block, dtype=float)
-    n_rows, n_cols = a.shape
-    rank = 0
-    row = 0
-    for col in range(n_cols):
-        if row >= n_rows:
-            break
-        pivot = row + int(np.argmax(np.abs(a[row:, col])))
-        if abs(a[pivot, col]) <= threshold:
-            continue
-        a[[row, pivot]] = a[[pivot, row]]
-        a[row] = a[row] / a[row, col]
-        for i in range(n_rows):
-            if i != row and a[i, col] != 0.0:
-                a[i] -= a[i, col] * a[row]
-        rank += 1
-        row += 1
-    return rank
-
-
-def block_rank_profile(kmtx: KernelMatrix, threshold: float = RANK_THRESHOLD, method: str = "svd"):
+def block_rank_profile(kmtx: KernelMatrix, threshold: float = RANK_THRESHOLD):
     """Numerical rank of each coarse row-block, keyed by coarse id.
 
-    Singular values (or elimination pivots) at or below ``threshold``
-    count as zero. A density admitting a J-term decomposition has every
-    block rank at most J.
+    Singular values at or below ``threshold`` count as zero. A density
+    admitting a J-term decomposition has every block rank at most J.
     """
     if not 0 < threshold < np.inf:  # NaN included; inf would zero every rank
         raise InvalidInput("rank threshold must be positive and finite")
-    if method not in ("svd", "elimination"):
-        raise InvalidInput(f"unknown rank method {method!r}")
-    ranker = _svd_rank if method == "svd" else _elimination_rank
     coarse_of_rows = kmtx.space.coarse[kmtx.rows]
     return {
-        e: ranker(kmtx.matrix[coarse_of_rows == e], threshold)
+        e: _svd_rank(kmtx.matrix[coarse_of_rows == e], threshold)
         for e in kmtx.block_ids()
     }
 

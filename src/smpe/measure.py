@@ -50,15 +50,19 @@ def frozen_copy(values, name, dtype=float):
     Float entries must be finite, and bool and int entries must survive the
     cast (a bool field takes 0, 1, True and False only). With
     ``dtype=None``, an object array (exact-mode ``Fraction`` values, checked
-    by the caller) stays exact and anything else is read as floats."""
+    by the caller) stays exact and anything else is read as floats. Complex
+    entries are refused, not cast to their real parts."""
     try:
-        arr = np.array(values, dtype=dtype, order="C")
-        if dtype is None and arr.dtype != object:
-            arr = arr.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"{name} must be a numeric array: {exc}") from None
-    if arr.dtype.kind in "bi":  # the cast must give back the input's values
         raw = np.asarray(values)
+        if raw.dtype.kind != "c":
+            arr = np.array(raw, dtype=dtype, order="C")
+            if dtype is None and arr.dtype != object:
+                arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"{name} must be a numeric array: {exc}") from None
+    if raw.dtype.kind == "c":  # a cast would keep the real parts alone
+        raise InvalidInput(f"{name} must be real")
+    if arr.dtype.kind in "bi":  # the cast must give back the input's values
         if raw.dtype != arr.dtype and not np.array_equal(arr, raw):
             kind = "booleans (0 or 1)" if arr.dtype.kind == "b" else "integers"
             raise InvalidInput(f"{name} must hold {kind}")

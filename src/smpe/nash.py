@@ -12,8 +12,11 @@ What depends on a stack's shape alone (the perturbation ramp, the pure
 support candidates, each mixed support pair's index arrays and bordered
 system) is built once per shape and cached read-only. One stacked check
 verifies, dedupes and sorts the candidates on the (games, candidates)
-arrays with the arithmetic of a single-profile check; only when a game
-keeps two candidates are its kept ones compared pairwise. Beyond it, for any player count,
+arrays with the arithmetic of a single-profile check; the kept ones are
+compared pairwise only when a game keeps two and some kept candidate
+lacks a proof that it lies apart from those before it (one player's pure
+actions have one, and so has a two-player candidate above ``DEDUPE_TOL``
+on all of its own support pair). Beyond it, for any player count,
 :func:`regret_matching` runs each game of the stack on its own until its
 best slack meets the target or stalls. Payoffs are contracted against
 mixed strategies by one einsum program per player count and player.
@@ -335,7 +338,8 @@ def nash_enumerate_stack(payoffs):
     n, *shape = payoffs.shape[1:]
     if m == 1:  # distinct pure actions never dedupe, and the sort orders them
         pure = np.tile(np.eye(shape[0]), (n, 1, 1))
-        return _verify_stack(payoffs, (pure,), np.ones((n, shape[0]), dtype=bool))
+        found = np.ones((n, shape[0]), dtype=bool)
+        return _verify_stack(payoffs, (pure,), found, distinct=found)
     perturbed = _perturbed(payoffs)
     if m == 3:  # each game's Newton candidates, padded to the longest list
         candidates = [list(zip(*_candidates_three(perturbed[:, g]))) for g in range(n)]
@@ -346,15 +350,21 @@ def nash_enumerate_stack(payoffs):
                 part[g, : sizes[g]] = rows
         return _verify_stack(payoffs, strategies, np.arange(sizes.max(initial=0)) < sizes[:, None])
     k1, k2 = shape
-    mixed = [_support_mixtures(perturbed, rows, cols) for rows, cols in _mixed_supports(k1, k2)]
+    supports = _mixed_supports(k1, k2)
+    mixed = [_support_mixtures(perturbed, rows, cols) for rows, cols in supports]
     xs, ys, oks = (  # (n, supports, ...)
         np.concatenate([pure] + [part[:, None] for part in parts], axis=1)
         for pure, *parts in zip(_pure_supports(n, k1, k2), *mixed)
     )
-    return _verify_stack(payoffs, (xs, ys), oks)
+    # pure candidates are unit vectors; a mixed one above DEDUPE_TOL on all
+    # of its support pair is distinct from those before it (_verify_stack)
+    distinct = np.ones(oks.shape, dtype=bool)
+    for j, (rows, cols) in enumerate(supports, start=k1 * k2):
+        distinct[:, j] = np.minimum(xs[:, j, rows].min(1), ys[:, j, cols].min(1)) > DEDUPE_TOL
+    return _verify_stack(payoffs, (xs, ys), oks, distinct)
 
 
-def _verify_stack(payoffs, strategies, found):
+def _verify_stack(payoffs, strategies, found, distinct=None):
     """Verified, deduplicated and sorted equilibria of a game stack: counts
     (n,), strategies (n, w, k_i) per player and payoffs (n, w, m).
 
@@ -365,12 +375,22 @@ def _verify_stack(payoffs, strategies, found):
     it lies within ``DEDUPE_TOL``; game g's ``counts[g]`` kept points fill
     its first slots, sorted by (payoffs, flat strategies), and zeros the
     rest; no game's slots depend on the rest of the stack (:func:`_slack`).
+
+    ``distinct`` (n, s) marks candidates proven to lie farther than
+    ``DEDUPE_TOL`` from every candidate before them, and the dedupe runs
+    only when some alive candidate lacks that proof. One player's pure
+    actions lie 1 apart. For two players, let a candidate exceed
+    ``DEDUPE_TOL`` on every entry of its own support pair: a candidate
+    within ``DEDUPE_TOL`` of it is nonzero on that pair, so its own support
+    pair contains that pair; candidates come one per support pair in
+    (size, rows, cols) order, so none before it does.
     """
     m = len(payoffs)
     played, gap = _slack(payoffs, strategies)
     alive = found & (gap <= BR_TOL)
     rows = np.concatenate([played, *strategies], axis=-1)
-    if alive.sum(axis=1).max(initial=0) > 1:
+    proven = distinct is not None and distinct[alive].all()
+    if alive.sum(axis=1).max(initial=0) > 1 and not proven:
         _dedupe(rows[..., m:], alive)
     # kept points first, each game's in (payoffs, flat strategies) order
     counts = alive.sum(axis=1)

@@ -29,6 +29,8 @@ match bit for bit. ``joint_law_reference`` is the simulation's law of
 expectation a simulation estimates; ``simulate_payoffs_reference`` is
 the chain sampler the joint draw replaced (piece, each player's action,
 next state), which samples the same path law from another stream.
+``block_rank_elimination`` is the block rank profile by Gauss-Jordan
+pivots, the check on its singular values.
 ``cell_average_reference``, ``averages_reference`` and
 ``validate_selection_reference`` are a selection's averages and checks
 one cell and one piece at a time over its nested ``pieces`` view; the
@@ -193,6 +195,33 @@ def elimination_rank_exact(matrix):
         if r == len(rows):
             break
     return rank
+
+
+def block_rank_elimination(kmtx, threshold):
+    """Numerical rank of each coarse row-block of a kernel matrix by
+    Gauss-Jordan elimination with partial pivoting, a pivot at or below
+    ``threshold`` counting as zero: ``block_rank_profile``'s ranks from
+    pivots instead of singular values."""
+    coarse_of_rows = kmtx.space.coarse[kmtx.rows]
+    ranks = {}
+    for e in kmtx.block_ids():
+        a = np.array(kmtx.matrix[coarse_of_rows == e], dtype=float)
+        n_rows, n_cols = a.shape
+        rank = 0
+        for col in range(n_cols):
+            if rank >= n_rows:
+                break
+            pivot = rank + int(np.argmax(np.abs(a[rank:, col])))
+            if abs(a[pivot, col]) <= threshold:
+                continue
+            a[[rank, pivot]] = a[[pivot, rank]]
+            a[rank] = a[rank] / a[rank, col]
+            for i in range(n_rows):
+                if i != rank and a[i, col] != 0.0:
+                    a[i] -= a[i, col] * a[rank]
+            rank += 1
+        ranks[e] = rank
+    return ranks
 
 
 def pure_equilibria_bruteforce(payoffs):

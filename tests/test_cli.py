@@ -273,6 +273,37 @@ def test_coerced_game_entry_exits_two(game_file, result_file, tmp_path, command,
     assert "Traceback" not in err
 
 
+# A fixed sample of the leaf mutations of the fuzz in test_gamefile.py, one
+# per kind of replacement, through the three commands that read documents.
+CLI_MUTATIONS = {
+    "solve-payoff-string": ("solve", "game", ("payoffs", 0, 1, 2), "0.5"),
+    "solve-label-null": ("solve", "game", ("actions", 1, 0), None),
+    "solve-coarse-huge": ("solve", "game", ("grid", "coarse", 2), 10**400),
+    "solve-mask-bool": ("solve", "game", ("feasible", 0, 1, 0), True),
+    "verify-value-nested": ("verify", "result", ("cells", 1, "pieces", 0, "value"), [[0.5]]),
+    "verify-epsilon-nan": ("verify", "result", ("epsilon",), "NaN"),
+    "simulate-fraction-huge": ("simulate", "result", ("cells", 0, "pieces", 0, "fraction"), 10**400),
+    "simulate-kernel-empty": ("simulate", "game", ("atoms", "kernel"), []),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(CLI_MUTATIONS))
+def test_mutated_document_exits_zero_or_two(game_file, result_file, tmp_path, damage):
+    command, kind, path, value = CLI_MUTATIONS[damage]
+    files = {"game": game_file, "result": result_file}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_set_entry(json.loads(files[kind].read_text()), path, value)))
+    files[kind] = bad
+    args = [command, "--game", str(files["game"])]
+    if command != "solve":
+        args += ["--result", str(files["result"])]
+    if command == "simulate":
+        args += ["--horizon", "5"]
+    code, err = run_cli(args)
+    assert code in (0, 2) and "Traceback" not in err
+    assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

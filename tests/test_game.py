@@ -195,6 +195,10 @@ def test_value_type_keeps_its_own_read_only_arrays(row):
             damaged[name].flat[-1] = bad
             with pytest.raises(InvalidInput, match="must be finite"):
                 build(damaged)
+        damaged = _callers_arrays(row)
+        damaged[name] = damaged[name] + 0.7j  # a cast would keep the real parts alone
+        with pytest.raises(InvalidInput, match="must be real$"):
+            build(damaged)
 
 
 # Every bool and int array among INTAKE's values, with the field name its

@@ -1,13 +1,19 @@
-"""Game/result file round trips and the kernel-matrix text format."""
+"""Game/result file round trips, the leaf-mutation fuzz of both document
+kinds, and the kernel-matrix text format."""
 
+import copy
+import functools
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smpe import gamefile
-from smpe.errors import ParseError, ValidationError
+from smpe.errors import InvalidInput, ParseError, ValidationError
+from smpe.game import validate_game
 from smpe.kernels import kernel_matrix, random_noisy_game, random_nowak_game
 from smpe.solver import solve
 
@@ -204,3 +210,105 @@ def test_kernel_matrix_rejects_garbage(tmp_path):
     path.write_text("not a kernel matrix\n")
     with pytest.raises(ParseError):
         gamefile.read_kernel_matrix(path)
+
+
+def test_unreadable_json_is_parse_error(tmp_path):
+    # bytes that are no UTF-8, nesting deeper than the decoder recurses and
+    # an integer of more digits than Python converts: each a ParseError
+    for name, data in (
+        ("latin1.json", b'{"version": "\xff"}'),
+        ("deep.json", b"[" * 100_000 + b"]" * 100_000),
+        ("digits.json", b'{"version": ' + b"1" * 5000 + b"}"),
+    ):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=re.escape(str(path))):
+            gamefile.parse_game_spec(path)
+
+
+# --- leaf-mutation fuzz --------------------------------------------------------
+
+DROP = object()  # the mutation that deletes a key
+
+
+@functools.cache
+def fuzz_documents():
+    """One valid game (four cells, two kernel components, one atom), one
+    valid result of it, and the result as read back from its document."""
+    _, spec = random_nowak_game(seed=2, n_cells=4, j_components=2, k_atoms=1)
+    result = gamefile.result_to_doc(solve(spec), spec)
+    return spec, gamefile.spec_to_doc(spec), result, gamefile.result_from_doc(result, spec)
+
+
+def mutations(doc, at=()):
+    """Every (path, replacement) of a document's leaves and branches: a
+    numeric string (the number's own text where the entry is one), a bool
+    (the entry's truth value, so a 0/1 mask entry keeps its meaning), null,
+    [], the entry nested one list deeper, "NaN", an integer beyond the float
+    range, and, where a key holds the entry, no entry at all."""
+    keyed = isinstance(doc, dict)
+    for key, value in doc.items() if keyed else enumerate(doc):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        text = str(value) if number else "0.5"
+        for new in (text, bool(value), None, [], [value], "NaN", 10**400) + (DROP,) * keyed:
+            yield at + (key,), new
+        if isinstance(value, (dict, list)):
+            yield from mutations(value, at + (key,))
+
+
+@functools.cache
+def fuzz_cases(kind):
+    """The mutations of the fuzz game or result document, in document order."""
+    _, game, result, _ = fuzz_documents()
+    return list(mutations(game if kind == "game" else result))
+
+
+def mutated(doc, path, new):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if new is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = new
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(st.deferred(lambda: st.sampled_from(fuzz_cases("game"))))
+def test_mutated_game_is_refused_or_read_as_written(case):
+    # refused, or read as the same game; a mutation that writes a value its
+    # row takes (a string into an action label) is read as written instead
+    spec, game, _, _ = fuzz_documents()
+    doc = mutated(game, *case)
+    try:
+        loaded = gamefile.spec_from_doc(doc)
+        if not validate_game(loaded).passed:
+            return  # parse_game_spec raises the ValidationError
+    except (ParseError, InvalidInput, ValidationError):
+        return
+    assert gamefile.spec_hash(loaded) == gamefile.spec_hash(spec) or gamefile.canonical_bytes(
+        gamefile.spec_to_doc(loaded)
+    ) == gamefile.canonical_bytes(doc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.deferred(lambda: st.sampled_from(fuzz_cases("result"))))
+def test_mutated_result_is_refused_or_read_as_written(case):
+    # refused, or read as the same tables and epsilon (the diagnostics are
+    # free), or, where a fraction string became another, as written
+    spec, _, result, base = fuzz_documents()
+    doc = mutated(result, *case)
+    try:
+        loaded = gamefile.result_from_doc(doc, spec)
+    except (ParseError, InvalidInput, ValidationError):
+        return
+    same = loaded.epsilon == base.epsilon and all(
+        np.array_equal(getattr(getattr(loaded, t), f), getattr(getattr(base, t), f))
+        for t in ("values", "strategies")
+        for f in ("start", "fraction", "value")
+    )
+    assert same or gamefile.canonical_bytes(
+        gamefile.result_to_doc(loaded, spec)
+    ) == gamefile.canonical_bytes(doc)

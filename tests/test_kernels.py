@@ -8,6 +8,7 @@ import pytest
 from smpe.errors import InvalidInput
 from smpe.game import sunspot_extend, validate_game
 from smpe.kernels import (
+    RANK_THRESHOLD,
     LevyParams,
     _seeded_rng,
     NoisyGameParams,
@@ -24,7 +25,7 @@ from smpe.kernels import (
 from smpe.measure import half_split
 
 from helpers import constant_kernel_game
-from oracles import elimination_rank_exact
+from oracles import block_rank_elimination, elimination_rank_exact
 
 
 # --- absorbing-jump family -----------------------------------------------------
@@ -63,9 +64,8 @@ def test_levy_block_ranks_equal_block_size_n8():
     kmtx = kernel_matrix(spec, profiles=[prof])
     ranks = block_rank_profile(kmtx, threshold=1e-8)
     assert list(ranks.values()) == [4, 4]
-    # independent checks: elimination mode and exact rational elimination
-    elim = block_rank_profile(kmtx, threshold=1e-8, method="elimination")
-    assert elim == ranks
+    # independent checks: pivots of floating-point and of exact rational elimination
+    assert block_rank_elimination(kmtx, 1e-8) == ranks
     coarse_rows = kmtx.space.coarse[kmtx.rows]
     for e, expected in ranks.items():
         block = kmtx.matrix[coarse_rows == e]
@@ -141,7 +141,7 @@ def test_nowak_block_rank_bounded_by_components():
         kmtx = kernel_matrix(spec)
         ranks = block_rank_profile(kmtx)
         assert all(r <= params.j_components for r in ranks.values())
-        elim = block_rank_profile(kmtx, method="elimination")
+        elim = block_rank_elimination(kmtx, RANK_THRESHOLD)
         assert all(r <= params.j_components for r in elim.values())
 
 

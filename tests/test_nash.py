@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 import smpe.nash
 from smpe.errors import InvalidInput, NoConvergence
+from smpe.kernels import random_nowak_game
 from smpe.nash import (
     AggregateVector,
     StageGame,
     _candidates_three,
     _contract_program,
+    _dedupe,
     _perturbed,
     _pure_supports,
     _support_mixtures,
@@ -28,6 +30,7 @@ from smpe.nash import (
     regret_matching,
     stage_payoff_tensor,
 )
+from smpe.solver import solve
 
 from helpers import assert_same_points, constant_kernel_game, single_atom_game
 from oracles import (
@@ -286,6 +289,44 @@ def test_verify_stack_dedupes_greedily_in_enumeration_order():
         candidates = [(xs[g, j], ys[g, j]) for j in range(s) if found[g, j]]
         reference = verify_candidates_reference(payoffs[:, g], candidates)
         assert_same_points(points_of(arrays, g), reference)
+
+
+def dedupe_spy(monkeypatch):
+    """The shapes of the ``alive`` masks _dedupe is called on from here on;
+    each call still runs."""
+    calls = []
+
+    def spy(flat, alive):
+        calls.append(alive.shape)
+        _dedupe(flat, alive)
+
+    monkeypatch.setattr(smpe.nash, "_dedupe", spy)
+    return calls
+
+
+def test_exact_zero_in_a_mixed_support_still_dedupes(monkeypatch):
+    # the column player ties on row 0 and the row player on column 0, so the
+    # mixed pair's solutions dip below zero by the perturbation alone and
+    # clip to exactly (1, 0): the pure pair (0, 0) again, with no proof of
+    # distinctness on its own support, so the dedupe runs and drops it
+    a = [[0.5, 0.0], [0.5, 1.0]]
+    b = [[0.5, 0.5], [0.0, 1.0]]
+    stack = np.array([[a], [b]])
+    x, y, ok = _support_mixtures(_perturbed(stack), (0, 1), (0, 1))
+    assert ok.all() and x.tolist() == [[1.0, 0.0]] and y.tolist() == [[1.0, 0.0]]
+    calls = dedupe_spy(monkeypatch)
+    arrays = nash_enumerate_stack(stack)
+    assert calls and arrays[0].tolist() == [2]
+    assert_matches_reference(stack, arrays)
+
+
+def test_pool_solve_makes_no_dedupe_call(monkeypatch):
+    # every stage candidate of mixture-32 [4242, 0] is distinct by its
+    # support pair, so the verifier never compares candidates pairwise
+    calls = dedupe_spy(monkeypatch)
+    _, spec = random_nowak_game(seed=[4242, 0], n_cells=32, j_components=2, k_atoms=1)
+    assert solve(spec).epsilon <= 1e-6
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [2, 3])
