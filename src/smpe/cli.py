@@ -16,7 +16,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import gamefile
-from .errors import InvalidInput, NoConvergence, ParseError, SmpeError, ValidationError
+from .errors import InvalidInput, NoConvergence, NoSelection, ParseError, SmpeError
 from .game import sunspot_extend, validate_game
 from .kernels import (
     LevyParams,
@@ -32,12 +32,10 @@ from .kernels import (
 from .measure import (
     CandidateField,
     GridSpace,
-    StepFunction,
     exhaustive_selection_search,
     half_split,
     purify_selection,
 )
-from .errors import NoSelection
 from .solver import SolveOptions, solve
 from .verify import deviation_residual, simulate_payoffs
 
@@ -274,7 +272,7 @@ def demo_prop2(args) -> int:
     candidates = CandidateField(
         (np.array([[0.0]]), np.array([[0.0]]), np.array([[0.0], [1.0]]))
     )
-    target = StepFunction.of([0.0, 0.0, 0.5])
+    target = np.array([0.0, 0.0, 0.5])
     return _refusal_demo({"demo": "prop2"}, space, candidates, target, np.ones((1, 3)))
 
 
@@ -291,7 +289,7 @@ def demo_prop3(args) -> int:
     n = 2**args.k
     space = GridSpace(np.full(n, 1.0 / n), np.zeros(n, bool), np.zeros(n, int))
     candidates = CandidateField(tuple([np.array([[-1.0], [1.0]])] * n))
-    target = StepFunction.constant(0.0, n)
+    target = np.zeros(n)
     return _refusal_demo({"demo": "prop3", "cells": n}, space, candidates, target, _walsh(n) + 1.0)
 
 
@@ -382,9 +380,6 @@ def run_command(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NoConvergence as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return 1

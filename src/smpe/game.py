@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInput
-from .measure import GridSpace, frozen_copy, hold, is_real
+from .measure import GridSpace, frozen_copy, hold, is_integer, is_real
 
 NORMALIZATION_TOL = 1e-9
 
@@ -260,7 +260,7 @@ def sunspot_extend(spec: StochasticGameSpec, sunspot_cells: int) -> StochasticGa
     and the new coarse partition is the original fine partition, so the
     extended kernel is measurable with respect to it by construction.
     """
-    if not isinstance(sunspot_cells, (int, np.integer)) or sunspot_cells < 2:
+    if not is_integer(sunspot_cells) or sunspot_cells < 2:
         raise InvalidInput(f"sunspot_cells must be an integer >= 2, got {sunspot_cells!r}")
     if not spec.space.divisible.any():
         raise InvalidInput("nothing to extend: the game has no divisible cells")

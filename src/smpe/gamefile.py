@@ -228,11 +228,12 @@ def write_game_spec(path, spec: StochasticGameSpec) -> None:
     write_bytes(path, canonical_bytes(spec_to_doc(spec)))
 
 
-def _read_json(path):
-    """The JSON document at ``path``; an unreadable or malformed file is a ParseError."""
+def _read_text(path, parse):
+    """``parse`` of the text of the UTF-8 file at ``path``; an unreadable
+    file, or one that is not UTF-8 or that ``parse`` refuses, is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return parse(fh.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, too deep, 5000 digits
@@ -241,7 +242,7 @@ def _read_json(path):
 
 def parse_game_spec(path) -> StochasticGameSpec:
     """Read, schema-check and semantically validate a game file."""
-    spec = spec_from_doc(_read_json(path))
+    spec = spec_from_doc(_read_text(path, json.loads))
     report = validate_game(spec)
     if not report.passed:
         raise ValidationError("; ".join(report.violations), report=report)
@@ -303,7 +304,7 @@ def result_from_doc(doc, spec: StochasticGameSpec):
 
 
 def load_result(path, spec: StochasticGameSpec):
-    return result_from_doc(_read_json(path), spec)
+    return result_from_doc(_read_text(path, json.loads), spec)
 
 
 def certificate_to_doc(cert, spec: StochasticGameSpec) -> dict:
@@ -358,11 +359,7 @@ def write_kernel_matrix(path, kmtx: KernelMatrix) -> None:
 
 
 def read_kernel_matrix(path) -> KernelMatrix:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+    lines = _read_text(path, str.splitlines)
     if not lines or lines[0].strip() != "# kernel-matrix 1":
         raise ParseError("not a kernel-matrix file")
     header = {}

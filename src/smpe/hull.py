@@ -11,14 +11,14 @@ returns each set's nearest hull point with its weights, solving every
 support size in one batched operation over (sets x supports), and
 serves both the solver and float purification, one call per point
 count. :func:`convex_weights_exact` works one set at a time in
-``fractions.Fraction`` arithmetic for exact-mode purification.
+``fractions.Fraction`` arithmetic for exact-mode purification. One
+support-order table, :func:`_support_table`, serves both arithmetics.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -62,11 +62,6 @@ def solve_exact(rows, rhs):
     return x
 
 
-def _supports(n_points, max_size):
-    for size in range(1, max_size + 1):
-        yield from itertools.combinations(range(n_points), size)
-
-
 @functools.lru_cache(maxsize=None)
 def _support_table(n_points, max_size):
     """The supports of ``n_points`` points up to ``max_size`` in search
@@ -92,16 +87,18 @@ def convex_weights_exact(target, points):
     pts = [tuple(Fraction(v) for v in p) for p in points]
     tgt = tuple(Fraction(v) for v in target)
     d = len(tgt)
-    for support in _supports(len(pts), min(len(pts), d + 1)):
-        rows = [[pts[j][coord] for j in support] for coord in range(d)]
-        rows.append([Fraction(1)] * len(support))
-        sol = solve_exact(rows, list(tgt) + [Fraction(1)])
-        if sol is None or any(w < 0 for w in sol):
-            continue
-        weights = [Fraction(0)] * len(pts)
-        for j, w in zip(support, sol):
-            weights[j] = w
-        return weights
+    idx, spans = _support_table(len(pts), min(len(pts), d + 1))
+    for size, lo, hi in spans:
+        for support in idx[lo:hi, :size].tolist():
+            rows = [[pts[j][coord] for j in support] for coord in range(d)]
+            rows.append([Fraction(1)] * size)
+            sol = solve_exact(rows, list(tgt) + [Fraction(1)])
+            if sol is None or any(w < 0 for w in sol):
+                continue
+            weights = [Fraction(0)] * len(pts)
+            for j, w in zip(support, sol):
+                weights[j] = w
+            return weights
     return None
 
 
@@ -185,15 +182,15 @@ def project_to_hull(target, points):
     w /= w.sum(axis=-1, keepdims=True)
     cand = (w[..., None] * sub).sum(axis=-2)
     dist = np.where(ok, np.sqrt(((cand - tgt[:, None]) ** 2).sum(axis=-1)), np.inf)
-    # the sequential rule, set by set; a set within 1e-15 of its target
-    # can take no later support, which is the early stop of a search
-    choice = []
-    for row in dist.tolist():
-        bar, pick = math.inf, 0
-        for j, dist_j in enumerate(row):
-            if dist_j < bar:
-                bar, pick = dist_j - 1e-15, j
-        choice.append(pick)
+    # the sequential rule, one support at a time over every set; a set
+    # within 1e-15 of its target can take no later support, which is the
+    # early stop of a search
+    choice = np.zeros(c, dtype=int)
+    bar = np.full(c, np.inf)
+    for j, column in enumerate(dist.T):
+        closer = column < bar
+        choice[closer] = j
+        bar[closer] = column[closer] - 1e-15
     rows = np.arange(c)
     point = cand[rows, choice]
     weights = np.zeros((c, n + 1))

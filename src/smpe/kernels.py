@@ -141,6 +141,13 @@ def block_rank_profile(kmtx: KernelMatrix, threshold: float = RANK_THRESHOLD):
     }
 
 
+def _require_counts(**counts):
+    """Refuse a family count that is not an integer, naming it."""
+    for name, value in counts.items():
+        if not is_integer(value):
+            raise InvalidInput(f"{name} must be an integer, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Family 1: absorbing state plus triangular uniform jumps.
 
@@ -154,6 +161,7 @@ class LevyParams:
     n_cells: int
 
     def __post_init__(self):
+        _require_counts(m_theta=self.m_theta, n_cells=self.n_cells)
         if not (0 < self.alpha <= 1):
             raise InvalidInput("alpha must lie in (0, 1]")
         if self.n_cells < 2:
@@ -185,6 +193,7 @@ def make_levy_kernel(
     with one component per within-block position. Stage payoffs default
     to zero (they are configuration inputs, not part of the family).
     """
+    _require_counts(blocks=blocks)
     n = params.n_cells
     if blocks < 1 or n % blocks:
         raise InvalidInput("blocks must divide the cell count")
@@ -393,6 +402,7 @@ def random_nowak_game(
     beta_range=(0.2, 0.9),
 ):
     """Seeded random mixture-family instance; returns (params, spec)."""
+    _require_counts(n_cells=n_cells, j_components=j_components, k_atoms=k_atoms)
     if n_cells < 1 or j_components < 1 or k_atoms < 0:
         raise InvalidInput("need n_cells >= 1, j_components >= 1 and k_atoms >= 0")
     rng = _seeded_rng(seed)
@@ -507,6 +517,7 @@ def random_noisy_game(
     uniform_noise: bool = False,
 ):
     """Seeded random noisy-family instance; returns (params, spec)."""
+    _require_counts(n_h=n_h, n_r=n_r)
     if n_h < 1 or n_r < 1:
         raise InvalidInput("need n_h >= 1 and n_r >= 1")
     rng = _seeded_rng(seed)

@@ -10,8 +10,10 @@ the fine structure collapses to the coarse one, exact half-splitting of
 divisible mass, and purification of convexified selections into
 piecewise-pure ones with matched conditional moments.
 
-All operations are pure; cell masses may be floats or exact
-``fractions.Fraction`` values (exact mode is detected from the dtype).
+All operations are pure. A function that is constant on each fine cell
+is an array of one value vector per cell; cell masses and such values
+may be floats or exact ``fractions.Fraction`` values (exact mode is
+detected from the dtype).
 """
 
 from __future__ import annotations
@@ -91,14 +93,12 @@ class GridSpace:
     coarse: coarse-cell index per fine cell; indices must be the
         consecutive integers 0..n_coarse-1 and every coarse cell must be
         a nonempty union of fine cells.
-    total_mass: declared total weight; defaults to the mass sum.
     The three arrays are taken in by :func:`frozen_copy`.
     """
 
     masses: np.ndarray
     divisible: np.ndarray
     coarse: np.ndarray
-    total_mass: object = None
 
     def __post_init__(self):
         masses = frozen_copy(self.masses, "cell masses", None)
@@ -111,19 +111,6 @@ class GridSpace:
             raise InvalidInput("masses, divisible and coarse must share a positive length")
         if np.any(masses < 0):
             raise InvalidInput("cell masses must be nonnegative")
-        exact = masses.dtype == object
-        total = sum(masses, Fraction(0)) if exact else float(masses.sum())
-        declared = self.total_mass
-        if declared is None:
-            declared = total
-        elif exact:
-            if Fraction(declared) != total:
-                raise InvalidInput("total_mass does not equal the mass sum")
-            declared = Fraction(declared)
-        elif abs(float(declared) - total) > MASS_TOL * max(1.0, abs(total)):
-            raise InvalidInput(
-                f"total_mass {declared} differs from mass sum {total} beyond {MASS_TOL}"
-            )
         ids = np.unique(coarse)
         if ids[0] != 0 or ids[-1] != len(ids) - 1:
             raise InvalidInput("coarse ids must be consecutive integers starting at 0")
@@ -132,7 +119,6 @@ class GridSpace:
             masses=masses,
             divisible=divisible,
             coarse=coarse,
-            total_mass=declared,
             _atom_indices=np.flatnonzero(~divisible),
             _divisible_indices=np.flatnonzero(divisible),
             _n_coarse=len(ids),
@@ -172,36 +158,6 @@ def _values_matrix(values, space, name):
             f"({space.n_cells} cells, got shape {np.shape(values)})"
         )
     return arr
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Function that is constant on each fine cell: one value vector per
-    cell (a vector of scalars is read as one column), taken in by
-    :func:`frozen_copy`."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = frozen_copy(self.values, "step-function values", None)
-        hold(self, values=values.reshape(-1, 1) if values.ndim == 1 else values)
-
-    @classmethod
-    def of(cls, values):
-        return cls(values)
-
-    @classmethod
-    def constant(cls, value, n_cells):
-        row = np.atleast_1d(np.asarray(value, dtype=float))
-        return cls.of(np.tile(row, (n_cells, 1)))
-
-    @property
-    def n_cells(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 class Piece(NamedTuple):
@@ -328,32 +284,23 @@ class GAtomResult(NamedTuple):
         return self.is_atom
 
 
-def conditional_expectation(f: StepFunction, space: GridSpace) -> StepFunction:
-    """Average ``f`` over each coarse cell with the cell-mass weights.
+def conditional_expectation(values, space: GridSpace) -> np.ndarray:
+    """Average the per-cell ``values`` ((n, d) or (n,)) over each coarse
+    cell with the cell-mass weights, as a read-only (n, d) array.
 
     The result is constant on every coarse cell; coarse cells of zero
-    mass are assigned 0. Preserves the mass-weighted integral.
+    mass are assigned 0. Preserves the mass-weighted integral. One
+    scatter-add serves both arithmetics: the sums are exact, and the
+    result an object array, when the masses or the values are.
     """
-    values = _values_matrix(f.values, space, "step function")
-    if space.exact or values.dtype == object:
-        out = np.empty_like(values, dtype=object)
-        for e in range(space.n_coarse):
-            members = space.coarse_members(e)
-            tot = sum((space.masses[k] for k in members), Fraction(0))
-            for d in range(values.shape[1]):
-                if tot == 0:
-                    avg = Fraction(0)
-                else:
-                    avg = sum((space.masses[k] * values[k, d] for k in members), Fraction(0)) / tot
-                for k in members:
-                    out[k, d] = avg
-        return StepFunction.of(out)
-    sums = np.zeros((space.n_coarse, values.shape[1]))
-    np.add.at(sums, space.coarse, space.masses[:, None] * values)
-    coarse_mass = np.bincount(space.coarse, weights=space.masses, minlength=space.n_coarse)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        avg = np.where(coarse_mass[:, None] > 0, sums / coarse_mass[:, None], 0.0)
-    return StepFunction.of(avg[space.coarse])
+    values = _values_matrix(values, space, "step function")
+    weighted = np.column_stack([space.masses, space.masses[:, None] * values])
+    zero = Fraction(0) if weighted.dtype == object else 0.0
+    sums = np.full((space.n_coarse, weighted.shape[1]), zero, dtype=weighted.dtype)
+    np.add.at(sums, space.coarse, weighted)
+    mass = sums[:, :1]
+    avg = np.where(mass > 0, sums[:, 1:] / np.where(mass > 0, mass, 1), zero)
+    return frozen_copy(avg[space.coarse], "step-function values", None)
 
 
 def _retained_masses(retained, space):
@@ -418,19 +365,9 @@ def half_split(retained, space: GridSpace) -> SplitSelection:
 
 
 def _moments_matrix(moments, space):
-    if isinstance(moments, StepFunction):
-        moments = [moments]
-    if isinstance(moments, (list, tuple)) and moments and isinstance(moments[0], StepFunction):
-        rows = []
-        for j, sf in enumerate(moments):
-            if sf.dim != 1:
-                raise InvalidInput(f"moment {j} must be scalar-valued")
-            rows.append(sf.values[:, 0])
-        arr = np.asarray(rows)
-    else:
-        arr = np.asarray(moments)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
+    arr = np.asarray(moments)
+    if arr.ndim == 1:
+        arr = arr.reshape(1, -1)
     if arr.ndim != 2 or arr.shape[1] != space.n_cells:
         raise InvalidInput("moments must be (J, n_cells)")
     if arr.dtype == object:
@@ -444,12 +381,13 @@ def _moments_matrix(moments, space):
 
 
 def purify_selection(
-    vprime: StepFunction,
+    vprime,
     candidates: CandidateField,
     moments,
     space: GridSpace,
 ) -> SplitSelection:
-    """Replace a convexified per-cell target by a piecewise-pure selection.
+    """Replace a convexified per-cell target ``vprime`` (one value vector per
+    cell, an (n, d) or (n,) array) by a piecewise-pure selection.
 
     Every piece carries one of the cell's candidate vectors, and the
     fraction-weighted piece average reproduces the target value on every
@@ -468,7 +406,7 @@ def purify_selection(
     ``HULL_TOL`` (scaled by the data magnitude) outside the candidate hull
     violates the precondition and raises ``InvalidInput``.
     """
-    values = _values_matrix(vprime.values, space, "target selection")
+    values = _values_matrix(vprime, space, "target selection")
     _moments_matrix(moments, space)
     if candidates.dim != values.shape[1]:
         raise InvalidInput("candidate dimension does not match the target dimension")
@@ -490,7 +428,7 @@ def purify_selection(
         cands = candidates.sets[k]
         target = values[k]
         if not space.divisible[k]:
-            idx = _match_candidate(target, cands, exact, HULL_TOL)
+            idx = _match_candidate(target, cands, exact)
             if idx is None:
                 raise NoSelection(
                     f"atomic cell {k}: target is not one of the {len(cands)} candidates"
@@ -506,13 +444,15 @@ def purify_selection(
     return SplitSelection.of(cells)
 
 
-def _match_candidate(target, cands, exact, tol):
-    if exact:
-        for i in range(cands.shape[0]):
-            if all(Fraction(c) == Fraction(t) for c, t in zip(cands[i], target)):
-                return i
-        return None
-    dists = np.max(np.abs(np.asarray(cands, float) - np.asarray(target, float)), axis=1)
+_as_fraction = np.frompyfunc(Fraction, 1, 1)
+
+
+def _match_candidate(target, cands, exact):
+    """The first candidate nearest ``target`` in the sup distance, when it
+    lies within ``HULL_TOL``; exact entries are compared as Fractions and
+    must be at distance 0."""
+    as_numbers, tol = (_as_fraction, 0) if exact else (lambda x: np.asarray(x, float), HULL_TOL)
+    dists = np.max(np.abs(as_numbers(cands) - as_numbers(target)), axis=1, initial=0)
     best = int(np.argmin(dists))
     return best if dists[best] <= tol else None
 
@@ -520,7 +460,7 @@ def _match_candidate(target, cands, exact, tol):
 def exhaustive_selection_search(
     space: GridSpace,
     candidates: CandidateField,
-    vprime: StepFunction,
+    vprime,
     moments,
     tol: float = MOMENT_TOL,
     max_patterns: int = 2_000_000,
@@ -534,7 +474,7 @@ def exhaustive_selection_search(
     demonstrations and cross-checks on small instances.
     """
     rho = _moments_matrix(moments, space)
-    values = _values_matrix(vprime.values, space, "target selection")
+    values = _values_matrix(vprime, space, "target selection")
     counts = np.array([c.shape[0] for c in candidates.sets])
     n_patterns = int(np.prod(counts.astype(np.float64)))
     if n_patterns > max_patterns:

@@ -28,7 +28,6 @@ from smpe.kernels import (
 from smpe.measure import (
     CandidateField,
     GridSpace,
-    StepFunction,
     exhaustive_selection_search,
     half_split,
     purify_selection,
@@ -123,9 +122,7 @@ def test_criterion_3_purification_exactness():
             cands.append(pts)
             targets.append(w @ pts)
         moments = rng.uniform(0.0, 3.0, (j, n))
-        sel = purify_selection(
-            StepFunction.of(np.asarray(targets)), CandidateField(tuple(cands)), moments, sp
-        )
+        sel = purify_selection(np.asarray(targets), CandidateField(tuple(cands)), moments, sp)
         for k in range(n):
             for piece in sel.pieces[k]:
                 assert any(np.array_equal(piece.value, c) for c in cands[k])
@@ -199,9 +196,7 @@ def test_criterion_3_purification_exactness():
         sp = GridSpace(masses, divisible, coarse)
         target_arr = np.array(targets, dtype=object)
         try:
-            purify_selection(
-                StepFunction.of(target_arr), CandidateField(tuple(cands)), moments, sp
-            )
+            purify_selection(target_arr, CandidateField(tuple(cands)), moments, sp)
             succeeded = True
         except (NoSelection, InvalidInput):
             succeeded = False
@@ -306,7 +301,7 @@ def test_criterion_7_walsh_moment_obstruction():
     n = 16
     space = GridSpace(np.full(n, 1.0 / n), np.zeros(n, bool), np.zeros(n, int))
     cands = CandidateField(tuple([np.array([[-1.0], [1.0]])] * n))
-    target = StepFunction.constant(0.0, n)
+    target = np.full(n, 0.0)
     moments = walsh_matrix(n) + 1.0
     with pytest.raises(NoSelection):
         purify_selection(target, cands, moments, space)

@@ -465,6 +465,21 @@ def test_analyze_non_finite_threshold_exits_two(tmp_path, capsys, threshold):
     assert "threshold" in err
 
 
+def test_analyze_kernel_matrix_that_is_not_utf8_exits_two(tmp_path, capsys):
+    from smpe.kernels import kernel_matrix, random_noisy_game
+
+    _, spec = random_noisy_game(seed=2, n_h=3, n_r=3)
+    path = tmp_path / "kernel.kmtx"
+    gamefile.write_kernel_matrix(path, kernel_matrix(spec))
+    data = path.read_bytes()
+    assert b"\n# rows " in data
+    path.write_bytes(data.replace(b"\n# rows ", b"\n# rows \xff", 1))
+    assert run_command(["analyze", "--kernel", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "utf-8" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("entry", ["2", "yes"])
 def test_analyze_divisible_flag_other_than_zero_or_one_exits_two(tmp_path, capsys, entry):
     # read as "not 1", such an entry would make a divisible cell atomic

@@ -24,7 +24,7 @@ from smpe.kernels import (
     random_noisy_game,
     random_nowak_game,
 )
-from smpe.measure import CandidateField, GridSpace, StepFunction
+from smpe.measure import CandidateField, GridSpace
 from smpe.nash import AggregateVector, StageGame
 from smpe.solver import solve
 
@@ -110,11 +110,6 @@ INTAKE = {
         lambda: GridSpace([0.25, 0.25, 0.5], [True, True, False], [0, 0, 1]),
         lambda a: GridSpace(**a),
         _fields("masses", "divisible", "coarse"),
-    ),
-    "StepFunction": (
-        lambda: StepFunction.of(np.arange(6.0).reshape(3, 2)),
-        lambda a: StepFunction.of(a["values"]),
-        _fields("values"),
     ),
     "CandidateField": (
         lambda: CandidateField(([[0.0, 1.0], [1.0, 0.0]], [[0.5, 0.5]])),

@@ -1,9 +1,12 @@
-"""Stacked hull projection against the per-set reference."""
+"""Stacked hull projection against the per-set reference, and the exact
+Caratheodory search."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from smpe.hull import project_to_hull
+from smpe.hull import convex_weights_exact, project_to_hull
 
 from oracles import project_to_hull_reference
 
@@ -69,3 +72,10 @@ def test_stacked_rows_equal_their_stacks_of_one():
             one_point, one_weights = project_to_hull(targets[r], points[r])
             assert np.array_equal(point[r], one_point)
             assert np.array_equal(weights[r], one_weights)
+
+
+def test_exact_search_refuses_a_target_beyond_collinear_points():
+    # every pair gives the target a negative weight, and the three collinear
+    # points leave the full-size system underdetermined
+    points = [(Fraction(x), Fraction(0)) for x in (0, 1, 2)]
+    assert convex_weights_exact((Fraction(3), Fraction(0)), points) is None

@@ -96,6 +96,24 @@ def test_levy_rejects_bad_params():
         make_levy_kernel(LevyParams(alpha=1.0, m_theta=0, n_cells=8), blocks=3)
 
 
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("n_cells", lambda: make_levy_kernel(LevyParams(1.0, 1, 8.0))),
+        ("m_theta", lambda: LevyParams(1.0, 1.5, 8)),
+        ("blocks", lambda: make_levy_kernel(LevyParams(1.0, 1, 8), blocks=2.0)),
+        ("n_cells", lambda: random_nowak_game(0, n_cells=2.5)),
+        ("k_atoms", lambda: random_nowak_game(0, k_atoms=True)),
+        ("n_h", lambda: random_noisy_game(0, n_h=2.0)),
+    ],
+    ids=["levy-n_cells", "levy-m_theta", "levy-blocks"]
+    + ["nowak-n_cells", "nowak-k_atoms", "noisy-n_h"],
+)
+def test_family_counts_must_be_integers(name, build):
+    with pytest.raises(InvalidInput, match=f"^{name} must be an integer"):
+        build()
+
+
 # --- coarseness ----------------------------------------------------------------
 
 

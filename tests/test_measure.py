@@ -12,7 +12,6 @@ from smpe.measure import (
     CandidateField,
     GridSpace,
     SplitSelection,
-    StepFunction,
     conditional_expectation,
     exhaustive_selection_search,
     half_split,
@@ -34,21 +33,29 @@ def uniform_space(n=4, coarse=None, divisible=None):
 
 def test_condexp_constant_is_fixed():
     sp = uniform_space(4, coarse=[0, 0, 1, 1])
-    f = StepFunction.constant(3.25, 4)
+    f = np.full(4, 3.25)
     g = conditional_expectation(f, sp)
-    assert np.allclose(g.values, 3.25)
+    assert np.allclose(g, 3.25)
 
 
 def test_condexp_hand_example():
     sp = uniform_space(4, coarse=[0, 0, 1, 1])
-    g = conditional_expectation(StepFunction.of([1.0, 3.0, 2.0, 6.0]), sp)
-    assert np.allclose(g.values.ravel(), [2.0, 2.0, 4.0, 4.0], atol=1e-14)
+    g = conditional_expectation([1.0, 3.0, 2.0, 6.0], sp)
+    assert np.allclose(g.ravel(), [2.0, 2.0, 4.0, 4.0], atol=1e-14)
+
+
+def test_condexp_returns_a_read_only_copy():
+    sp = uniform_space(4, coarse=[0, 0, 1, 1])
+    values = np.array([1.0, 3.0, 2.0, 6.0])
+    g = conditional_expectation(values, sp)
+    assert g.shape == (4, 1) and g.dtype == float
+    assert not g.flags.writeable and not np.shares_memory(g, values)
 
 
 def test_condexp_zero_mass_coarse_cell():
     sp = GridSpace(np.array([0.5, 0.5, 0.0]), np.ones(3, bool), np.array([0, 0, 1]))
-    g = conditional_expectation(StepFunction.of([1.0, 2.0, 9.0]), sp)
-    assert g.values[2, 0] == 0.0
+    g = conditional_expectation([1.0, 2.0, 9.0], sp)
+    assert g[2, 0] == 0.0
 
 
 def test_condexp_exact_branch_matches_float_branch():
@@ -57,23 +64,23 @@ def test_condexp_exact_branch_matches_float_branch():
     coarse, divisible = np.array([0, 0, 0, 1]), np.ones(4, bool)
     values = [[1, 5], [3, Fraction(1, 3)], [2, -1], [9, 7]]
     exact = conditional_expectation(
-        StepFunction.of(np.array([[Fraction(v) for v in row] for row in values], dtype=object)),
+        np.array([[Fraction(v) for v in row] for row in values], dtype=object),
         GridSpace(np.array(masses, dtype=object), divisible, coarse),
     )
     floating = conditional_expectation(
-        StepFunction.of(np.array(values, dtype=float)),
+        np.array(values, dtype=float),
         GridSpace(np.array(masses, dtype=float), divisible, coarse),
     )
-    assert exact.values[:, 0].tolist() == [2, 2, 2, 0]
-    assert exact.values[0, 1] == Fraction(5, 6)
-    assert all(isinstance(v, Fraction) for v in exact.values.ravel())
-    assert np.allclose(exact.values.astype(float), floating.values, rtol=0, atol=1e-15)
+    assert exact[:, 0].tolist() == [2, 2, 2, 0]
+    assert exact[0, 1] == Fraction(5, 6)
+    assert all(isinstance(v, Fraction) for v in exact.ravel())
+    assert np.allclose(exact.astype(float), floating, rtol=0, atol=1e-15)
 
 
 def test_condexp_dimension_mismatch():
     sp = uniform_space(4)
     with pytest.raises(InvalidInput):
-        conditional_expectation(StepFunction.of([1.0, 2.0]), sp)
+        conditional_expectation([1.0, 2.0], sp)
 
 
 grids = st.integers(2, 10).flatmap(
@@ -98,17 +105,16 @@ def test_condexp_properties(data):
     masses, raw_coarse, values = data
     coarse = _normalize_coarse(raw_coarse)
     sp = GridSpace(np.asarray(masses), np.ones(len(masses), bool), np.asarray(coarse))
-    f = StepFunction.of(values)
-    g = conditional_expectation(f, sp)
+    g = conditional_expectation(values, sp)
     # integral preservation
-    assert abs(float(np.dot(masses, g.values[:, 0]) - np.dot(masses, values))) <= 1e-12 * (
+    assert abs(float(np.dot(masses, g[:, 0]) - np.dot(masses, values))) <= 1e-12 * (
         1 + float(np.abs(values).max())
     )
     # idempotence
     gg = conditional_expectation(g, sp)
-    assert np.max(np.abs(gg.values - g.values)) <= 1e-12
+    assert np.max(np.abs(gg - g)) <= 1e-12
     # sup-norm contraction
-    assert np.max(np.abs(g.values)) <= np.max(np.abs(f.values)) + 1e-12
+    assert np.max(np.abs(g)) <= np.max(np.abs(values)) + 1e-12
 
 
 @settings(deadline=None)
@@ -118,13 +124,9 @@ def test_condexp_linear(data, a, b):
     coarse = _normalize_coarse(raw_coarse)
     sp = GridSpace(np.asarray(masses), np.ones(len(masses), bool), np.asarray(coarse))
     other = list(reversed(values))
-    lhs = conditional_expectation(
-        StepFunction.of(a * np.asarray(values) + b * np.asarray(other)), sp
-    )
-    rhs = a * conditional_expectation(StepFunction.of(values), sp).values + (
-        b * conditional_expectation(StepFunction.of(other), sp).values
-    )
-    assert np.max(np.abs(lhs.values - rhs)) <= 1e-10
+    lhs = conditional_expectation(a * np.asarray(values) + b * np.asarray(other), sp)
+    rhs = a * conditional_expectation(values, sp) + b * conditional_expectation(other, sp)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
 # --- indivisible-block detection ----------------------------------------------
@@ -206,12 +208,12 @@ def test_half_split_atomic_mass_error():
 def test_purify_bang_bang():
     sp = uniform_space(4, coarse=[0, 0, 1, 1])
     cands = CandidateField(tuple([np.array([[0.0], [1.0]])] * 4))
-    sel = purify_selection(StepFunction.constant(0.5, 4), cands, np.ones((1, 4)), sp)
+    sel = purify_selection(np.full(4, 0.5), cands, np.ones((1, 4)), sp)
     for k in range(4):
         fracs = sorted(float(p.fraction) for p in sel.pieces[k])
         assert fracs == pytest.approx([0.5, 0.5])
-    cond = conditional_expectation(StepFunction.of(sel.averages()), sp)
-    assert np.allclose(cond.values, 0.5, atol=1e-12)
+    cond = conditional_expectation(sel.averages(), sp)
+    assert np.allclose(cond, 0.5, atol=1e-12)
 
 
 def test_purify_atom_with_strict_mixture_refused():
@@ -219,7 +221,7 @@ def test_purify_atom_with_strict_mixture_refused():
         np.array([0.35, 0.35, 0.3]), np.array([True, True, False]), np.array([0, 0, 0])
     )
     cands = CandidateField((np.array([[0.0]]), np.array([[0.0]]), np.array([[0.0], [1.0]])))
-    target = StepFunction.of([0.0, 0.0, 0.5])
+    target = [0.0, 0.0, 0.5]
     with pytest.raises(NoSelection):
         purify_selection(target, cands, np.ones((1, 3)), sp)
     assert exhaustive_selection_search(sp, cands, target, np.ones((1, 3))) is None
@@ -230,7 +232,7 @@ def test_purify_walsh_sign_system_refused():
     masses = np.array([Fraction(1, n)] * n, dtype=object)
     sp = GridSpace(masses, np.zeros(n, bool), np.zeros(n, int))
     cands = CandidateField(tuple([np.array([[-1.0], [1.0]])] * n))
-    target = StepFunction.constant(0.0, n)
+    target = np.full(n, 0.0)
     moments = walsh_matrix(n) + 1.0
     with pytest.raises(NoSelection):
         purify_selection(target, cands, moments, sp)
@@ -260,7 +262,7 @@ def test_purify_refuses_strict_mixture_on_any_indivisible_block():
                 targets.append([lo])
         with pytest.raises(NoSelection):
             purify_selection(
-                StepFunction.of(np.asarray(targets)),
+                np.asarray(targets),
                 CandidateField(tuple(cands)),
                 np.ones((1, n)),
                 sp,
@@ -271,21 +273,21 @@ def test_purify_outside_hull_is_precondition_failure():
     sp = uniform_space(2)
     cands = CandidateField(tuple([np.array([[0.0], [1.0]])] * 2))
     with pytest.raises(InvalidInput):
-        purify_selection(StepFunction.of([1.5, 0.5]), cands, np.ones((1, 2)), sp)
+        purify_selection([1.5, 0.5], cands, np.ones((1, 2)), sp)
 
 
 def test_purify_negative_moment_rejected():
     sp = uniform_space(2)
     cands = CandidateField(tuple([np.array([[0.0], [1.0]])] * 2))
     with pytest.raises(InvalidInput):
-        purify_selection(StepFunction.of([0.5, 0.5]), cands, -np.ones((1, 2)), sp)
+        purify_selection([0.5, 0.5], cands, -np.ones((1, 2)), sp)
 
 
 def test_purify_lexicographic_support():
     # target equals candidate 1 exactly: the singleton support {1} wins
     sp = uniform_space(1)
     cands = CandidateField((np.array([[0.0], [0.5], [1.0]]),))
-    sel = purify_selection(StepFunction.of([0.5]), cands, np.ones((1, 1)), sp)
+    sel = purify_selection([0.5], cands, np.ones((1, 1)), sp)
     assert len(sel.pieces[0]) == 1
     assert sel.pieces[0][0].value[0] == 0.5
     # each target with the candidates that carry it, first support first:
@@ -298,7 +300,7 @@ def test_purify_lexicographic_support():
     ]
     for points, target, expected in cases:
         cands = CandidateField((points,))
-        sel = purify_selection(StepFunction.of([target]), cands, np.ones((1, 1)), sp)
+        sel = purify_selection([target], cands, np.ones((1, 1)), sp)
         carried = {}
         for piece in sel.pieces[0]:
             # the first candidate row equal to the piece's value: the table
@@ -318,9 +320,7 @@ def test_purify_exact_rational_mode():
             np.array([[Fraction(0)], [Fraction(1)]], dtype=object),
         )
     )
-    target = StepFunction.of(
-        np.array([[Fraction(1, 3)], [Fraction(2, 7)]], dtype=object)
-    )
+    target = np.array([[Fraction(1, 3)], [Fraction(2, 7)]], dtype=object)
     moments = np.array([[Fraction(1), Fraction(2)]], dtype=object)
     sel = purify_selection(target, cands, moments, sp)
     assert sel.cell_average(0)[0] == Fraction(1, 3)
@@ -370,7 +370,7 @@ def test_purify_divisible_always_succeeds_and_matches_moments(instance):
     masses, coarse, cands, targets, moments = instance
     n = len(masses)
     sp = GridSpace(masses, np.ones(n, bool), coarse)
-    sel = purify_selection(StepFunction.of(targets), CandidateField(cands), moments, sp)
+    sel = purify_selection(targets, CandidateField(cands), moments, sp)
     sel.validate(sp)
     avgs = sel.averages()
     scale = max(1.0, float(np.max(np.abs(targets))))
