@@ -15,10 +15,12 @@ piece, the exact evaluation of the reported strategy profile via a
 linear solve, and the sampling table of reproducible Monte Carlo
 estimates of discounted play. Payoffs and transitions read only (state,
 profile), so the simulation marginalizes the pieces: each path and step
-draws (profile, next state) from its state's joint law with one uniform
-and one exact guide-table inverse-CDF lookup, O(1) per draw, that
-returns the index of the comparison rule ``#{j : cum[r, j] < u}`` bit
-for bit.
+draws (profile, next state) from its state's joint law with one 64-bit
+Philox word, whose uniform is ``(w >> 11) * 2**-53`` (the one
+``Generator.random`` forms, so reports are byte-identical to those of
+versions that drew the uniforms), and one exact guide-table inverse-CDF
+lookup, O(1) per draw, that returns the index of the comparison rule
+``#{j : cum[r, j] < u}`` bit for bit.
 """
 
 from __future__ import annotations
@@ -220,42 +222,69 @@ def _joint_law(result, spec):
 
 
 def _inverse_cdf(cum):
-    """Exact inverse-CDF sampler over the rows of a cumulative table.
+    """Exact inverse-CDF sampler over the rows of a cumulative table, driven
+    by raw 64-bit generator words.
 
-    The returned ``draw(rows, u)`` gives, for each row ``r`` and uniform
-    ``u`` in [0, 1), the count ``#{j : cum[r, j] < u}``, exactly what the
-    comparison rule ``(u[:, None] > cum[rows]).sum(1)`` returns, in O(1)
-    per draw. It uses a guide table over ``B`` equal buckets (Chen & Asau
+    A word ``w`` stands for the uniform ``u = (w >> 11) * 2**-53``, the one
+    ``Generator.random`` makes of it. The sampler is returned as ``(log_b,
+    draw)``: ``draw(at, words)`` gives, for each row ``r``, passed as ``at =
+    r << log_b``, and word, the flat index ``r * cols + #{j : cum[r, j] <
+    u}``, whose column is exactly what the comparison rule ``(u[:, None] >
+    cum[rows]).sum(1)`` returns, in O(1) per draw.
+
+    It uses a guide table over ``B = 2**log_b`` equal buckets (Chen & Asau
     1974; Devroye 1986, section III.2): with ``g[r, b] = #{j : cum[r, j] <
     b/B}``, the count is monotone in ``u`` whatever the order of the row, so
-    for the bucket ``b = floor(u*B)`` it is ``g[r, b]`` whenever ``g[r, b] ==
-    g[r, b + 1]``. The table stores that value, or a mark above every count
-    for a bucket that holds a table entry; only draws in marked buckets fall
-    back to the comparison. ``B`` is a power of two, so ``u*B`` and the
-    edges ``b/B`` are exact and ``b`` is always the true bucket; with ``B >=
-    16 * columns`` at most one bucket in 16 is marked. The sampler only
+    for the bucket ``b = floor(u*B)``, the top ``log_b`` bits of the word,
+    it is ``g[r, b]`` whenever ``g[r, b] == g[r, b + 1]``. The table holds
+    that flat index; a bucket that holds a table entry is marked instead,
+    by its rank ``m`` among the ``M`` marked buckets less ``M``, a negative
+    index into the per-mark tables. With ``B >= 16 * cols`` at most one
+    bucket in 16 is marked. All rows' buckets come from one sort of the
+    entries' bucket slots, with no loop over rows.
+
+    A draw in a marked bucket takes one integer ``searchsorted``: for ``k =
+    w >> 11``, ``u > c`` exactly when ``k > floor(c * 2**53)``. Every entry
+    in [0, 1) lies in a marked bucket and is held as the key ``m * W +
+    floor(c * 2**53) - b * W``, local to its bucket of width ``W = 2**53 /
+    B``; the word's key ``m * W + k - b * W`` lies in the same span and
+    counts the entries below ``u``. Keys stay below ``M * W <= 2**63``,
+    since ``B`` is also at least ``rows * cols / 1024``. The sampler only
     reads its tables, so threads may share it.
     """
     cum = np.asarray(cum, dtype=float)
     n_rows, cols = cum.shape
-    buckets = 1 << (16 * cols - 1).bit_length()
-    edges = np.arange(buckets + 1) / buckets
-    mark = cols + 1
-    guide = np.empty((n_rows, buckets), dtype=np.min_scalar_type(mark))
-    for r in range(n_rows):
-        g = np.searchsorted(np.sort(cum[r]), edges, side="left")
-        guide[r] = np.where(g[:-1] == g[1:], g[:-1], mark)
-    guide = guide.ravel()
+    log_b = max((16 * cols - 1).bit_length(), (n_rows * cols - 1).bit_length() - 10)
+    buckets = 1 << log_b
+    width = 53 - log_b  # log2 W
+    # floor(c * 2**53), exact; below 0 every u exceeds c, from 1.0 (and NaN) none does
+    key = np.floor(np.fmax(np.fmin(cum * 2.0**53, 2.0**53), -1.0)).astype(np.int64)
+    bucket = key >> width  # -1 below 0, B from 1.0
+    # guide[p] = #{j : slot[j] <= p}: at p = r * B + b, the flat index
+    # r * cols + g[r, b]; an entry from 1.0 counts from the next row on
+    slot = (np.arange(n_rows)[:, None] << log_b) + np.minimum(bucket + 1, buckets)
+    edges = np.concatenate([[0], np.sort(slot, axis=None), [n_rows << log_b]])
+    dtype = np.min_scalar_type(-1 - cum.size)  # holds every flat index and mark
+    guide = np.repeat(np.arange(cum.size + 1, dtype=dtype), np.diff(edges))
+    inside = (bucket >= 0) & (bucket < buckets)
+    marks, rank, size = np.unique(slot[inside] - 1, return_inverse=True, return_counts=True)
+    keys = np.sort((rank << width) + (key[inside] & ((1 << width) - 1)))
+    offset = (np.arange(len(marks)) - (marks & (buckets - 1))) << width
+    base = guide[marks] - (np.cumsum(size) - size)  # less the keys before each mark
+    guide[marks] = np.arange(len(marks)) - len(marks)  # negative: indexes offset and base
+    shift = 64 - log_b
 
-    def draw(rows, u):
-        found = guide[rows * buckets + (u * buckets).astype(np.intp)]
-        idx = found.astype(np.intp)
-        unsure = np.flatnonzero(found == mark)
+    def draw(at, words):
+        found = guide.take((words >> shift).view(np.int64) + at)
+        unsure = (found < 0).nonzero()[0]
+        found = found.astype(np.intp)
         if unsure.size:
-            idx[unsure] = (u[unsure, None] > cum[rows[unsure]]).sum(axis=1)
-        return idx
+            mark = found.take(unsure)
+            query = (words.take(unsure) >> 11).view(np.int64) + offset.take(mark)
+            found.put(unsure, keys.searchsorted(query) + base.take(mark))
+        return found
 
-    return draw
+    return log_b, draw
 
 
 def simulate_payoffs(
@@ -273,17 +302,23 @@ def simulate_payoffs(
     the action profile it draws, and payoffs and transitions read only
     (state, profile), so each path and step draws (profile, next state)
     from its state's joint law (``_joint_law``, the pieces marginalized)
-    with one uniform and one guide-table lookup (``_inverse_cdf``) that
-    returns the index of the comparison rule ``(u[:, None] >
-    cum[rows]).sum(1)`` exactly. The horizon is either given (at least 1)
-    or derived so the discarded tail is below ``truncation`` times the
-    payoff bound scale. Paths are simulated in fixed-size blocks, each
-    driven by a counter-based generator keyed on (seed, block), so
-    identical seeds reproduce the report bit for bit regardless of the
-    thread count (``SMPE_THREADS``). The game and the pieces are checked as
-    :func:`deviation_residual` checks them; ``s0``, ``paths``, ``seed`` and
-    ``horizon`` must be integers, not bool, and ``seed`` lie in [0, 2**64),
-    as ``solve`` requires of its seed.
+    with one 64-bit Philox word, whose uniform is ``(w >> 11) * 2**-53``
+    as ``Generator.random`` forms it, and one guide-table lookup
+    (``_inverse_cdf``) that returns the index of the comparison rule
+    ``(u[:, None] > cum[rows]).sum(1)`` exactly; so reports are
+    byte-identical to those of versions that drew the uniforms. The draw
+    is a flat (state, profile, next state) index, which gives the step's
+    payoff, weighted by the step's discount, and the next state's row of
+    the guide table. The horizon is either given (at least 1) or derived so
+    the discarded tail is below ``truncation`` times the payoff bound
+    scale. Paths are simulated in fixed-size blocks, each driven by a
+    counter-based generator keyed on (seed, block), so identical seeds
+    reproduce the report bit for bit regardless of the thread count
+    (``SMPE_THREADS``, a positive integer, 1 when unset or empty). The
+    game and the pieces are checked as :func:`deviation_residual` checks
+    them; ``s0``, ``paths``, ``seed`` and ``horizon`` must be integers, not
+    bool, and ``seed`` lie in [0, 2**64), as ``solve`` requires of its
+    seed.
     """
     _piece_cells(result, spec)
     counts = {"s0": s0, "paths": paths, "seed": seed, "horizon": 1 if horizon is None else horizon}
@@ -298,6 +333,13 @@ def simulate_payoffs(
         raise InvalidInput(f"initial state {s0} out of range")
     if not 0 <= seed < 2**64:
         raise InvalidInput(f"seed must lie in [0, 2**64), got {seed}")
+    raw_threads = os.environ.get("SMPE_THREADS", "1") or "1"
+    try:
+        threads = int(raw_threads)
+    except ValueError:
+        threads = 0  # refused below
+    if threads < 1:
+        raise InvalidInput(f"SMPE_THREADS must be a positive integer, got {raw_threads!r}")
     beta_max = float(spec.discounts.max())
     bound = spec.payoff_bound
     if truncation is not None and not (is_real(truncation) and truncation > 0):  # NaN included
@@ -318,37 +360,32 @@ def simulate_payoffs(
     cum = np.cumsum(_joint_law(result, spec), axis=1)  # (state, profile * next state)
     cum /= cum[:, -1:]
     cum[:, -1] = 1.0
-    draw = _inverse_cdf(cum)
-    profile_of, target_of = np.divmod(np.arange(cum.shape[1]), spec.n_states)
+    log_b, draw = _inverse_cdf(cum)
+    # per flat draw (state, profile, next state): the next state's row in
+    # the guide table and the stage payoffs of (state, profile)
+    at_of = np.tile(np.arange(spec.n_states) << log_b, cum.size // spec.n_states)
+    payoff_of = np.repeat(spec.payoffs.reshape(spec.players, -1), spec.n_states, axis=1)
     weights = np.array(
         [(1.0 - b) * b ** np.arange(horizon) for b in spec.discounts]
     )  # (m, horizon)
-    payoff_flat = spec.payoffs.reshape(spec.players, -1)
 
     n_chunks = (paths + CHUNK_PATHS - 1) // CHUNK_PATHS
 
     def run_chunk(chunk_idx):
         n = min(CHUNK_PATHS, paths - chunk_idx * CHUNK_PATHS)
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, chunk_idx], dtype=np.uint64))
-        )
-        states = np.full(n, s0, dtype=int)
+        bits = np.random.Philox(key=np.array([seed, chunk_idx], dtype=np.uint64))
+        at = np.full(n, s0 << log_b, dtype=np.int64)
         acc = np.zeros((spec.players, n))
         visits = np.zeros(spec.n_states)
         for t in range(horizon):
-            col = draw(states, rng.random(n))
-            row = states * spec.n_profiles + profile_of[col]  # (state, profile) row
-            acc += weights[:, t, None] * np.take(payoff_flat, row, axis=1)
-            states = target_of[col]
+            found = draw(at, bits.random_raw(n))
+            # the table weighted first: the same product per draw
+            acc += (payoff_of * weights[:, t, None]).take(found, axis=1)
+            at = at_of.take(found)
             if t + 1 < horizon:
-                visits += np.bincount(states, minlength=spec.n_states)
+                visits += np.bincount(at >> log_b, minlength=spec.n_states)
         return acc.sum(axis=1), (acc**2).sum(axis=1), visits
 
-    raw_threads = os.environ.get("SMPE_THREADS", "1") or "1"
-    try:
-        threads = int(raw_threads)
-    except ValueError:
-        raise InvalidInput(f"SMPE_THREADS must be an integer, got {raw_threads!r}") from None
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_chunk, range(n_chunks)))

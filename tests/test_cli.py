@@ -393,6 +393,16 @@ def test_non_integer_thread_count_exits_two(game_file, result_file):
     assert "SMPE_THREADS" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_thread_count_below_one_exits_two(game_file, result_file, threads):
+    args = ["simulate", "--game", str(game_file), "--result", str(result_file)]
+    args += ["--paths", "100", "--seed", "1", "--truncation", "1e-2"]
+    code, err = run_cli(args, SMPE_THREADS=threads)
+    assert code == 2
+    assert f"SMPE_THREADS must be a positive integer, got '{threads}'" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "length, word",
     [

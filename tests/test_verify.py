@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from smpe import verify
 from smpe.errors import InvalidInput, ValidationError
 from smpe.game import KernelDecomposition, sunspot_extend, validate_game
 from smpe.gamefile import canonical_bytes, simulation_to_doc
@@ -361,6 +362,20 @@ def test_invalid_game_is_rejected(reader):
             simulate_payoffs(bad, result, 0, 100, seed=0, horizon=5)
 
 
+@pytest.mark.parametrize("threads", ["0", "-1", "x"])
+def test_thread_count_is_refused_before_the_tables_are_built(threads, monkeypatch):
+    spec, result = solved_family_game("atom-heavy", 0)
+
+    def unreachable(*args):
+        raise AssertionError("the joint law was built before SMPE_THREADS was read")
+
+    monkeypatch.setattr(verify, "_joint_law", unreachable)
+    monkeypatch.setenv("SMPE_THREADS", threads)
+    message = f"SMPE_THREADS must be a positive integer, got '{threads}'"
+    with pytest.raises(InvalidInput, match=message):
+        simulate_payoffs(spec, result, s0=0, paths=100, seed=0, horizon=5)
+
+
 def test_threaded_simulation_identical(monkeypatch):
     _, spec = random_nowak_game(seed=9, n_cells=6, j_components=1, k_atoms=1)
     result = solve(spec)
@@ -531,23 +546,43 @@ def test_simulation_matches_finite_horizon_expectation(case):
 # --- guide-table sampler ------------------------------------------------------------
 
 
-def adversarial_uniforms(cum, rng, extra=2000):
-    """Uniforms in [0, 1) on and next to every table entry and every edge
-    b/B of a guide of up to B = 4096 buckets, plus 0 and random ones."""
-    points = np.concatenate([cum.ravel(), np.arange(4096) / 4096])
-    near = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 2.0)])
-    u = np.concatenate([[0.0], near, rng.random(extra)])
-    return u[(u >= 0.0) & (u < 1.0)]
+def adversarial_words(cum, log_b, rng, extra=2000):
+    """Generator words whose uniforms ``k * 2**-53``, ``k = w >> 11``, sit
+    on and one unit either side of ``floor(c * 2**53)`` for every table
+    entry ``c`` and every bucket edge b/B of a guide of ``B = 2**log_b``
+    buckets, plus the ends of [0, 1) and random words; the low 11 bits,
+    which the uniform drops, are random."""
+    points = np.concatenate([cum.ravel(), np.arange(1 << log_b) / (1 << log_b)])
+    k = np.floor(np.clip(points, 0.0, 1.0) * 2.0**53).astype(np.int64)
+    k = np.concatenate([[0, 2**53 - 1], k - 1, k, k + 1])
+    k = k[(k >= 0) & (k < 2**53)].astype(np.uint64)
+    low = rng.integers(0, 1 << 11, len(k), dtype=np.uint64)
+    return np.concatenate([(k << 11) | low, rng.bit_generator.random_raw(extra)])
 
 
 def assert_draws_match_reference(cum, rng):
-    draw = _inverse_cdf(cum)
-    u = adversarial_uniforms(cum, rng)
+    log_b, draw = _inverse_cdf(cum)
+    words = adversarial_words(cum, log_b, rng)
+    u = (words >> 11) * 2.0**-53
+    cols = cum.shape[1]
     for r in range(cum.shape[0]):
-        rows = np.full(len(u), r)
-        assert np.array_equal(draw(rows, u), comparison_draw_reference(cum, rows, u))
-    rows = rng.integers(0, cum.shape[0], len(u))
-    assert np.array_equal(draw(rows, u), comparison_draw_reference(cum, rows, u))
+        rows = np.full(len(words), r)
+        found = draw(rows << log_b, words) - rows * cols
+        assert np.array_equal(found, comparison_draw_reference(cum, rows, u))
+    rows = rng.integers(0, cum.shape[0], len(words))
+    found = draw(rows << log_b, words) - rows * cols
+    assert np.array_equal(found, comparison_draw_reference(cum, rows, u))
+
+
+def test_raw_words_are_the_generator_uniforms():
+    # partial Philox blocks of four words carry over from one draw to the next
+    bits = np.random.Philox(key=[43, 0])
+    generator = np.random.Generator(np.random.Philox(key=[43, 0]))
+    for size in (1, 777, 8191, 8192, 8193):
+        words, u = bits.random_raw(size), generator.random(size)
+        assert np.array_equal((words >> 11) * 2.0**-53, u)
+        for log_b in (1, 4, 12, 20, 53):
+            assert np.array_equal(words >> (64 - log_b), np.floor(u * 2.0**log_b))
 
 
 def test_inverse_cdf_matches_comparison_on_adversarial_tables():
@@ -562,11 +597,52 @@ def test_inverse_cdf_matches_comparison_on_adversarial_tables():
         [[1 / 64, 0.5, 40 / 64, 1.0], [0.0, 63 / 64, 63 / 64, 1.0], [1 / 8, 1 / 4, 3 / 8, 1.0]],
         # unsorted rows: the count does not depend on the order of a row
         [[0.5, 0.2, 1.0, 0.75], [0.9, 0.1, 0.6, 1.0]],
+        # entries below 0 and above 1, which every and no uniform exceeds
+        [[-0.25, 0.5, 1.5, 1.0], [0.75, -1.0, 2.0, 0.0]],
+        # runs of equal entries in one marked bucket (B = 128 for eight
+        # columns), next to entries a step of 2**-53 apart
+        [[0.3] * 3 + [0.3 + 2.0**-53] + [0.3 + 2.0**-52] * 3 + [1.0], [0.0] * 7 + [1.0]],
+        # entries between the uniforms' steps of 2**-53, and the step itself
+        [[1e-300, 2.0**-54, 2.0**-53, 3 * 2.0**-54, 1.0], [0.1, 1 / 3, 0.5 - 2.0**-54, 0.5, 1.0]],
         # one column
         [[1.0], [1.0]],
     ]
     for table in tables:
         assert_draws_match_reference(np.array(table), rng)
+
+
+def test_inverse_cdf_matches_comparison_on_a_zero_mass_game_law():
+    rng = np.random.Generator(np.random.Philox(key=[41, 1]))
+    # the joint law of a game with zero-mass profiles, normalized as simulated:
+    # its zero-law columns leave runs of equal entries in marked buckets
+    spec, result = zero_mass_game((3, 4), 0)
+    cum = np.cumsum(_joint_law(result, spec), axis=1)
+    cum /= cum[:, -1:]
+    cum[:, -1] = 1.0
+    assert ((np.diff(cum, axis=1) == 0) & (cum[:, 1:] < 1.0)).any()
+    assert_draws_match_reference(cum, rng)
+
+
+@pytest.mark.parametrize("n_rows, log_b", [(2**14, 4), (2**14 + 1, 5)])
+def test_inverse_cdf_keys_fit_at_the_row_limit(n_rows, log_b):
+    # one column: 16 buckets, each row's entry in its last one, marked; at
+    # 2**14 such buckets the keys of width 2**49 fill int64 up to 2**63 - 1,
+    # and one row more doubles the buckets
+    rng = np.random.Generator(np.random.Philox(key=[41, n_rows]))
+    cum = (1.0 - (1 + np.arange(n_rows) % 7) * 2.0**-53)[:, None]
+    found_log_b, draw = _inverse_cdf(cum)
+    assert found_log_b == log_b
+    # on and either side of each entry, the top word, whose key in the last
+    # row is 2**63 - 1, and a random one
+    k = np.floor(cum * 2.0**53).astype(np.int64) + np.array([-1, 0, 1])
+    top, random = np.full((n_rows, 1), 2**53 - 1), rng.integers(0, 2**53, (n_rows, 1))
+    k = np.concatenate([k, top, random], axis=1)
+    rows = np.repeat(np.arange(n_rows), k.shape[1])
+    rows, k = rows[k.ravel() < 2**53], k[k < 2**53]
+    words = k.astype(np.uint64) << 11
+    u = k * 2.0**-53
+    found = draw(rows << log_b, words) - rows
+    assert np.array_equal(found, comparison_draw_reference(cum, rows, u))
 
 
 @pytest.mark.parametrize("columns", [33, 66])
